@@ -41,6 +41,9 @@ __all__ = [
     "extract_recovery",
 ]
 
+# seed of the seesaw's random code-state samples when the caller gives none
+SEESAW_DEFAULT_SEED = 20240817
+
 
 @dataclass
 class Code:
@@ -566,20 +569,21 @@ def _pure_state_fidelity(a, b):
     )).real)
 
 
-def worst_case_fidelity_seesaw(n, m, code, rounds=10, tol=1e-7):
+def worst_case_fidelity_seesaw(n, m, code, rounds=10, tol=1e-7, seed=None):
     """Heuristic worst-case (over code states) recovery fidelity.
 
     Alternates between optimizing the recovery at the current input
     state and searching for the worst pure code state of that recovery
     (the worst case over states is attained at pure states).  The best
     round's pair is returned as a heuristic lower bound on the max-min
-    fidelity; ``status`` is always "heuristic".
+    fidelity; ``status`` is always "heuristic".  ``seed`` draws the
+    random starting code states (``None``: :data:`SEESAW_DEFAULT_SEED`).
     """
     w = code.isometry
     k = code.logical_dim
     if n.in_dim != code.physical_dim or m.in_dim != code.physical_dim:
         raise ValueError("channels must act on the physical space")
-    rng = np.random.default_rng(20240817)
+    rng = np.random.default_rng(SEESAW_DEFAULT_SEED if seed is None else seed)
     samples = [np.eye(k, dtype=complex)[:, i] for i in range(k)]
     for i in range(k):
         for j in range(i + 1, k):

@@ -680,10 +680,11 @@ def _run_fidelity(resolved, tol, seed):
     variant = resolved["variant"]
     n, m = args["noise"], args["target"]
     if variant == "seesaw":
+        used_seed = recovery_mod.SEESAW_DEFAULT_SEED if seed is None else seed
         result = recovery_mod.worst_case_fidelity_seesaw(
-            n, m, args["code"], rounds=args["rounds"], tol=tol
+            n, m, args["code"], rounds=args["rounds"], tol=tol, seed=used_seed
         )
-        return _solver_summary(result, tol)
+        return {**_solver_summary(result, tol), "seed": int(used_seed)}
     if variant == "duality":
         rep = recovery_mod.verify_duality(
             n, m, args["state"], args["constraint"], tol=tol

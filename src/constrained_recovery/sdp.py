@@ -190,16 +190,43 @@ def _stacked_rows(problem):
     return stacks, a_svec
 
 
+def _independent_rows(a, tol):
+    """Rows of a real matrix that Gram-Schmidt in row order would keep.
+
+    A row is kept when its norm exceeds ``tol`` and its component
+    orthogonal to the rows kept before it exceeds ``tol`` times that
+    norm, the rule of :func:`linalg.orthonormal_rows`.  One QR of the
+    nonzero rows gives their coordinates R in an orthonormal basis, and
+    |R_kk| is the residual of row k against every earlier row, exact up
+    to the first dependent row.  That row is dropped, and the trailing
+    block of R (the later rows' components orthogonal to the rows kept
+    so far) is factored again; those factorizations are at most m x m.
+    """
+    norms = np.linalg.norm(a, axis=1)
+    cand = np.flatnonzero(norms > tol)
+    kept = []
+    r = np.linalg.qr(a[cand].T, mode="r") if cand.size else None
+    while cand.size:
+        ok = np.abs(np.diagonal(r)) > tol * norms[cand[:r.shape[0]]]
+        if ok.all():
+            # rows past the diagonal lie in the span of the kept ones
+            kept.extend(cand[:r.shape[0]])
+            break
+        bad = int(np.argmin(ok))
+        kept.extend(cand[:bad])
+        cand = cand[bad + 1:]
+        if cand.size:
+            r = np.linalg.qr(r[bad:, bad + 1:], mode="r")
+    return np.asarray(kept, dtype=int)
+
+
 def _reduce_rows(a_svec, rhs, feas_tol=1e-8):
     """Select an independent subset of rows; detect inconsistency.
 
-    Returns (kept_indices, None) or (None, reason) when the dropped rows
-    contradict the kept ones.
+    Returns (kept_indices, reason); ``reason`` is None unless the
+    dropped rows contradict the kept ones.
     """
-    if a_svec.shape[0] == 0:
-        return np.array([], dtype=int), None
-    _, kept = linalg.orthonormal_rows(a_svec, tol=1e-10, return_index=True)
-    kept = np.asarray(kept, dtype=int)
+    kept = _independent_rows(a_svec, tol=1e-10)
     dropped = np.setdiff1d(np.arange(a_svec.shape[0]), kept)
     if dropped.size:
         basis = a_svec[kept]
@@ -207,7 +234,7 @@ def _reduce_rows(a_svec, rhs, feas_tol=1e-8):
         implied = coef.T @ rhs[kept]
         worst = float(np.max(np.abs(implied - rhs[dropped])))
         if worst > feas_tol * (1.0 + float(np.max(np.abs(rhs)))):
-            return None, (f"constraint rows are linearly dependent with "
+            return kept, (f"constraint rows are linearly dependent with "
                           f"inconsistent right-hand sides (misfit {worst:.2e})")
     return kept, None
 
@@ -245,13 +272,15 @@ def solve(problem, tol=1e-7, max_iter=200):
     rhs_full = problem.rhs
 
     kept, reason = _reduce_rows(a_svec_full, rhs_full)
-    if kept is None:
+    diagnostics = {"rows": int(rhs_full.size), "rows_kept": int(kept.size)}
+    if reason is not None:
+        diagnostics["reason"] = reason
         return SdpSolution(
             status="infeasible", value=np.nan, dual_value=np.nan,
             block_values=[np.zeros((d, d), dtype=complex) for d in dims],
             dual_values=np.zeros(rhs_full.size), dual_blocks=list(c_blocks),
             primal_residual=np.inf, dual_residual=np.inf, gap=np.inf,
-            iterations=0, diagnostics={"reason": reason},
+            iterations=0, diagnostics=diagnostics,
         )
     stacks = [s[kept] for s in stacks_full]
     a_svec = a_svec_full[kept]
@@ -277,7 +306,6 @@ def solve(problem, tol=1e-7, max_iter=200):
         return [np.einsum("i,iab->ab", vec, s) for s in stacks]
 
     status = "max_iter"
-    diagnostics = {}
     it = 0
     stall = 0
     tau = 0.98
@@ -587,6 +615,18 @@ def _matrix_units(d_out, d_in):
     return eye.reshape(d_out * d_in, d_out, d_in)
 
 
+def _contract_basis(basis, t):
+    """out[j, u, v] = sum_kl t[u, k, v, l] h_j[k, l], Hermitian in (u, v).
+
+    ``basis`` stacks the h_j, shape (d*d, d, d); ``t`` has shape
+    (n, d, n, d).  One matmul covers the whole basis.
+    """
+    n, d = t.shape[:2]
+    out = basis.reshape(d * d, d * d) @ t.transpose(1, 3, 0, 2).reshape(d * d, n * n)
+    out = out.reshape(d * d, n, n)
+    return (out + out.conj().transpose(0, 2, 1)) / 2.0
+
+
 def _build_link_problem(eta, sigma, left_dim, act_in, act_out, ref_dim,
                         op_basis=None, label="unconstrained"):
     """Fidelity between a fixed state and a channel-parameterized one.
@@ -620,41 +660,38 @@ def _build_link_problem(eta, sigma, left_dim, act_in, act_out, ref_dim,
     q_sigma = _support_isometry(sigma)
     r = q_sigma.shape[1]
     sigma_c = q_sigma.conj().T @ sigma @ q_sigma
+    basis_in = linalg.hermitian_basis(act_in)
+    basis_r = linalg.hermitian_basis(r)
 
-    eta6 = eta.reshape(left_dim, act_in, ref_dim, left_dim, act_in, ref_dim)
-    # t[u] = (1 (x) B_u (x) 1) eta, still a 6-index tensor
-    t = np.einsum("uai,kirljs->ukarljs", ops, eta6)
-    t = t.reshape(n_ops, left_dim * act_out * ref_dim,
-                  left_dim, act_in, ref_dim)
-    # s[u, v] = Q^dag (1 (x) B_u (x) 1) eta (1 (x) B_v (x) 1)^dag Q
-    s_blocks = np.empty((n_ops, n_ops, r, r), dtype=complex)
-    for u in range(n_ops):
-        tu = np.einsum("xljs,vbj->vxlbs", t[u], ops.conj())
-        tu = tu.reshape(n_ops, left_dim * act_out * ref_dim,
-                        left_dim * act_out * ref_dim)
-        s_blocks[u] = np.einsum(
-            "px,vxy,yq->vpq", q_sigma.conj().T, tu, q_sigma
-        )
+    # ops_cols[i, (u, j)] = B_u[i, j]
+    ops_cols = ops.transpose(1, 0, 2).reshape(act_out, n_ops * act_in)
+    # g[(u, p), :] = row p of Q^dag (1 (x) B_u (x) 1), every u in one matmul
+    q_dag = q_sigma.conj().T.reshape(r, left_dim, act_out, ref_dim)
+    g = q_dag.transpose(0, 1, 3, 2).reshape(-1, act_out) @ ops_cols
+    g = g.reshape(r, left_dim, ref_dim, n_ops, act_in)
+    g = g.transpose(3, 0, 1, 4, 2).reshape(n_ops * r, d_eta)
+    # s[u, p, v, q] = (Q^dag (1 (x) B_u (x) 1) eta (1 (x) B_v (x) 1)^dag Q)[p, q]
+    s = (g @ eta @ g.conj().T).reshape(n_ops, r, n_ops, r)
+    link = _contract_basis(basis_r, s.conj())
+    # pair[u, j, v, l] = sum_i conj(B_u[i, j]) B_v[i, l]
+    pair = (ops_cols.conj().T @ ops_cols).reshape(n_ops, act_in, n_ops, act_in)
+    tp = _contract_basis(basis_in, pair)
 
     rows = []
     rhs = []
     y_dim = 2 * r
     # trace preservation of the optimized channel
-    for h in linalg.hermitian_basis(act_in):
-        a_j = np.einsum("uij,vil,jl->uv", ops.conj(), ops, h)
-        a_j = (a_j + a_j.conj().T) / 2.0
+    for h, a_j in zip(basis_in, tp):
         rows.append([a_j, None])
         rhs.append(float(np.trace(h).real))
     # the top-left corner of the fidelity block equals the channel output
-    for h in linalg.hermitian_basis(r):
-        n_j = np.einsum("uvab,ab->uv", s_blocks.conj(), h)
-        n_j = (n_j + n_j.conj().T) / 2.0
+    for h, n_j in zip(basis_r, link):
         y_row = np.zeros((y_dim, y_dim), dtype=complex)
         y_row[:r, :r] = h
         rows.append([-n_j, y_row])
         rhs.append(0.0)
     # the bottom-right corner is pinned to the fixed state
-    for h in linalg.hermitian_basis(r):
+    for h in basis_r:
         y_row = np.zeros((y_dim, y_dim), dtype=complex)
         y_row[r:, r:] = h
         rows.append([None, y_row])

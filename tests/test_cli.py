@@ -440,6 +440,29 @@ def test_fidelity_seesaw_synthesized(capsys):
     assert 0.0 <= out["value"] <= 1.0 + 1e-9
 
 
+def test_seesaw_draws_and_reports_the_scenario_seed():
+    task = {
+        "task": "fidelity",
+        "variant": "seesaw",
+        "noise": "dephase",
+        "target": "ideal",
+        "code": "trivial",
+        "rounds": 1,
+    }
+    spec = qubit_scenario([task])
+    spec["seed"] = 7
+    first = sc.run_scenario(sc.load_scenario(spec))
+    again = sc.run_scenario(sc.load_scenario(spec))
+    out = first["tasks"][0]["output"]
+    assert out["seed"] == first["provenance"]["seed"] == 7
+    assert out["value"] == again["tasks"][0]["output"]["value"]
+    override = sc.run_scenario(sc.load_scenario(spec), seed=11)
+    assert override["tasks"][0]["output"]["seed"] == 11
+    del spec["seed"]
+    unseeded = sc.run_scenario(sc.load_scenario(spec))
+    assert unseeded["tasks"][0]["output"]["seed"] == rc.SEESAW_DEFAULT_SEED
+
+
 def test_fidelity_requires_noise_and_target_exit_1(capsys):
     assert cli.main(["fidelity", "optimal", "--scenario", "poisoning"]) == 1
     assert "--noise and --target" in capsys.readouterr().err

@@ -534,6 +534,30 @@ def test_seesaw_dephasing_worst_case_matches_symmetric_point():
     assert res.constraint_set == "worst_case_seesaw(heuristic)"
 
 
+def test_seesaw_seed_reproduces_and_defaults(monkeypatch):
+    rng = np.random.default_rng(61)
+    n = ch.Channel(random_kraus(rng, 2, 2, 2))
+    code = rc.Code(2, 2, np.eye(2, dtype=complex))
+    seeds = []
+    make_rng = np.random.default_rng
+
+    def recording_rng(seed=None):
+        seeds.append(seed)
+        return make_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    first = rc.worst_case_fidelity_seesaw(n, ID2, code, rounds=2, seed=5)
+    assert seeds == [5]
+    again = rc.worst_case_fidelity_seesaw(n, ID2, code, rounds=2, seed=5)
+    assert first.value == again.value
+    default = rc.worst_case_fidelity_seesaw(n, ID2, code, rounds=2)
+    pinned = rc.worst_case_fidelity_seesaw(
+        n, ID2, code, rounds=2, seed=rc.SEESAW_DEFAULT_SEED
+    )
+    assert default.value == pinned.value
+    assert seeds[2:] == [rc.SEESAW_DEFAULT_SEED] * 2
+
+
 def test_seesaw_never_beats_any_particular_state():
     rng = np.random.default_rng(59)
     n = ch.Channel(random_kraus(rng, 2, 2, 2))

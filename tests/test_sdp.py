@@ -1,12 +1,22 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from constrained_recovery import algebra as alg
 from constrained_recovery import channels as ch
+from constrained_recovery import fermion
 from constrained_recovery import linalg
+from constrained_recovery import recovery as rc
 from constrained_recovery import sdp
-from helpers import random_density, random_hermitian, random_kraus, random_pure
+from helpers import (
+    random_density,
+    random_hermitian,
+    random_kraus,
+    random_physical_channel,
+    random_pure,
+)
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -140,6 +150,8 @@ def test_redundant_rows_are_tolerated():
     assert sol.status == "optimal"
     assert abs(sol.value - 1.0) < 1e-6
     assert sol.dual_values.shape == (2,)
+    assert sol.diagnostics["rows"] == 2
+    assert sol.diagnostics["rows_kept"] == sol.diagnostics["rows"] - 1
 
 
 def test_inconsistent_rows_are_reported_infeasible():
@@ -149,6 +161,8 @@ def test_inconsistent_rows_are_reported_infeasible():
     assert sol.status == "infeasible"
     assert sol.iterations == 0
     assert "inconsistent" in sol.diagnostics["reason"]
+    assert sol.diagnostics["rows"] == 2
+    assert sol.diagnostics["rows_kept"] == 1
 
 
 def test_constructor_validation():
@@ -265,3 +279,213 @@ def test_recovery_builder_validation():
     with pytest.raises(TypeError):
         sdp.build_recovery_fidelity_sdp(ident, ident, np.eye(2) / 2,
                                         constraints="free")
+
+
+# ---------------------------------------------------------------------------
+# row reduction: the QR rank decision keeps what Gram-Schmidt keeps
+
+
+def gram_schmidt_kept(a):
+    _, kept = linalg.orthonormal_rows(a, tol=1e-10, return_index=True)
+    return list(kept)
+
+
+def _rank_cases():
+    rng = np.random.default_rng(61)
+    base = rng.normal(size=(3, 7))
+    zero = np.zeros(7)
+    noise = rng.normal(size=7)
+    noise /= np.linalg.norm(noise)
+    combo = base[0] + base[1]
+    tiny = combo + 1e-13 * np.linalg.norm(combo) * noise
+    small = base[0] - base[1] + 1e-6 * np.linalg.norm(base[0] - base[1]) * noise
+    e = np.eye(2)
+    return {
+        "zero rows": (np.stack([zero, base[0], zero, base[1], zero]), [1, 3]),
+        "exact duplicates": (
+            np.stack([base[0], base[1], base[0], base[2], base[1]]), [0, 1, 3]
+        ),
+        "near dependence": (np.stack([base[0], base[1], tiny, small]), [0, 1, 3]),
+        "more rows than columns": (rng.normal(size=(9, 4)), [0, 1, 2, 3]),
+        "duplicate before the span is full": (
+            np.stack([e[0], e[0], e[1], e[0] + e[1]]), [0, 2]
+        ),
+        "only zero rows": (np.zeros((3, 4)), []),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_rank_cases()))
+def test_reduce_rows_keeps_gram_schmidt_rows(case):
+    a, expected = _rank_cases()[case]
+    rhs = a @ np.linspace(1.0, 2.0, a.shape[1])
+    kept, reason = sdp._reduce_rows(a, rhs)
+    assert reason is None
+    assert list(kept) == gram_schmidt_kept(a) == expected
+
+
+def test_dependent_row_with_inconsistent_rhs_is_infeasible():
+    rng = np.random.default_rng(67)
+    a = random_hermitian(rng, 2)
+    b = random_hermitian(rng, 2)
+    rows = [[a], [b], [a + b]]
+    rhs = [float(np.trace(a).real), float(np.trace(b).real), 0.0]
+    sol = sdp.solve(sdp.SdpProblem([2], [np.eye(2)], rows, rhs))
+    assert sol.status == "infeasible"
+    assert sol.iterations == 0
+    assert "inconsistent" in sol.diagnostics["reason"]
+    assert sol.diagnostics["rows"] == 3
+    assert sol.diagnostics["rows_kept"] == 2
+
+
+S2 = fermion.FermionSystem(2)
+PARITY2 = np.asarray(fermion.parity_operator(S2, (1, 2, 3, 4)).c)
+PARITY_ALGEBRA = alg.generate_algebra([PARITY2], 4)
+# what the solver gave with Gram-Schmidt row reduction and the einsum builder
+FROZEN_FIXES_ALGEBRA_ITERATIONS = 18
+FROZEN_FIXES_ALGEBRA_VALUE = 0.5458951079673856
+
+
+def test_fixes_algebra_solve_iterations_are_frozen():
+    # its trace-preservation rows include exact zeros, which the row
+    # reduction drops before the solve
+    rng = np.random.default_rng(103)
+    n = ch.Channel(random_kraus(rng, 4, 4, 3))
+    m = ch.Channel(random_kraus(rng, 4, 4, 2))
+    prob = sdp.build_recovery_fidelity_sdp(
+        n, m, np.eye(4) / 4, sdp.FixesAlgebra(PARITY_ALGEBRA)
+    )
+    sol = sdp.solve(prob)
+    assert sol.status == "optimal"
+    assert sol.diagnostics["rows_kept"] < sol.diagnostics["rows"]
+    assert sol.iterations == FROZEN_FIXES_ALGEBRA_ITERATIONS
+    assert abs(sol.value - FROZEN_FIXES_ALGEBRA_VALUE) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the link builder against its definition, written with explicit kron products
+
+
+class _Built(Exception):
+    pass
+
+
+def first_link_plan(monkeypatch, run):
+    """Arguments and plan of the first link problem ``run()`` builds.
+
+    ``run`` is aborted right after that build, so no solve follows.
+    """
+    build = sdp._build_link_problem
+    built = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(build).bind(*args, **kwargs)
+        bound.apply_defaults()
+        built.append((bound.arguments, build(*args, **kwargs)))
+        raise _Built
+
+    monkeypatch.setattr(sdp, "_build_link_problem", spy)
+    with pytest.raises(_Built):
+        run()
+    return built[0]
+
+
+def definition_rows(args, q):
+    """Constraint rows and rhs of a link problem, entry by entry."""
+    left, act_in, act_out, ref = (
+        args["left_dim"], args["act_in"], args["act_out"], args["ref_dim"]
+    )
+    if args["op_basis"] is None:
+        ops = np.eye(act_out * act_in, dtype=complex).reshape(-1, act_out, act_in)
+    else:
+        ops = np.asarray(args["op_basis"], dtype=complex)
+    eta = np.asarray(args["eta"], dtype=complex)
+    sigma = np.asarray(args["sigma"], dtype=complex)
+    r = q.shape[1]
+    lifts = [np.kron(np.kron(np.eye(left), b), np.eye(ref)) for b in ops]
+    # s[u][v] = Q^dag (1 (x) B_u (x) 1) eta (1 (x) B_v (x) 1)^dag Q
+    s = [[q.conj().T @ lu @ eta @ lv.conj().T @ q for lv in lifts] for lu in lifts]
+    rows = []
+    rhs = []
+    # a[u, v] = sum_ijl conj(B_u[i, j]) B_v[i, l] h[j, l]
+    for h in linalg.hermitian_basis(act_in):
+        a = np.array([[np.trace(bu.conj().T @ bv @ h.T) for bv in ops] for bu in ops])
+        rows.append([(a + a.conj().T) / 2.0, None])
+        rhs.append(np.trace(h).real)
+    for h in linalg.hermitian_basis(r):
+        n = np.array([[np.sum(suv.conj() * h) for suv in su] for su in s])
+        y = np.zeros((2 * r, 2 * r), dtype=complex)
+        y[:r, :r] = h
+        rows.append([-(n + n.conj().T) / 2.0, y])
+        rhs.append(0.0)
+    sigma_c = q.conj().T @ sigma @ q
+    for h in linalg.hermitian_basis(r):
+        y = np.zeros((2 * r, 2 * r), dtype=complex)
+        y[r:, r:] = h
+        rows.append([None, y])
+        rhs.append(np.trace(h @ sigma_c).real)
+    return rows, rhs
+
+
+def assert_plan_matches_definition(args, plan):
+    q = plan.sigma_support
+    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) < 1e-12
+    rows, rhs = definition_rows(args, q)
+    prob = plan.problem
+    assert prob.n_constraints == len(rows)
+    assert np.max(np.abs(prob.rhs - np.array(rhs))) < 1e-12
+    for got, want in zip(prob.constraints, rows):
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert np.max(np.abs(g - w)) < 1e-12
+
+
+def test_link_rows_match_definition_rectangular(monkeypatch):
+    rng = np.random.default_rng(71)
+    n = ch.Channel(random_kraus(rng, 2, 2, 2))
+    m = ch.Channel(random_kraus(rng, 3, 2, 2))
+    rho = random_density(rng, 2)
+    args, plan = first_link_plan(
+        monkeypatch, lambda: sdp.build_recovery_fidelity_sdp(n, m, rho)
+    )
+    assert (args["act_in"], args["act_out"]) == (2, 3)
+    assert_plan_matches_definition(args, plan)
+
+
+def test_link_rows_match_definition_physical(monkeypatch):
+    rng = np.random.default_rng(73)
+    dephase = ch.Channel([np.eye(4) / np.sqrt(2), PARITY2 / np.sqrt(2)])
+    n = random_physical_channel(rng, PARITY2)
+    m = random_physical_channel(rng, PARITY2, 2)
+    constraint = sdp.Physical(dephase, dephase)
+    args, plan = first_link_plan(
+        monkeypatch,
+        lambda: sdp.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint),
+    )
+    assert_plan_matches_definition(args, plan)
+
+
+def test_link_rows_match_definition_fixes_algebra(monkeypatch):
+    rng = np.random.default_rng(79)
+    n = ch.Channel(random_kraus(rng, 4, 4, 3))
+    m = ch.Channel(random_kraus(rng, 4, 4, 2))
+    constraint = sdp.FixesAlgebra(PARITY_ALGEBRA)
+    args, plan = first_link_plan(
+        monkeypatch,
+        lambda: sdp.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint),
+    )
+    assert args["op_basis"] is not None
+    assert_plan_matches_definition(args, plan)
+
+
+def test_link_rows_match_definition_environment_fixes_algebra(monkeypatch):
+    rng = np.random.default_rng(83)
+    n = ch.Channel(random_kraus(rng, 4, 4, 3))
+    m = ch.Channel(random_kraus(rng, 4, 4, 2))
+    constraint = rc.FixesAlgebra(PARITY_ALGEBRA)
+    args, plan = first_link_plan(
+        monkeypatch,
+        lambda: rc.environment_side_fidelity(n, m, np.eye(4) / 4, constraint),
+    )
+    assert args["left_dim"] > 1
+    assert_plan_matches_definition(args, plan)

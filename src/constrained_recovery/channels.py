@@ -271,15 +271,18 @@ def local_complement_defect(c, b, lc=None):
     ghat = prods.reshape(k_p * k_p, d * d).T
     ghat_pinv = np.linalg.pinv(ghat, rcond=1e-10)
 
-    v4 = c.stinespring.reshape(d, k_n, c.in_dim)
-    g4 = lc._stack.reshape(d, k_p, k_n, c.in_dim)
+    # both sides as (environment x input) square matrices: V^dag (B (x) 1) V
+    # and G^dag (1 (x) X) G with G the Stinespring isometry of lc
+    v2 = c.stinespring.reshape(d, k_n * c.in_dim)
+    g3 = lc._stack.reshape(d, k_p, k_n * c.in_dim)
+    g2 = g3.reshape(d * k_p, k_n * c.in_dim)
     worst = 0.0
     for bop in b.basis:
         x = ghat_pinv @ linalg.vec(bop)
         solve_res = float(np.linalg.norm(ghat @ x - linalg.vec(bop)))
         x = linalg.unvec(x, (k_p, k_p))
-        lhs = np.einsum("aks,ab,blt->klst", v4.conj(), bop, v4)
-        rhs = np.einsum("amks,mn,anlt->klst", g4.conj(), x, g4)
+        lhs = v2.conj().T @ (bop @ v2)
+        rhs = g2.conj().T @ (x @ g3).reshape(d * k_p, -1)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)), solve_res)
     return worst
 

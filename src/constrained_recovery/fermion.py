@@ -183,10 +183,22 @@ def physical_algebra(system, majoranas=None, *, modes=None):
         if not 1 <= k <= 2 * system.n_modes:
             raise IndexError(f"Majorana index {k} out of range")
     scale = 1.0 / np.sqrt(system.dim)
+    gens = [majorana(system, k) for k in region]
     basis = []
+
+    def extend(prefix, start, left, phase):
+        # depth-first in the order of itertools.combinations; each monomial
+        # is one product from its prefix, the same left-to-right products
+        # that majorana_monomial forms, so the basis is unchanged
+        if left == 0:
+            basis.append(scale * (phase * prefix))
+            return
+        for j in range(start, len(gens) - left + 1):
+            extend(prefix @ gens[j], j + 1, left - 1, phase)
+
+    eye = np.eye(system.dim, dtype=complex)
     for size in range(0, len(region) + 1, 2):
-        for subset in itertools.combinations(region, size):
-            basis.append(scale * majorana_monomial(system, subset))
+        extend(eye, 0, size, 1j ** ((size * (size - 1) // 2) % 4))
     return AlgebraBasis(system.dim, basis)
 
 

@@ -85,3 +85,20 @@ def planted_algebra(rng, sectors):
             at += r
         gens.append(u @ full @ u.conj().T)
     return gens, u, d
+
+
+def commutant_by_svd(a, tol=1e-10):
+    """Reference commutant: the kernel of the stacked commutator maps.
+
+    X -> [b, X] for every basis element b, as one (dim * d^2) x d^2 matrix in
+    row-major vec convention, whose null space is found by SVD. Meant for
+    ambient dimension 16 or less.
+    """
+    from constrained_recovery.algebra import AlgebraBasis
+
+    d = a.ambient_dim
+    eye = np.eye(d)
+    maps = np.concatenate([np.kron(b, eye) - np.kron(eye, b.T) for b in a.basis])
+    _, s, vh = np.linalg.svd(maps, full_matrices=False)
+    null = vh[np.count_nonzero(s > tol * max(1.0, s[0])):]
+    return AlgebraBasis(d, list(null.conj().reshape(-1, d, d)))

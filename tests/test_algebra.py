@@ -3,8 +3,15 @@ import pytest
 
 from constrained_recovery import algebra as alg
 from constrained_recovery import channels as ch
+from constrained_recovery import fermion
 from constrained_recovery import linalg
-from helpers import planted_algebra, random_hermitian, random_density, random_unitary
+from helpers import (
+    commutant_by_svd,
+    planted_algebra,
+    random_density,
+    random_hermitian,
+    random_unitary,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -103,6 +110,70 @@ def test_commutant_planted_dims_and_residual():
         assert worst < 1e-9
 
 
+def test_commutant_matches_commutator_kernel():
+    rng = np.random.default_rng(41)
+    shapes = [
+        [(2, 1), (1, 2)],
+        [(1, 1), (1, 1), (2, 1)],
+        [(2, 3), (2, 3)],
+        [(1, 5)],
+        [(4, 2), (2, 2), (2, 1), (1, 2)],
+    ]
+    for sectors in shapes:
+        gens, _, d = planted_algebra(rng, sectors)
+        a = alg.generate_algebra(gens, d)
+        assert alg.equal_spans(alg.commutant(a), commutant_by_svd(a), tol=1e-9)
+    region = fermion.physical_algebra(fermion.FermionSystem(4), [2, 3, 4, 5])
+    assert alg.equal_spans(
+        alg.commutant(region), commutant_by_svd(region), tol=1e-9
+    )
+
+
+def test_commutant_of_six_mode_region_algebra():
+    a = fermion.physical_algebra(fermion.FermionSystem(6), [1, 2, 3, 4])
+    c = alg.commutant(a)
+    assert c.dim == 512
+    gram = c._rows.conj() @ c._rows.T
+    assert np.linalg.norm(gram - np.eye(c.dim)) < 1e-10
+    xs = np.stack(c.basis)
+    worst = max(
+        float(np.max(np.linalg.norm(b @ xs - xs @ b, axis=(1, 2)))) for b in a.basis
+    )
+    assert worst <= 1e-12
+
+
+def test_commutant_is_reproducible():
+    rng = np.random.default_rng(42)
+    gens, _, d = planted_algebra(rng, [(2, 2), (1, 3)])
+    a = alg.generate_algebra(gens, d)
+    first, second = alg.commutant(a), alg.commutant(a)
+    assert first.dim == second.dim == 13
+    for x, y in zip(first.basis, second.basis):
+        assert np.array_equal(x, y)
+
+
+def test_commutant_of_empty_basis_is_full():
+    rng = np.random.default_rng(43)
+    c = alg.commutant(alg.AlgebraBasis(3, []))
+    full = alg.generate_algebra([random_hermitian(rng, 3) for _ in range(2)], 3)
+    assert c.dim == full.dim == 9
+    assert alg.equal_spans(c, full)
+
+
+def test_commutant_rejects_non_algebra():
+    # {1, X, Y} on the first qubit spans no algebra: XY = iZ is missing
+    bad = alg.AlgebraBasis(
+        4,
+        [np.eye(4) / 2, np.kron(X, np.eye(2)) / 2, np.kron(Y, np.eye(2)) / 2],
+    )
+    with pytest.raises(ValueError, match="not a dagger-algebra"):
+        alg.commutant(bad)
+    # a projector spans a *-algebra without the identity, which has no
+    # sector form (+) M_n (x) 1_m on the whole space
+    with pytest.raises(ValueError, match="not a dagger-algebra"):
+        alg.commutant(alg.AlgebraBasis(3, [np.diag([1.0, 0.0, 0.0])]))
+
+
 def test_double_commutant():
     rng = np.random.default_rng(99)
     shapes = [
@@ -196,6 +267,11 @@ def test_block_structure_roundtrip():
     bs = alg.block_structure(a)
     found = sorted((s.left_dim, s.right_dim) for s in bs.sectors)
     assert found == sorted(sectors)
+    _assert_blocks_rebuild(a, bs)
+
+
+def _assert_blocks_rebuild(a, bs):
+    d = a.ambient_dim
     for s in bs.sectors:
         nm = s.left_dim * s.right_dim
         assert np.linalg.norm(s.isometry @ s.isometry.conj().T - np.eye(nm)) < 1e-9
@@ -209,6 +285,24 @@ def test_block_structure_roundtrip():
                 left / s.right_dim, np.eye(s.right_dim)
             ) @ s.isometry
         assert np.linalg.norm(rebuilt - b) < 1e-8
+
+
+def test_block_structure_of_every_ring_region():
+    # every four contiguous Majoranas on the ring of 10 (5 modes)
+    system = fermion.FermionSystem(5)
+    for seed in (0, alg.DEFAULT_SEED):
+        for start in range(10):
+            region = [(start + i) % 10 + 1 for i in range(4)]
+            a = fermion.physical_algebra(system, region)
+            bs = alg.block_structure(a, seed=seed)
+            found = sorted((s.left_dim, s.right_dim) for s in bs.sectors)
+            assert found == [(2, 8), (2, 8)], (start, seed)
+
+
+def test_block_structure_roundtrip_on_region_algebra():
+    # {2..5} on 5 modes failed to factor under the Gram-eigensolve commutant
+    a = fermion.physical_algebra(fermion.FermionSystem(5), [2, 3, 4, 5])
+    _assert_blocks_rebuild(a, alg.block_structure(a))
 
 
 def test_block_structure_rejects_non_algebra():

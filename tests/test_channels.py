@@ -423,6 +423,39 @@ def test_local_complement_defect_random_pairs():
         assert ch.local_complement_defect(c, b) < 1e-8
 
 
+def _defect_by_einsum(c, b, lc):
+    # the defect contracted with three-operand einsums, as a reference
+    p = alg.conditional_expectation(alg.commutant(b))
+    k_p, k_n, d = p.n_kraus, c.n_kraus, c.out_dim
+    prods = np.einsum("mba,nbc->mnac", p._stack.conj(), p._stack)
+    ghat = prods.reshape(k_p * k_p, d * d).T
+    ghat_pinv = np.linalg.pinv(ghat, rcond=1e-10)
+    v4 = c.stinespring.reshape(d, k_n, c.in_dim)
+    g4 = lc._stack.reshape(d, k_p, k_n, c.in_dim)
+    worst = 0.0
+    for bop in b.basis:
+        x = ghat_pinv @ linalg.vec(bop)
+        solve_res = float(np.linalg.norm(ghat @ x - linalg.vec(bop)))
+        x = linalg.unvec(x, (k_p, k_p))
+        lhs = np.einsum("aks,ab,blt->klst", v4.conj(), bop, v4)
+        rhs = np.einsum("amks,mn,anlt->klst", g4.conj(), x, g4)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)), solve_res)
+    return worst
+
+
+def test_local_complement_defect_matches_einsum_contraction():
+    rng = np.random.default_rng(26)
+    gens, _, d = planted_algebra(rng, [(2, 1), (1, 2)])
+    b = alg.generate_algebra(gens, d)
+    c = ch.Channel(random_kraus(rng, d, 3, 2))
+    # the complement of another channel, so that the defect is far from 0
+    other = ch.local_complementary(ch.Channel(random_kraus(rng, d, 3, 2)), b)
+    for lc in (None, other):
+        expect = _defect_by_einsum(c, b, lc or ch.local_complementary(c, b))
+        assert abs(ch.local_complement_defect(c, b, lc) - expect) <= 1e-12
+    assert expect > 0.1
+
+
 def test_local_complementary_is_trace_preserving():
     rng = np.random.default_rng(25)
     gens, _, d = planted_algebra(rng, [(2, 1), (1, 2)])

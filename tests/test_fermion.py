@@ -107,6 +107,21 @@ def test_physical_algebra_dimensions():
     assert fermion.physical_algebra(S3, (1, 2, 3, 4)).dim == 8
 
 
+def test_physical_algebra_basis_is_the_scaled_monomials():
+    # odd region sizes and indices out of order take the same path as modes
+    for system, region in ((S3, (5, 1, 2, 6, 3)), (S3, tuple(range(1, 7)))):
+        a = fermion.physical_algebra(system, region)
+        order = sorted(region)
+        scale = 1.0 / np.sqrt(system.dim)
+        expect = [
+            scale * fermion.majorana_monomial(system, sub)
+            for size in range(0, len(order) + 1, 2)
+            for sub in itertools.combinations(order, size)
+        ]
+        assert len(a.basis) == len(expect)
+        assert all(np.array_equal(x, y) for x, y in zip(a.basis, expect))
+
+
 def test_physical_algebra_argument_validation():
     with pytest.raises(ValueError):
         fermion.physical_algebra(S2)

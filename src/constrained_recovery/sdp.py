@@ -11,6 +11,28 @@ method with Nesterov-Todd scaling, an infeasible identity start, and a
 Mehrotra-style adaptive centering parameter.  Everything is dense and
 deterministic, aimed at blocks of a few hundred rows at most.
 
+Rows come in two forms.  A dense row is one Hermitian matrix per block.
+A row family (:class:`RowFamily`) is the c*c rows
+
+    A_j = sum_t coef_t L_t (1_a (x) h_j) L_t^dag,   h_j in hermitian_basis(c),
+
+one term t per block it touches, with the lift L_t of shape
+(block dim, a*c) and its columns indexed (k, p), k-major.  Each iteration
+needs the Schur complement S_ij = sum_b Tr(A_ib W_b A_jb W_b) at the
+Nesterov-Todd scaling W.  For dense rows that takes one product W A W per
+row.  For two families f, g on one block the whole c_f^2 x c_g^2 block
+follows from N = L_f^dag W L_g, viewed as N[k, y, l, z]:
+
+    R[(y, z), (x, w)] = sum_kl N[k, y, l, z] conj(N[k, x, l, w]),
+    S_fg = coef_f coef_g Re(Hm_f T Hm_g^T),   T[(x, y), (z, w)] = R[(y, z), (x, w)],
+
+where Hm_c stacks vec(h_j).  That is one GEMM of c_f c_g x a_f a_g x
+c_f c_g instead of c^2 products of block size, the partial-trace
+reduction of structured rows in Fujisawa, Kojima & Nakata, "Exploiting
+sparsity in primal-dual interior-point methods for semidefinite
+programming", Math. Prog. 79 (1997).  A problem stores the dense rows of
+its families as well, so every row reads the same in either form.
+
 The module also contains the builders that express fidelity
 maximization between states, and between channel outputs optimized over
 an intermediate processing channel, as problems in this standard form.
@@ -27,6 +49,7 @@ from . import linalg
 from .channels import Channel, compose
 
 __all__ = [
+    "RowFamily",
     "SdpProblem",
     "SdpSolution",
     "Unconstrained",
@@ -42,12 +65,23 @@ __all__ = [
 ]
 
 _TRIU_CACHE = {}
+_BASIS_CACHE = {}
+_ROOT2 = np.sqrt(2.0)
 
 
 def _triu(d):
     if d not in _TRIU_CACHE:
         _TRIU_CACHE[d] = np.triu_indices(d, 1)
     return _TRIU_CACHE[d]
+
+
+def _hermitian_basis(d):
+    """Read-only :func:`linalg.hermitian_basis`, built once per dimension."""
+    if d not in _BASIS_CACHE:
+        basis = linalg.hermitian_basis(d)
+        basis.setflags(write=False)
+        _BASIS_CACHE[d] = basis
+    return _BASIS_CACHE[d]
 
 
 def svec(h):
@@ -81,14 +115,21 @@ def unsvec(v, d):
     return h
 
 
-def _svec_stack(stack):
-    """Apply :func:`svec` to a stack of matrices, shape (m, d, d) -> (m, d*d)."""
+def _svec_stack(stack, out=None):
+    """Apply :func:`svec` to a stack of matrices, shape (m, d, d) -> (m, d*d).
+
+    ``out``, when given, receives the result in place.
+    """
     m, d, _ = stack.shape
     iu, ju = _triu(d)
-    diag = stack[:, np.arange(d), np.arange(d)].real
-    off = stack[:, iu, ju]
-    root2 = np.sqrt(2.0)
-    return np.concatenate([diag, root2 * off.real, root2 * off.imag], axis=1)
+    k = iu.size
+    if out is None:
+        out = np.empty((m, d * d))
+    out[:, :d] = stack.real[:, np.arange(d), np.arange(d)]
+    out[:, d:d + k] = stack.real[:, iu, ju]
+    out[:, d + k:] = stack.imag[:, iu, ju]
+    out[:, d:] *= _ROOT2
+    return out
 
 
 def _as_hermitian(a, what, dim=None):
@@ -103,6 +144,57 @@ def _as_hermitian(a, what, dim=None):
     return (a + a.conj().T) / 2.0
 
 
+class RowFamily:
+    """The c*c constraint rows sum_t coef_t L_t (1_a (x) h_j) L_t^dag.
+
+    ``h_j`` runs over ``linalg.hermitian_basis(dim)``.  ``terms`` holds
+    one ``(block, lift, coef)`` per block the rows touch; ``lift`` has
+    shape (block dim, a * dim) with columns indexed (k, p), k-major, or
+    is ``None`` for the identity (then a = block dim / dim).
+    """
+
+    def __init__(self, dim, terms):
+        self.dim = int(dim)
+        if self.dim < 1:
+            raise ValueError("row family dimension must be positive")
+        self.terms = [
+            (int(b), None if lift is None else np.asarray(lift, dtype=complex),
+             float(coef))
+            for b, lift, coef in terms
+        ]
+
+    def __len__(self):
+        return self.dim * self.dim
+
+    def stacks(self, block_dims):
+        """Dense rows per touched block, ``{block: (c*c, n, n) stack}``."""
+        c = self.dim
+        basis = _hermitian_basis(c)
+        out = {}
+        for b, lift, coef in self.terms:
+            if not 0 <= b < len(block_dims) or b in out:
+                raise ValueError(f"row family term on block {b} is out of "
+                                 "range or repeated")
+            n = block_dims[b]
+            if lift is None:
+                if n % c:
+                    raise ValueError(f"block {b} of dimension {n} is not "
+                                     f"1_a (x) {c} x {c}")
+                a = n // c
+                stack = np.einsum("kl,jpq->jkplq", np.eye(a), basis)
+                stack = stack.reshape(c * c, n, n)
+            else:
+                if lift.ndim != 2 or lift.shape[0] != n or lift.shape[1] % c:
+                    raise ValueError(f"lift on block {b} must have shape "
+                                     f"({n}, a * {c}), got {lift.shape}")
+                # t[u, p, v, q] = sum_k L[u, (k, p)] conj(L[v, (k, q)])
+                lp = lift.reshape(n, -1, c).transpose(0, 2, 1).reshape(n * c, -1)
+                t = (lp @ lp.conj().T).reshape(n, c, n, c)
+                stack = _contract_basis(basis, t)
+            out[b] = stack if coef == 1.0 else coef * stack
+        return out
+
+
 class SdpProblem:
     """Block-diagonal Hermitian SDP in equality standard form.
 
@@ -113,12 +205,17 @@ class SdpProblem:
     objective:
         One Hermitian matrix per block (``None`` for a zero block).
     constraints:
-        Rows; each row is a list of per-block Hermitian matrices with
-        ``None`` for blocks the row does not touch.
+        Rows; each entry is either a list of per-block Hermitian
+        matrices with ``None`` for blocks the row does not touch, or a
+        :class:`RowFamily` standing for its c*c rows in order.
     rhs:
-        Real right-hand sides, one per row.
+        Real right-hand sides, one per row (a family counts c*c).
     sense:
         "min" or "max"; solutions report the value in this sense.
+
+    ``constraints`` holds every row in dense form; ``families`` lists
+    ``(first row, family, stacks)`` for the rows given as families,
+    which :func:`solve` assembles from their structure.
     """
 
     def __init__(self, block_dims, objective, constraints, rhs, sense="min"):
@@ -136,12 +233,19 @@ class SdpProblem:
             else _as_hermitian(c, f"objective block {b}", d)
             for b, (c, d) in enumerate(zip(objective, self.block_dims))
         ]
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if len(constraints) != rhs.size:
-            raise ValueError("one rhs entry per constraint row required")
-        self.rhs = rhs
         self.constraints = []
-        for i, row in enumerate(constraints):
+        self.families = []
+        for row in constraints:
+            i = len(self.constraints)
+            if isinstance(row, RowFamily):
+                # built Hermitian, so the rows skip the check below
+                stacks = row.stacks(self.block_dims)
+                self.families.append((i, row, stacks))
+                for j in range(len(row)):
+                    self.constraints.append(
+                        [stacks[b][j] if b in stacks else None for b in range(nb)]
+                    )
+                continue
             if len(row) != nb:
                 raise ValueError(f"constraint row {i} must cover every block")
             self.constraints.append([
@@ -149,6 +253,10 @@ class SdpProblem:
                 else _as_hermitian(a, f"constraint {i}, block {b}", d)
                 for b, (a, d) in enumerate(zip(row, self.block_dims))
             ])
+        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        if len(self.constraints) != rhs.size:
+            raise ValueError("one rhs entry per constraint row required")
+        self.rhs = rhs
 
     @property
     def n_constraints(self):
@@ -174,20 +282,72 @@ class SdpSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _stacked_rows(problem):
-    """Constraint rows as per-block dense stacks and one real svec matrix."""
-    m = problem.n_constraints
-    stacks = []
-    svecs = []
-    for b, d in enumerate(problem.block_dims):
-        stack = np.zeros((m, d, d), dtype=complex)
-        for i, row in enumerate(problem.constraints):
-            if row[b] is not None:
-                stack[i] = row[b]
-        stacks.append(stack)
-        svecs.append(_svec_stack(stack))
-    a_svec = np.concatenate(svecs, axis=1) if svecs else np.zeros((m, 0))
-    return stacks, a_svec
+class _SvecMap:
+    """:func:`svec` and :func:`unsvec` of every block at once.
+
+    The svec coordinates of the blocks are concatenated in block order,
+    as in the columns of the constraint matrix; index arrays into the
+    concatenated raveled blocks are computed once.
+    """
+
+    def __init__(self, dims):
+        self.dims = dims
+        self.size = sum(d * d for d in dims)
+        # raveled positions of the diagonal and of the strict upper and
+        # lower triangles; svec positions of the diagonal, real and
+        # imaginary parts; a block's svec and raveled entries start alike
+        parts = [[] for _ in range(6)]
+        start = 0
+        for d in dims:
+            iu, ju = _triu(d)
+            k = iu.size
+            for part, idx in zip(parts, (
+                np.arange(d) * (d + 1), iu * d + ju, ju * d + iu,
+                np.arange(d), d + np.arange(k), d + k + np.arange(k),
+            )):
+                part.append(start + idx)
+            start += d * d
+        (self.diag, self.upper, self.lower,
+         self.diag_pos, self.re, self.im) = (np.concatenate(p) for p in parts)
+
+    def svec(self, mats):
+        flat = np.concatenate([t.ravel() for t in mats])
+        out = np.empty(self.size)
+        out[self.diag_pos] = flat[self.diag].real
+        off = flat[self.upper]
+        out[self.re] = off.real * _ROOT2
+        out[self.im] = off.imag * _ROOT2
+        return out
+
+    def unsvec(self, v):
+        flat = np.empty(self.size, dtype=complex)
+        flat[self.diag] = v[self.diag_pos]
+        off = (v[self.re] + 1j * v[self.im]) / _ROOT2
+        flat[self.upper] = off
+        flat[self.lower] = off.conj()
+        out = []
+        start = 0
+        for d in self.dims:
+            out.append(flat[start:start + d * d].reshape(d, d))
+            start += d * d
+        return out
+
+
+def _svec_rows(problem):
+    """Every constraint row as one real svec matrix, (m, sum of n^2)."""
+    dims = problem.block_dims
+    a_svec = np.zeros((problem.n_constraints, sum(d * d for d in dims)))
+    for start, family, stacks in problem.families:
+        rows = slice(start, start + len(family))
+        for b, stack in stacks.items():
+            _svec_stack(stack, out=a_svec[rows, _block_slice(dims, b)])
+    dense = np.flatnonzero(~_family_mask(problem))
+    for b in range(len(dims)):
+        on_b = [i for i in dense if problem.constraints[i][b] is not None]
+        if on_b:
+            stack = np.stack([problem.constraints[i][b] for i in on_b])
+            a_svec[on_b, _block_slice(dims, b)] = _svec_stack(stack)
+    return a_svec
 
 
 def _independent_rows(a, tol):
@@ -239,6 +399,127 @@ def _reduce_rows(a_svec, rhs, feas_tol=1e-8):
     return kept, None
 
 
+@dataclass
+class _Term:
+    """One family's term on a block, with its kept rows.
+
+    ``rows`` is the run of positions the family's kept rows take in the
+    Schur complement (kept rows keep their order, and a family's rows
+    are consecutive), and ``sel`` picks them out of all c*c.
+    """
+
+    rows: slice
+    sel: np.ndarray | slice
+    lift: np.ndarray | None
+    lift_h: np.ndarray | None
+    a: int
+    c: int
+    coef: float
+    hm: np.ndarray
+
+
+@dataclass
+class _BlockRows:
+    """How one block adds to the Schur complement.
+
+    Dense rows (positions ``dense_pos``, matrices ``dense_stack``) give
+    their columns through W A W products, and their rows against the
+    family rows on the block (``cross_ix``) by symmetry.  Each pair of
+    family ``terms`` gives its Schur block through :func:`_family_schur`.
+    """
+
+    dense_pos: np.ndarray
+    dense_stack: np.ndarray | None
+    family_pos: np.ndarray
+    cross_ix: tuple | None
+    terms: list
+
+
+def _family_mask(problem):
+    """Which rows of ``problem`` belong to a row family."""
+    mask = np.zeros(problem.n_constraints, dtype=bool)
+    for start, family, _ in problem.families:
+        mask[start:start + len(family)] = True
+    return mask
+
+
+def _schur_layout(problem, kept):
+    """Per-block Schur assembly plan for the rows ``kept``, made once per solve."""
+    nb = len(problem.block_dims)
+    pos = np.full(problem.n_constraints, -1)
+    pos[kept] = np.arange(kept.size)
+    terms = [[] for _ in range(nb)]
+    for start, family, _ in problem.families:
+        c = family.dim
+        sel = np.flatnonzero(pos[start:start + len(family)] >= 0)
+        if sel.size == 0:
+            continue
+        hm = _hermitian_basis(c).reshape(c * c, c * c)
+        first = int(pos[start + sel[0]])
+        for b, lift, coef in family.terms:
+            terms[b].append(_Term(
+                rows=slice(first, first + sel.size),
+                sel=slice(None) if sel.size == len(family) else sel,
+                lift=lift, lift_h=None if lift is None else lift.conj().T,
+                a=(problem.block_dims[b] if lift is None else lift.shape[1]) // c,
+                c=c, coef=coef, hm=hm,
+            ))
+    dense = np.flatnonzero(~_family_mask(problem) & (pos >= 0))
+    layout = []
+    for b in range(nb):
+        on_b = [i for i in dense if problem.constraints[i][b] is not None]
+        dense_pos = pos[on_b]
+        family_pos = np.array([i for t in terms[b] for i in range(t.rows.start, t.rows.stop)],
+                              dtype=int)
+        layout.append(_BlockRows(
+            dense_pos=dense_pos,
+            dense_stack=(np.stack([problem.constraints[i][b] for i in on_b])
+                         if on_b else None),
+            family_pos=family_pos,
+            cross_ix=(np.ix_(dense_pos, family_pos)
+                      if on_b and family_pos.size else None),
+            terms=terms[b],
+        ))
+    return layout
+
+
+def _family_schur(f, g, wl_g):
+    """Schur block <A_i, W A_j W> of the kept rows of terms f and g.
+
+    ``wl_g`` is W L_g (W itself for an identity lift).
+    """
+    n = wl_g if f.lift is None else f.lift_h @ wl_g
+    # left[(y, z), (k, l)] = N[k, y, l, z], and R = left left^dag
+    left = n.reshape(f.a, f.c, g.a, g.c).transpose(1, 3, 0, 2).reshape(
+        f.c * g.c, f.a * g.a)
+    r = left @ left.conj().T
+    t = r.reshape(f.c, g.c, f.c, g.c).transpose(2, 0, 1, 3).reshape(
+        f.c * f.c, g.c * g.c)
+    out = (f.coef * g.coef) * (f.hm @ t @ g.hm.T).real
+    return out[f.sel][:, g.sel]
+
+
+def _schur(layout, w_scale, a_svec, blocks, m):
+    """Schur complement S_ij = sum_b Tr(A_ib W_b A_jb W_b) of the kept rows."""
+    schur = np.zeros((m, m))
+    for lay, w, blk in zip(layout, w_scale, blocks):
+        if lay.dense_stack is not None:
+            waw = np.matmul(np.matmul(w, lay.dense_stack), w)
+            cross = a_svec[:, blk] @ _svec_stack(waw).T
+            schur[:, lay.dense_pos] += cross
+            if lay.cross_ix is not None:
+                schur[lay.cross_ix] += cross[lay.family_pos].T
+        wl = [w if t.lift is None else w @ t.lift for t in lay.terms]
+        for i, f in enumerate(lay.terms):
+            for j in range(i, len(lay.terms)):
+                g = lay.terms[j]
+                block = _family_schur(f, g, wl[j])
+                schur[f.rows, g.rows] += block
+                if j != i:
+                    schur[g.rows, f.rows] += block.T
+    return (schur + schur.T) / 2.0
+
+
 def _clipped_eigh(h, floor_rel=1e-15):
     w, u = np.linalg.eigh(h)
     top = max(float(w[-1]), 0.0)
@@ -268,11 +549,13 @@ def solve(problem, tol=1e-7, max_iter=200):
     dims = problem.block_dims
     sign = 1.0 if problem.sense == "min" else -1.0
     c_blocks = [sign * c for c in problem.objective]
-    stacks_full, a_svec_full = _stacked_rows(problem)
+    a_svec = _svec_rows(problem)
     rhs_full = problem.rhs
 
-    kept, reason = _reduce_rows(a_svec_full, rhs_full)
-    diagnostics = {"rows": int(rhs_full.size), "rows_kept": int(kept.size)}
+    kept, reason = _reduce_rows(a_svec, rhs_full)
+    in_family = int(np.count_nonzero(_family_mask(problem)[kept]))
+    diagnostics = {"rows": int(rhs_full.size), "rows_kept": int(kept.size),
+                   "family_rows": in_family, "dense_rows": int(kept.size) - in_family}
     if reason is not None:
         diagnostics["reason"] = reason
         return SdpSolution(
@@ -282,8 +565,11 @@ def solve(problem, tol=1e-7, max_iter=200):
             primal_residual=np.inf, dual_residual=np.inf, gap=np.inf,
             iterations=0, diagnostics=diagnostics,
         )
-    stacks = [s[kept] for s in stacks_full]
-    a_svec = a_svec_full[kept]
+    if kept.size < rhs_full.size:
+        a_svec = a_svec[kept]
+    layout = _schur_layout(problem, kept)
+    blocks = [_block_slice(dims, b) for b in range(len(dims))]
+    coords = _SvecMap(dims)
     b_vec = rhs_full[kept]
     m = b_vec.size
     n_total = sum(dims)
@@ -300,10 +586,10 @@ def solve(problem, tol=1e-7, max_iter=200):
     y = np.zeros(m)
 
     def operator(mats):
-        return a_svec @ np.concatenate([svec(t) for t in mats]) if m else np.zeros(0)
+        return a_svec @ coords.svec(mats) if m else np.zeros(0)
 
     def adjoint(vec):
-        return [np.einsum("i,iab->ab", vec, s) for s in stacks]
+        return coords.unsvec(vec @ a_svec)
 
     status = "max_iter"
     it = 0
@@ -348,11 +634,7 @@ def solve(problem, tol=1e-7, max_iter=200):
             z_eigs.append(_clipped_eigh(z[b]))
 
         # Schur complement and its factorization
-        schur = np.zeros((m, m))
-        for b in range(len(dims)):
-            waw = np.matmul(np.matmul(w_scale[b], stacks[b]), w_scale[b])
-            schur += a_svec[:, _block_slice(dims, b)] @ _svec_stack(waw).T
-        schur = (schur + schur.T) / 2.0
+        schur = _schur(layout, w_scale, a_svec, blocks, m)
         scale = max(float(np.mean(np.diagonal(schur))), 1e-30) if m else 1.0
         factor_ok = False
         for jitter in (0.0, 1e-14, 1e-11, 1e-8):
@@ -660,8 +942,8 @@ def _build_link_problem(eta, sigma, left_dim, act_in, act_out, ref_dim,
     q_sigma = _support_isometry(sigma)
     r = q_sigma.shape[1]
     sigma_c = q_sigma.conj().T @ sigma @ q_sigma
-    basis_in = linalg.hermitian_basis(act_in)
-    basis_r = linalg.hermitian_basis(r)
+    basis_in = _hermitian_basis(act_in)
+    basis_r = _hermitian_basis(r)
 
     # ops_cols[i, (u, j)] = B_u[i, j]
     ops_cols = ops.transpose(1, 0, 2).reshape(act_out, n_ops * act_in)
@@ -670,32 +952,32 @@ def _build_link_problem(eta, sigma, left_dim, act_in, act_out, ref_dim,
     g = q_dag.transpose(0, 1, 3, 2).reshape(-1, act_out) @ ops_cols
     g = g.reshape(r, left_dim, ref_dim, n_ops, act_in)
     g = g.transpose(3, 0, 1, 4, 2).reshape(n_ops * r, d_eta)
-    # s[u, p, v, q] = (Q^dag (1 (x) B_u (x) 1) eta (1 (x) B_v (x) 1)^dag Q)[p, q]
-    s = (g @ eta @ g.conj().T).reshape(n_ops, r, n_ops, r)
-    link = _contract_basis(basis_r, s.conj())
-    # pair[u, j, v, l] = sum_i conj(B_u[i, j]) B_v[i, l]
-    pair = (ops_cols.conj().T @ ops_cols).reshape(n_ops, act_in, n_ops, act_in)
-    tp = _contract_basis(basis_in, pair)
-
-    rows = []
-    rhs = []
+    # eta = V V^dag over its eigenvalues above rounding
+    w, v = np.linalg.eigh(eta)
+    keep = w > w.size * np.finfo(float).eps * max(float(w[-1]), 0.0)
+    gv = (g @ (v[:, keep] * np.sqrt(w[keep]))).reshape(n_ops, r, -1)
     y_dim = 2 * r
-    # trace preservation of the optimized channel
-    for h, a_j in zip(basis_in, tp):
-        rows.append([a_j, None])
-        rhs.append(float(np.trace(h).real))
-    # the top-left corner of the fidelity block equals the channel output
-    for h, n_j in zip(basis_r, link):
-        y_row = np.zeros((y_dim, y_dim), dtype=complex)
-        y_row[:r, :r] = h
-        rows.append([-n_j, y_row])
-        rhs.append(0.0)
-    # the bottom-right corner is pinned to the fixed state
-    for h in basis_r:
-        y_row = np.zeros((y_dim, y_dim), dtype=complex)
-        y_row[r:, r:] = h
-        rows.append([None, y_row])
-        rhs.append(float(np.trace(h @ sigma_c).real))
+    rows = [
+        # trace preservation of the optimized channel: K^dag (1_out (x) h) K,
+        # K's columns vec(B_u)
+        RowFamily(act_in, [
+            (0, None if identity_basis else ops.reshape(n_ops, -1).conj(), 1.0)
+        ]),
+        # the top-left corner of the fidelity block equals the channel output,
+        # Tr_k of (Q^dag (1 (x) B_u (x) 1) V_k)(...)^dag against h:
+        # L[u, (k, p)] = conj((g V)[(u, p), k])
+        RowFamily(r, [
+            (0, gv.conj().transpose(0, 2, 1).reshape(n_ops, -1), -1.0),
+            (1, np.eye(y_dim, r), 1.0),
+        ]),
+        # the bottom-right corner is pinned to the fixed state
+        RowFamily(r, [(1, np.eye(y_dim, r, -r), 1.0)]),
+    ]
+    rhs = np.concatenate([
+        np.trace(basis_in, axis1=1, axis2=2).real,
+        np.zeros(r * r),
+        (basis_r.reshape(r * r, -1) @ sigma_c.T.reshape(-1)).real,
+    ])
     c_y = np.zeros((y_dim, y_dim), dtype=complex)
     c_y[:r, r:] = np.eye(r) / 2.0
     c_y[r:, :r] = np.eye(r) / 2.0

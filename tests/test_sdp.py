@@ -489,3 +489,192 @@ def test_link_rows_match_definition_environment_fixes_algebra(monkeypatch):
     )
     assert args["left_dim"] > 1
     assert_plan_matches_definition(args, plan)
+
+
+# ---------------------------------------------------------------------------
+# row families: dense rows, Schur blocks and solve path
+
+
+def family_definition_rows(dim, lift, coef, block_dim):
+    """coef L (1_a (x) h_j) L^dag for every h_j, with explicit kron products."""
+    if lift is None:
+        lift = np.eye(block_dim)
+    a = lift.shape[1] // dim
+    return [coef * lift @ np.kron(np.eye(a), h) @ lift.conj().T
+            for h in linalg.hermitian_basis(dim)]
+
+
+def test_row_family_rows_match_definition():
+    rng = np.random.default_rng(89)
+    lift = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+    family = sdp.RowFamily(3, [(0, lift, -1.5), (1, None, 1.0)])
+    prob = sdp.SdpProblem([5, 6], [None, None], [family, [None, np.eye(6)]],
+                          np.arange(10.0))
+    assert prob.n_constraints == 10
+    assert [(start, len(f)) for start, f, _ in prob.families] == [(0, 9)]
+    for b, (lift_b, coef) in enumerate(((lift, -1.5), (None, 1.0))):
+        want = family_definition_rows(3, lift_b, coef, prob.block_dims[b])
+        for row, w in zip(prob.constraints, want):
+            assert np.max(np.abs(row[b] - w)) < 1e-13
+    assert prob.constraints[9][0] is None
+
+
+def test_row_family_validation():
+    with pytest.raises(ValueError):
+        sdp.SdpProblem([4], [None], [sdp.RowFamily(3, [(0, None, 1.0)])], np.zeros(9))
+    with pytest.raises(ValueError):
+        sdp.SdpProblem([4], [None], [sdp.RowFamily(2, [(0, np.eye(4, 3), 1.0)])],
+                       np.zeros(4))
+    with pytest.raises(ValueError):
+        sdp.SdpProblem([4], [None], [sdp.RowFamily(2, [(1, None, 1.0)])], np.zeros(4))
+    with pytest.raises(ValueError):
+        sdp.SdpProblem([4], [None], [sdp.RowFamily(2, [(0, None, 1.0)])], np.zeros(3))
+
+
+def definition_corpus_plan(monkeypatch, case):
+    """The link plans of the ``test_link_rows_match_definition_*`` tests."""
+    if case == "rectangular":
+        rng = np.random.default_rng(71)
+        n = ch.Channel(random_kraus(rng, 2, 2, 2))
+        m = ch.Channel(random_kraus(rng, 3, 2, 2))
+        rho = random_density(rng, 2)
+        run = lambda: sdp.build_recovery_fidelity_sdp(n, m, rho)  # noqa: E731
+    elif case == "physical":
+        rng = np.random.default_rng(73)
+        dephase = ch.Channel([np.eye(4) / np.sqrt(2), PARITY2 / np.sqrt(2)])
+        n = random_physical_channel(rng, PARITY2)
+        m = random_physical_channel(rng, PARITY2, 2)
+        constraint = sdp.Physical(dephase, dephase)
+        run = lambda: sdp.build_recovery_fidelity_sdp(  # noqa: E731
+            n, m, np.eye(4) / 4, constraint)
+    else:
+        rng = np.random.default_rng(79 if case == "fixes_algebra" else 83)
+        n = ch.Channel(random_kraus(rng, 4, 4, 3))
+        m = ch.Channel(random_kraus(rng, 4, 4, 2))
+        if case == "fixes_algebra":
+            constraint = sdp.FixesAlgebra(PARITY_ALGEBRA)
+            run = lambda: sdp.build_recovery_fidelity_sdp(  # noqa: E731
+                n, m, np.eye(4) / 4, constraint)
+        else:
+            constraint = rc.FixesAlgebra(PARITY_ALGEBRA)
+            run = lambda: rc.environment_side_fidelity(  # noqa: E731
+                n, m, np.eye(4) / 4, constraint)
+    return first_link_plan(monkeypatch, run)
+
+
+def dense_copy(prob):
+    """The same problem with every row given densely."""
+    return sdp.SdpProblem(prob.block_dims, prob.objective, prob.constraints,
+                          prob.rhs, sense=prob.sense)
+
+
+def random_pd(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return g @ g.conj().T / d + 0.1 * np.eye(d)
+
+
+def schur_at(prob, w_scale):
+    """Kept rows and the Schur complement the solver assembles at ``w_scale``."""
+    a_svec = sdp._svec_rows(prob)
+    kept, reason = sdp._reduce_rows(a_svec, prob.rhs)
+    assert reason is None
+    blocks = [sdp._block_slice(prob.block_dims, b) for b in range(len(prob.block_dims))]
+    layout = sdp._schur_layout(prob, kept)
+    return kept, sdp._schur(layout, w_scale, a_svec[kept], blocks, kept.size)
+
+
+def schur_definition(prob, kept, w_scale):
+    """S_ij = sum_b Re Tr(A_ib W_b A_jb W_b), entry by entry."""
+    rows = [prob.constraints[i] for i in kept]
+    out = np.zeros((len(rows), len(rows)))
+    for i, ri in enumerate(rows):
+        for j, rj in enumerate(rows):
+            out[i, j] = sum(np.trace(a @ w @ b @ w).real
+                            for a, b, w in zip(ri, rj, w_scale)
+                            if a is not None and b is not None)
+    return out
+
+
+def assert_family_schur_matches(prob, rng):
+    w_scale = [random_pd(rng, d) for d in prob.block_dims]
+    kept, family = schur_at(prob, w_scale)
+    kept_dense, dense = schur_at(dense_copy(prob), w_scale)
+    assert list(kept) == list(kept_dense)
+    want = schur_definition(prob, kept, w_scale)
+    assert np.linalg.norm(dense - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(family - dense) <= 1e-12 * np.linalg.norm(dense)
+    return kept
+
+
+@pytest.mark.parametrize(
+    "case", ["rectangular", "physical", "fixes_algebra", "environment"]
+)
+def test_family_schur_matches_dense_schur(monkeypatch, case):
+    args, plan = definition_corpus_plan(monkeypatch, case)
+    prob = plan.problem
+    assert sum(len(f) for _, f, _ in prob.families) == prob.n_constraints
+    kept = assert_family_schur_matches(prob, np.random.default_rng(97))
+    if case == "fixes_algebra":
+        assert kept.size < prob.n_constraints
+    if case == "environment":
+        assert args["left_dim"] > 1
+
+
+def test_family_and_dense_rows_mix(monkeypatch):
+    # a dense row ahead of the families equal to the sum of the first two
+    # family rows: it is kept, the second family row is dropped, and the
+    # dense row's Schur entries against the families come from the cross term
+    _, plan = definition_corpus_plan(monkeypatch, "rectangular")
+    prob = plan.problem
+    first = [b[:2].sum(axis=0) for _, b in sorted(prob.families[0][2].items())]
+    dense_row = [first[0], None]
+    mixed = sdp.SdpProblem(
+        prob.block_dims, prob.objective,
+        [dense_row] + [family for _, family, _ in prob.families],
+        np.concatenate([[prob.rhs[0] + prob.rhs[1]], prob.rhs]), sense="max",
+    )
+    kept = assert_family_schur_matches(mixed, np.random.default_rng(101))
+    assert 0 in kept and 2 not in kept
+    base = sdp.solve(prob, tol=1e-9)
+    sol = sdp.solve(mixed, tol=1e-9)
+    assert sol.status == "optimal"
+    assert sol.diagnostics["dense_rows"] == 1
+    assert sol.diagnostics["family_rows"] == sol.diagnostics["rows_kept"] - 1
+    assert abs(sol.value - base.value) < 1e-7
+
+
+def test_link_builders_put_every_row_on_the_family_path(monkeypatch):
+    rng = np.random.default_rng(107)
+    n = ch.Channel(random_kraus(rng, 3, 3, 2))
+    m = ch.Channel(random_kraus(rng, 3, 3, 2))
+    rho = random_density(rng, 3)
+    recovery = sdp.build_recovery_fidelity_sdp(n, m, rho)
+    _, env_plan = first_link_plan(
+        monkeypatch, lambda: rc.environment_side_fidelity(n, m, rho))
+    for prob in (recovery, env_plan.problem):
+        sol = sdp.solve(prob)
+        assert sol.status == "optimal"
+        assert sol.diagnostics["dense_rows"] == 0
+        assert sol.diagnostics["family_rows"] == sol.diagnostics["rows_kept"] > 0
+
+
+def test_loaded_fixes_algebra_problem_solves_densely_alike(tmp_path):
+    rng = np.random.default_rng(103)
+    n = ch.Channel(random_kraus(rng, 4, 4, 3))
+    m = ch.Channel(random_kraus(rng, 4, 4, 2))
+    prob = sdp.build_recovery_fidelity_sdp(
+        n, m, np.eye(4) / 4, sdp.FixesAlgebra(PARITY_ALGEBRA)
+    )
+    path = tmp_path / "fixes.json"
+    sdp.dump_problem(prob, path)
+    loaded = sdp.load_problem(path)
+    assert loaded.families == []
+    family = sdp.solve(prob)
+    dense = sdp.solve(loaded)
+    assert family.status == dense.status == "optimal"
+    assert dense.diagnostics["family_rows"] == 0
+    assert dense.diagnostics["dense_rows"] == dense.diagnostics["rows_kept"]
+    assert family.diagnostics["dense_rows"] == 0
+    assert family.diagnostics["rows_kept"] == dense.diagnostics["rows_kept"]
+    assert dense.iterations == family.iterations
+    assert abs(dense.value - family.value) < 1e-9

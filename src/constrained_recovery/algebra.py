@@ -5,16 +5,17 @@ the Hilbert-Schmidt inner product Tr(X^dag Y). The module computes algebra
 generation (closure under products and adjoints), commutants, centers,
 minimal central projectors, the block (Wedderburn) factorization, and the
 trace-preserving conditional expectation each algebra induces. Everything is
-dense. The commutant, on which the center, the blocks and the expectation
-rest, is read off two random elements of the commutant drawn by twirling
-over the basis: a few GEMMs of dim * d^3 flops and one d x d eigensolve, no
-d^2 x d^2 matrix; its output alone holds sum m_i^2 matrices of size d x d.
+dense. One routine, :func:`_modules`, finds and certifies the irreducible
+modules of an algebra and groups them into sectors, from two random elements
+of the commutant drawn by twirling over the basis: a few GEMMs of
+dim * d^3 flops and one d x d eigensolve, no d^2 x d^2 matrix. The commutant
+basis, the sector projectors and isometries of the block structure, and the
+conditional expectation are all read off those modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
@@ -126,29 +127,44 @@ def commutant(a):
 
     ``a`` must hold an orthonormal basis of a unital dagger-algebra A, which
     is unitarily equivalent to (+)_s M_{n_s} (x) 1_{m_s}; its commutant is
-    then (+)_s 1_{n_s} (x) M_{m_s}. The twirl T(X) = sum_i b_i X b_i^dag over
-    the basis maps onto A'. Two random elements of A' are drawn through it:
-    a Hermitian z, whose eigenspaces V_e are the irreducible A-modules, and a
-    complex y. The compression B = V_e^dag y V_f of y between two eigenspaces
-    of equal dimension is nonzero exactly when both belong to one sector, and
-    B / ||B||_F is then a scaled unitary intertwiner U. The basis is
-    V_e V_e^dag / sqrt(n_e) for every eigenspace and V_e U V_f^dag for every
-    ordered pair of distinct eigenspaces in one sector: sum_s m_s^2
-    orthonormal elements.
-
-    Every output is checked: each b is block-diagonal over the eigenspaces,
-    each B is proportional to a unitary, each U intertwines the blocks of
-    every b, and sum_s n_s^2 equals ``a.dim``. A failed check raises
-    ValueError, since the input is then not a dagger-algebra. Draws whose
-    eigenvalues or compressions sit too close to tell apart are redrawn
-    (seeded from DEFAULT_SEED and the attempt, at most 8 draws). The cost is
-    a few GEMMs of a.dim * d^3 flops and one d x d eigensolve; the memory is
-    a few copies of the basis. An empty basis gives all of M_d.
+    then (+)_s 1_{n_s} (x) M_{m_s}. Its basis, read off the certified modules
+    of :func:`_modules`, is V_e V_e^dag / sqrt(n_e) for every module and
+    V_e U V_f^dag for every ordered pair of distinct modules in one sector:
+    sum_s m_s^2 orthonormal elements. A failed check raises ValueError, since
+    the input is then not a dagger-algebra. The cost is a few GEMMs of
+    a.dim * d^3 flops and one d x d eigensolve; the memory is a few copies of
+    the basis. An empty basis gives all of M_d.
     """
     d = a.ambient_dim
     if a.dim == 0:
         return AlgebraBasis(d, list(np.eye(d * d).reshape(d * d, d, d)))
-    k = a.dim
+    out = []
+    for vs, units in _modules(a):
+        for p in range(len(vs)):
+            out.extend((vs[p] @ units[p]) @ vs.conj().transpose(0, 2, 1))
+    return AlgebraBasis(d, out)
+
+
+def _modules(a, seed=DEFAULT_SEED):
+    """The irreducible modules of the algebra ``a``, grouped into sectors.
+
+    The twirl T(X) = sum_i b_i X b_i^dag over the basis maps onto A'. Two
+    random elements of A' are drawn through it: a Hermitian z, whose
+    eigenspaces V_e are the irreducible A-modules, and a complex y. The
+    compression B = V_e^dag y V_f of y between two eigenspaces of equal
+    dimension is nonzero exactly when both belong to one sector, and
+    B / ||B||_F is then a scaled unitary intertwiner U.
+
+    Returns one (vs, units) pair per sector: vs stacks the isometries V_p of
+    its m modules, shape (m, d, n), and units[p, q] = U between modules p
+    and q, shape (m, m, n, n), with units[p, p] = 1 / sqrt(n). Every output
+    is checked: each b is block-diagonal over the eigenspaces, each unit is
+    proportional to a unitary and intertwines the blocks of every b, and
+    sum_s n_s^2 equals ``a.dim``; a failed check raises ValueError. Draws
+    whose eigenvalues or compressions sit too close to tell apart are
+    redrawn (seeded from ``seed`` and the attempt, at most 8 draws).
+    """
+    d, k = a.ambient_dim, a.dim
     tall = a._rows.reshape(k * d, d)  # b_i stacked on top of each other
     adj = a._rows.reshape(k, d, d).conj().transpose(0, 2, 1).reshape(k * d, d)
 
@@ -157,7 +173,7 @@ def commutant(a):
         return wide @ adj
 
     for attempt in range(8):
-        rng = np.random.default_rng([DEFAULT_SEED, attempt])
+        rng = np.random.default_rng([seed, attempt])
         g = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
         z = twirl(g[0] + g[0].conj().T)
         z = (z + z.conj().T) / 2
@@ -174,7 +190,7 @@ def commutant(a):
             "could not split the commutant into sectors after 8 draws"
         )
     blocks = v.conj().T @ (tall @ v).reshape(k, d, d)
-    return AlgebraBasis(d, _commutant_basis(a, v, blocks, clusters, sectors))
+    return _certify(a, v, blocks, clusters, sectors)
 
 
 def _group_sectors(yv, clusters, zero=1e-10, nonzero=1e-6):
@@ -219,11 +235,10 @@ def _group_sectors(yv, clusters, zero=1e-10, nonzero=1e-6):
     return sectors
 
 
-def _commutant_basis(a, v, blocks, clusters, sectors, tol=1e-8):
-    """Check the sector split of ``a`` and emit the commutant basis.
+def _certify(a, v, blocks, clusters, sectors, tol=1e-8):
+    """Check the sector split of ``a`` and return it as (vs, units) pairs.
 
-    ``blocks`` holds V^dag b V for every basis element b of ``a``. Member p
-    of a sector contributes V_p units[p, q] V_q^dag for every member q.
+    ``blocks`` holds V^dag b V for every basis element b of ``a``.
     """
     err = "; the input is not a dagger-algebra"
     label = np.empty(v.shape[0], dtype=int)
@@ -240,14 +255,13 @@ def _commutant_basis(a, v, blocks, clusters, sectors, tol=1e-8):
         gram = n * units @ units.conj().transpose(0, 1, 3, 2) - np.eye(n)
         if float(np.max(np.linalg.norm(gram, axis=(2, 3)))) > tol:
             raise ValueError(f"a compression is not a scaled unitary{err}")
-        vs = np.stack([v[:, clusters[e]] for e in members])
         diag = np.stack([blocks[:, clusters[e]][:, :, clusters[e]] for e in members])
         for p in range(len(members)):
             # units[p, q] must carry the blocks of member q to those of p
             gap = diag[p][None] @ units[p][:, None] - units[p][:, None] @ diag
             if float(np.max(np.linalg.norm(gap, axis=(2, 3)))) > tol:
                 raise ValueError(f"a compression is not an intertwiner{err}")
-            out.extend((vs[p] @ units[p]) @ vs.conj().transpose(0, 2, 1))
+        out.append((np.stack([v[:, clusters[e]] for e in members]), units))
     return out
 
 
@@ -282,12 +296,20 @@ def intersect(a, b, tol=1e-9):
 
 
 def contains(a, x, tol=1e-8):
-    """Whether the matrix ``x`` lies in the span of ``a`` (absolute residual)."""
-    v = linalg.vec(x)
-    if v.size != a.ambient_dim**2:
+    """Whether the matrix ``x`` lies in the span of ``a`` (absolute residual).
+
+    A stack of matrices, shape (k, d, d), is tested in one product over the
+    basis and gives one boolean per matrix.
+    """
+    x = np.asarray(x, dtype=complex)
+    d = a.ambient_dim
+    if x.shape[-2:] != (d, d) or x.ndim not in (2, 3):
         raise ValueError("matrix dimension does not match the ambient algebra")
-    coeff = (a._rows @ v.conj()).conj()
-    return float(np.linalg.norm(v - a._rows.T @ coeff)) <= tol
+    v = x.reshape(-1, d * d)
+    coeff = (a._rows @ v.conj().T).conj()  # no conjugated copy of the basis
+    resid = np.linalg.norm(v - coeff.T @ a._rows, axis=1)
+    inside = resid <= tol
+    return bool(inside[0]) if x.ndim == 2 else inside
 
 
 def equal_spans(a, b, tol=1e-7):
@@ -302,9 +324,8 @@ def equal_spans(a, b, tol=1e-7):
 
 def relative_commutant(b, ambient, tol=1e-8):
     """Everything in ``ambient`` commuting with all of ``b``; needs b inside ambient."""
-    for m in b.basis:
-        if not contains(ambient, m, tol):
-            raise ValueError("b is not contained in the ambient algebra")
+    if b.dim and not contains(ambient, np.stack(b.basis), tol).all():
+        raise ValueError("b is not contained in the ambient algebra")
     return intersect(commutant(b), ambient)
 
 
@@ -327,28 +348,6 @@ def _cluster_eigenvalues(w, tol, guard=10.0):
     return clusters
 
 
-def minimal_central_projectors(a, seed=DEFAULT_SEED, cluster_tol=1e-8):
-    """Mutually orthogonal minimal projectors of the center, summing to 1.
-
-    A random Hermitian element of the center (seeded PRNG, seed recorded by
-    the caller) is diagonalized and its eigenvalues clustered at the given
-    tolerance; each cluster's spectral projector is one superselection
-    sector. Ordering: descending rank, ties broken by the trace against
-    diag(0..d-1).
-    """
-    z = center(a)
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(z.dim) + 1j * rng.standard_normal(z.dim)
-    m = sum(c * b for c, b in zip(coeff, z.basis))
-    m = (m + m.conj().T) / 2
-    w, u = np.linalg.eigh(m)
-    clusters = _cluster_eigenvalues(w, cluster_tol)
-    projs = [u[:, idx] @ u[:, idx].conj().T for idx in clusters]
-    ref = np.arange(a.ambient_dim)
-    projs.sort(key=lambda p: (-round(float(np.trace(p).real)), float((np.diag(p).real * ref).sum())))
-    return projs
-
-
 @dataclass
 class Sector:
     projector: np.ndarray
@@ -369,97 +368,34 @@ def block_structure(a, seed=DEFAULT_SEED):
 
     For each minimal central projector P_i, returns an isometry U_i with
     U_i U_i^dag = 1 and U_i^dag U_i = P_i such that U_i A U_i^dag has the
-    form A_i (x) 1_{m_i} for every A in the algebra. The right-factor frame
-    is aligned across eigenspaces of a generic commutant element by polar
-    decomposition, which keeps the tensor alignment exact up to rounding.
+    form A_i (x) 1_{m_i} for every A in the algebra. The sectors are those
+    of :func:`_modules`, drawn with ``seed``: level k of a sector with
+    modules V_k of dimension n is V_k sqrt(n) units[k, 0], on which every
+    element of ``a`` acts as on level 0; column j*m + k of U_i^dag is the
+    j-th vector of level k, and P_i = sum_k V_k V_k^dag. Ordering: descending
+    rank, ties broken by the trace of P_i against diag(0..d-1).
     """
     d = a.ambient_dim
-    projs = minimal_central_projectors(a, seed)
-    comm = commutant(a)
+    ref = np.arange(d)
     sectors = []
-    for si, p in enumerate(projs):
-        w, u = np.linalg.eigh(p)
-        q = u[:, w > 0.5]
-        r = q.shape[1]
-        c_rows = linalg.orthonormal_rows(
-            np.stack([linalg.vec(q.conj().T @ m @ q) for m in comm.basis])
-        )
-        a_rows = linalg.orthonormal_rows(
-            np.stack([linalg.vec(q.conj().T @ m @ q) for m in a.basis])
-        )
-        m_dim = isqrt(c_rows.shape[0])
-        n_dim = isqrt(a_rows.shape[0])
-        if (
-            m_dim * m_dim != c_rows.shape[0]
-            or n_dim * n_dim != a_rows.shape[0]
-            or n_dim * m_dim != r
-        ):
-            raise ValueError(
-                "sector does not factor; the input is not a dagger-algebra"
-            )
-        c_mats = [linalg.unvec(row, (r, r)) for row in c_rows]
-        iso = _sector_isometry(c_mats, r, n_dim, m_dim, seed, si)
-        u_i = iso.conj().T @ q.conj().T
-        _check_factorization(a, u_i, n_dim, m_dim)
-        sectors.append(Sector(p, n_dim, m_dim, u_i))
+    for vs, units in _modules(a, seed):
+        m, _, n = vs.shape
+        levels = np.sqrt(n) * vs @ units[:, 0]
+        projector = np.einsum("kan,kbn->ab", vs, vs.conj())
+        isometry = levels.transpose(2, 0, 1).reshape(n * m, d).conj()
+        sectors.append(Sector(projector, n, m, isometry))
+    sectors.sort(key=lambda s: (-s.left_dim * s.right_dim,
+                                float((np.diag(s.projector).real * ref).sum())))
     return BlockStructure(d, sectors, seed)
 
 
-def _sector_isometry(c_mats, r, n_dim, m_dim, seed, sector_index):
-    """Columns of the change of basis aligning one sector as left (x) right.
+def minimal_central_projectors(a, seed=DEFAULT_SEED):
+    """Mutually orthogonal minimal projectors of the center, summing to 1.
 
-    Draws a generic Hermitian commutant element whose eigenspaces are the
-    right-factor levels, then transports the first eigenspace's basis to the
-    others with a second generic commutant element. Column (j*m + k) holds
-    the j-th left vector in the k-th right level.
+    These are the sector projectors of :func:`block_structure`, in its
+    order: descending rank, ties broken by the trace against diag(0..d-1).
     """
-    for attempt in range(8):
-        rng = np.random.default_rng([seed, sector_index, attempt])
-        coeff = rng.standard_normal(len(c_mats)) + 1j * rng.standard_normal(len(c_mats))
-        z = sum(c * m for c, m in zip(coeff, c_mats))
-        z = (z + z.conj().T) / 2
-        w, u = np.linalg.eigh(z)
-        try:
-            clusters = _cluster_eigenvalues(w, 1e-8)
-        except DegenerateSplitError:
-            continue
-        if len(clusters) != m_dim or any(len(c) != n_dim for c in clusters):
-            continue
-        v0 = u[:, clusters[0]]
-        coeff2 = rng.standard_normal(len(c_mats)) + 1j * rng.standard_normal(len(c_mats))
-        t = sum(c * m for c, m in zip(coeff2, c_mats))
-        mat = np.zeros((r, r), dtype=complex)
-        ok = True
-        for k, idx in enumerate(clusters):
-            if k == 0:
-                sk = v0
-            else:
-                bk = u[:, idx] @ (u[:, idx].conj().T @ (t @ v0))
-                g = bk.conj().T @ bk
-                w2, u2 = np.linalg.eigh(g)
-                if float(w2[0]) <= 1e-8 * max(1.0, float(w2[-1])):
-                    ok = False
-                    break
-                sk = bk @ ((u2 / np.sqrt(w2)) @ u2.conj().T)
-            mat[:, k::m_dim] = sk
-        if ok:
-            return mat
-    raise DegenerateSplitError(
-        "could not split a sector into left and right factors after 8 draws"
-    )
-
-
-def _check_factorization(a, u_i, n_dim, m_dim):
-    worst = 0.0
-    for b in a.basis:
-        conj = u_i @ b @ u_i.conj().T
-        left = linalg.partial_trace(conj, [n_dim, m_dim], keep=[0]) / m_dim
-        worst = max(worst, float(np.linalg.norm(conj - np.kron(left, np.eye(m_dim)))))
-    if worst > 1e-8:
-        raise ValueError(
-            f"sector factorization residual {worst:.2e}; the input is not a "
-            f"dagger-algebra"
-        )
+    return [s.projector for s in block_structure(a, seed).sectors]
 
 
 def conditional_expectation(a, seed=DEFAULT_SEED):
@@ -467,18 +403,14 @@ def conditional_expectation(a, seed=DEFAULT_SEED):
 
     On each sector the map acts as identity on the left factor and the
     normalized trace on the right factor, which gives explicit Kraus
-    operators U_i^dag (1 (x) |j><k|) U_i / sqrt(m_i).
+    operators U_i^dag (1 (x) |j><k|) U_i / sqrt(m_i) = L_j L_k^dag / sqrt(m_i),
+    with L_j level j of the sector.
     """
-    bs = block_structure(a, seed)
+    d = a.ambient_dim
     ops = []
-    for sec in bs.sectors:
+    for sec in block_structure(a, seed).sectors:
         n, m = sec.left_dim, sec.right_dim
-        eye = np.eye(n)
-        for j in range(m):
-            for k in range(m):
-                unit = np.zeros((m, m), dtype=complex)
-                unit[j, k] = 1.0
-                ops.append(
-                    sec.isometry.conj().T @ np.kron(eye, unit) @ sec.isometry / np.sqrt(m)
-                )
+        levels = sec.isometry.conj().T.reshape(d, n, m).transpose(2, 0, 1)
+        kraus = np.einsum("jan,kbn->jkab", levels, levels.conj()) / np.sqrt(m)
+        ops.extend(kraus.reshape(m * m, d, d))
     return Channel(ops)

@@ -14,6 +14,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -51,9 +52,9 @@ __all__ = [
 class Channel:
     """A completely positive trace-preserving map stored as Kraus operators.
 
-    The Choi matrix and the Stinespring isometry are computed at construction
-    and cached; instances are treated as immutable afterwards, so concurrent
-    reads are safe. Construction applies a loose trace-preservation guard
+    The Choi matrix and the Stinespring isometry are computed on first use
+    and cached; instances are treated as immutable after construction.
+    Construction applies a loose trace-preservation guard
     (residual above 1e-6 raises); :func:`validate` performs the strict
     checks. Pass ``check=False`` for completely positive pieces that are not
     trace preserving on their own, such as parity-split halves.
@@ -77,10 +78,16 @@ class Channel:
                 f"(residual {self.tp_residual:.2e}); pass check=False for a "
                 f"completely positive non-channel piece"
             )
-        vecs = self._stack.reshape(len(ops), -1)
-        self.choi = vecs.T @ vecs.conj()
-        self.stinespring = self._stack.transpose(1, 0, 2).reshape(
-            self.out_dim * len(ops), self.in_dim
+
+    @cached_property
+    def choi(self):
+        vecs = self._stack.reshape(self.n_kraus, -1)
+        return vecs.T @ vecs.conj()
+
+    @cached_property
+    def stinespring(self):
+        return self._stack.transpose(1, 0, 2).reshape(
+            self.out_dim * self.n_kraus, self.in_dim
         )
 
     @property

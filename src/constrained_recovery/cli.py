@@ -347,18 +347,13 @@ def _one_shot(args, parser):
     base = scenario_mod.load_scenario(args.scenario)
     synthesize, flags = _SYNTH[args.command]
     explicit = any(getattr(args, flag) is not None for flag in flags)
-    if not explicit:
-        matches = [
-            t
-            for t in base.raw["tasks"]
-            if t["task"] == args.command and t["variant"] == args.variant
-        ]
-        if matches:
-            trimmed = dict(base.raw, tasks=matches)
-            return _finish(scenario_mod.load_scenario(trimmed), args, parser)
-    task = synthesize(args, base, parser)
-    trimmed = dict(base.raw, tasks=[task])
-    return _finish(scenario_mod.load_scenario(trimmed), args, parser)
+    matches = [] if explicit else [
+        t
+        for t in base.raw["tasks"]
+        if t["task"] == args.command and t["variant"] == args.variant
+    ]
+    tasks = matches or [synthesize(args, base, parser)]
+    return _finish(scenario_mod.with_tasks(base, tasks), args, parser)
 
 
 def main(argv=None):

@@ -15,6 +15,7 @@ __all__ = [
     "partial_trace",
     "hs_inner",
     "is_hermitian",
+    "as_hermitian",
     "herm_apply",
     "herm_sqrt",
     "null_space",
@@ -23,6 +24,8 @@ __all__ = [
     "state_fidelity",
     "purify",
 ]
+
+_BASIS_CACHE = {}
 
 
 def vec(m):
@@ -72,6 +75,23 @@ def is_hermitian(a, tol=1e-12):
         return False
     scale = max(1.0, float(np.linalg.norm(a)))
     return float(np.linalg.norm(a - a.conj().T)) <= tol * scale
+
+
+def as_hermitian(a, what, dim=None):
+    """``a`` as a complex Hermitian matrix, symmetrized as (a + a^dag) / 2.
+
+    Raises ValueError, naming ``what``, when ``a`` is not square, not of
+    dimension ``dim`` (if given) or not Hermitian up to 1e-8 relative.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
+    if dim is not None and a.shape[0] != dim:
+        raise ValueError(f"{what} has dimension {a.shape[0]}, expected {dim}")
+    skew = np.linalg.norm(a - a.conj().T)
+    if skew > 1e-8 * max(1.0, np.linalg.norm(a)):
+        raise ValueError(f"{what} is not Hermitian (skew norm {skew:.2e})")
+    return (a + a.conj().T) / 2.0
 
 
 def herm_apply(a, fn):
@@ -146,25 +166,21 @@ def hermitian_basis(d):
 
     Diagonal units come first, then for each i < j the symmetric pair member
     and the antisymmetric one. For d = 2 the off-diagonal members are
-    X/sqrt(2) and Y/sqrt(2).
+    X/sqrt(2) and Y/sqrt(2). The (d*d, d, d) array is built once per
+    dimension and is read-only.
     """
-    out = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = s
-            e[j, i] = s
-            out.append(e)
-            f = np.zeros((d, d), dtype=complex)
-            f[i, j] = -1j * s
-            f[j, i] = 1j * s
-            out.append(f)
-    return np.array(out)
+    if d not in _BASIS_CACHE:
+        basis = np.zeros((d * d, d, d), dtype=complex)
+        basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+        iu, ju = np.triu_indices(d, 1)
+        sym = d + 2 * np.arange(iu.size)
+        s = 1.0 / np.sqrt(2.0)
+        basis[sym, iu, ju] = basis[sym, ju, iu] = s
+        basis[sym + 1, iu, ju] = -1j * s
+        basis[sym + 1, ju, iu] = 1j * s
+        basis.setflags(write=False)
+        _BASIS_CACHE[d] = basis
+    return _BASIS_CACHE[d]
 
 
 def state_fidelity(rho, sigma, tol=1e-8):

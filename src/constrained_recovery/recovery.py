@@ -16,11 +16,11 @@ from itertools import combinations
 
 import numpy as np
 
+from . import algebra as algebra_mod
 from . import channels as channels_mod
 from . import linalg
 from . import sdp
 from .channels import Channel
-from .sdp import FixesAlgebra, Physical, Unconstrained
 
 __all__ = [
     "Code",
@@ -39,6 +39,8 @@ __all__ = [
     "verify_duality",
     "worst_case_fidelity_seesaw",
     "extract_recovery",
+    "build_state_fidelity_sdp",
+    "build_recovery_fidelity_sdp",
 ]
 
 # seed of the seesaw's random code-state samples when the caller gives none
@@ -342,7 +344,6 @@ def fermion_local_check(code, kraus, region, tol=1e-8):
     over the relative commutant of the region algebra and both region
     parity sectors ``P``.
     """
-    from . import algebra as algebra_mod
     from . import fermion as fermion_mod
 
     d = code.physical_dim
@@ -356,12 +357,12 @@ def fermion_local_check(code, kraus, region, tol=1e-8):
     if ops[0].shape != (d, d):
         raise ValueError("Kraus operators must act on the physical space")
     region_algebra = fermion_mod.physical_algebra(system, region)
-    for idx, e in enumerate(ops):
-        if not algebra_mod.contains(region_algebra, e, tol=1e-8):
-            raise ValueError(
-                f"Kraus operator {idx} is not in the even algebra of the "
-                f"region {region}"
-            )
+    inside = algebra_mod.contains(region_algebra, np.stack(ops), tol=1e-8)
+    if not inside.all():
+        raise ValueError(
+            f"Kraus operator {int(np.argmin(inside))} is not in the even "
+            f"algebra of the region {region}"
+        )
 
     w = code.isometry
     n_ops = len(ops)
@@ -426,14 +427,289 @@ def fermion_local_check(code, kraus, region, tol=1e-8):
     )
 
 
-def _constraint_label(constraint):
-    if isinstance(constraint, Unconstrained):
-        return "unconstrained"
-    if isinstance(constraint, Physical):
-        return "physical"
+# ---------------------------------------------------------------------------
+# fidelity SDPs
+
+
+@dataclass
+class Unconstrained:
+    """No restriction on the optimized channel."""
+
+
+@dataclass(eq=False)
+class Physical:
+    """Restrict the recovery to maps of the form p . r . q.
+
+    ``p`` and ``q`` are idempotent channels (typically charge dephasing);
+    the optimum over such maps equals an unconstrained optimum over the
+    channels composed with them, which is how the builder encodes it.
+    """
+
+    p: Channel
+    q: Channel
+
+
+@dataclass(eq=False)
+class FixesAlgebra:
+    """Restrict the optimized channel to fix an algebra of observables.
+
+    The channel's adjoint must act as the identity on every element of
+    ``algebra``, which holds exactly when all Kraus operators lie in the
+    algebra's commutant; the builder parameterizes the process matrix in
+    that operator basis.
+    """
+
+    algebra: object
+
+
+def _support_isometry(sigma, cutoff=1e-12):
+    w, u = np.linalg.eigh(sigma)
+    keep = w > cutoff * max(float(w[-1]), 1.0)
+    if not np.any(keep):
+        raise ValueError("state has numerically empty support")
+    return u[:, keep]
+
+
+def build_state_fidelity_sdp(rho, sigma):
+    """Fidelity between two states as a maximization in standard form.
+
+    The optimal value of the returned problem equals
+    ``Tr sqrt(sqrt(rho) sigma sqrt(rho))``.  Each corner of the
+    two-by-two block variable is compressed onto the support of its own
+    state (the fidelity does not change, and the cross block of any
+    feasible point is automatically supported there), which keeps the
+    pinned corners positive definite and the problem strictly feasible
+    even for rank-deficient inputs.
+    """
+    rho = linalg.as_hermitian(rho, "rho")
+    sigma = linalg.as_hermitian(sigma, "sigma", dim=rho.shape[0])
+    p = _support_isometry(rho)
+    q = _support_isometry(sigma)
+    rp = p.shape[1]
+    rq = q.shape[1]
+    rho_c = p.conj().T @ rho @ p
+    sigma_c = q.conj().T @ sigma @ q
+    overlap = q.conj().T @ p
+    dim = rp + rq
+    # the two diagonal corners are pinned to the compressed states
+    rows = [sdp.RowFamily(rp, [(0, np.eye(dim, rp), 1.0)]),
+            sdp.RowFamily(rq, [(0, np.eye(dim, rq, -rp), 1.0)])]
+    rhs = np.concatenate([
+        (linalg.hermitian_basis(r).reshape(r * r, -1) @ state.T.reshape(-1)).real
+        for r, state in ((rp, rho_c), (rq, sigma_c))
+    ])
+    c = np.zeros((dim, dim), dtype=complex)
+    c[:rp, rp:] = overlap.conj().T / 2.0
+    c[rp:, :rp] = overlap / 2.0
+    return sdp.SdpProblem([dim], [c], rows, rhs, sense="max")
+
+
+def _purification(rho, tol=1e-12):
+    """Matrix psi with rho = psi psi^dag and minimal reference dimension."""
+    w, u = np.linalg.eigh(rho)
+    if w[0] < -1e-9:
+        raise ValueError(f"state is not PSD (min eigenvalue {w[0]:.3e})")
+    keep = w > tol * max(float(w[-1]), 1.0)
+    w, u = w[keep], u[:, keep]
+    order = np.argsort(w)[::-1]
+    return u[:, order] * np.sqrt(w[order])
+
+
+def _state_after(channel, psi):
+    """(channel x id) applied to the purification, as a square matrix.
+
+    ``psi`` has shape (d_in, r); the result acts on out (x) ref.
+    """
+    vs = np.stack([e @ psi for e in channel.kraus])
+    t = np.einsum("kar,kbs->arbs", vs, vs.conj())
+    return t.reshape(channel.out_dim * psi.shape[1], -1)
+
+
+@dataclass
+class _LinkPlan:
+    """A fidelity SDP plus the data needed to read the optimizer back."""
+
+    problem: sdp.SdpProblem
+    op_basis: np.ndarray | None
+    act_out: int
+    act_in: int
+    sigma_support: np.ndarray
+
+    def choi(self, solution):
+        """Process matrix of the optimized channel, on out (x) in."""
+        j_small = solution.block_values[0]
+        if self.op_basis is None:
+            return j_small
+        qv = self.op_basis.reshape(self.op_basis.shape[0], -1).T
+        return qv @ j_small @ qv.conj().T
+
+
+def _build_link_problem(eta, sigma, left_dim, act_in, act_out, ref_dim,
+                        op_basis=None):
+    """Fidelity between a fixed state and a channel-parameterized one.
+
+    ``eta`` is the state of left (x) act_in (x) ref before the optimized
+    channel acts on the middle factor; ``sigma`` is the fixed comparison
+    state on left (x) act_out (x) ref.  ``op_basis``, when given, is an
+    orthonormal (vec inner product) family of act_out x act_in operators
+    spanning the allowed Kraus space; the process matrix is
+    parameterized in that basis, which keeps the feasible set exactly
+    the constrained channels while preserving strict feasibility.
+    """
+    d_eta = left_dim * act_in * ref_dim
+    eta = linalg.as_hermitian(eta, "eta", dim=d_eta)
+    sigma = linalg.as_hermitian(sigma, "sigma", dim=left_dim * act_out * ref_dim)
+    if op_basis is None:
+        ops = np.eye(act_out * act_in, dtype=complex).reshape(-1, act_out, act_in)
+    else:
+        ops = np.asarray(op_basis, dtype=complex)
+        if ops.ndim != 3 or ops.shape[1:] != (act_out, act_in):
+            raise ValueError(
+                f"operator basis must have shape (*, {act_out}, {act_in})"
+            )
+        gram = ops.reshape(ops.shape[0], -1).conj() @ ops.reshape(ops.shape[0], -1).T
+        if np.linalg.norm(gram - np.eye(ops.shape[0])) > 1e-8:
+            raise ValueError("operator basis is not orthonormal")
+    n_ops = ops.shape[0]
+
+    q_sigma = _support_isometry(sigma)
+    r = q_sigma.shape[1]
+    sigma_c = q_sigma.conj().T @ sigma @ q_sigma
+
+    # ops_cols[i, (u, j)] = B_u[i, j]
+    ops_cols = ops.transpose(1, 0, 2).reshape(act_out, n_ops * act_in)
+    # g[(u, p), :] = row p of Q^dag (1 (x) B_u (x) 1), every u in one matmul
+    q_dag = q_sigma.conj().T.reshape(r, left_dim, act_out, ref_dim)
+    g = q_dag.transpose(0, 1, 3, 2).reshape(-1, act_out) @ ops_cols
+    g = g.reshape(r, left_dim, ref_dim, n_ops, act_in)
+    g = g.transpose(3, 0, 1, 4, 2).reshape(n_ops * r, d_eta)
+    # eta = V V^dag over its eigenvalues above rounding
+    w, v = np.linalg.eigh(eta)
+    keep = w > w.size * np.finfo(float).eps * max(float(w[-1]), 0.0)
+    gv = (g @ (v[:, keep] * np.sqrt(w[keep]))).reshape(n_ops, r, -1)
+    y_dim = 2 * r
+    rows = [
+        # trace preservation of the optimized channel: K^dag (1_out (x) h) K,
+        # K's columns vec(B_u)
+        sdp.RowFamily(act_in, [
+            (0, None if op_basis is None else ops.reshape(n_ops, -1).conj(), 1.0)
+        ]),
+        # the top-left corner of the fidelity block equals the channel output,
+        # Tr_k of (Q^dag (1 (x) B_u (x) 1) V_k)(...)^dag against h:
+        # L[u, (k, p)] = conj((g V)[(u, p), k])
+        sdp.RowFamily(r, [
+            (0, gv.conj().transpose(0, 2, 1).reshape(n_ops, -1), -1.0),
+            (1, np.eye(y_dim, r), 1.0),
+        ]),
+        # the bottom-right corner is pinned to the fixed state
+        sdp.RowFamily(r, [(1, np.eye(y_dim, r, -r), 1.0)]),
+    ]
+    rhs = np.concatenate([
+        np.trace(linalg.hermitian_basis(act_in), axis1=1, axis2=2).real,
+        np.zeros(r * r),
+        (linalg.hermitian_basis(r).reshape(r * r, -1) @ sigma_c.T.reshape(-1)).real,
+    ])
+    c_y = np.zeros((y_dim, y_dim), dtype=complex)
+    c_y[:r, r:] = np.eye(r) / 2.0
+    c_y[r:, :r] = np.eye(r) / 2.0
+    problem = sdp.SdpProblem([n_ops, y_dim], [None, c_y], rows, rhs, sense="max")
+    return _LinkPlan(
+        problem=problem,
+        op_basis=None if op_basis is None else ops,
+        act_out=act_out,
+        act_in=act_in,
+        sigma_support=q_sigma,
+    )
+
+
+def _link_plan(n, m, rho, constraint, environment):
+    """The fidelity SDP of one side of the duality at ``rho``.
+
+    The recovery side links r . n to m over recoveries r whose Kraus
+    operators span all operators, or the commutant of a fixed algebra.
+    The environment side links the complement of m to that of n; under
+    :class:`FixesAlgebra` these are the local complements, and the
+    processing acts beyond their first factor, of the conditional
+    expectation's Kraus rank.  Returns the plan, the constraint label and
+    the map that turns the optimized channel into the reported one (None
+    when it is reported as is).
+    """
+    if constraint is None:
+        constraint = Unconstrained()
     if isinstance(constraint, FixesAlgebra):
-        return f"fixes_algebra(dim={constraint.algebra.dim})"
-    raise TypeError(f"unsupported constraint {constraint!r}")
+        label = f"fixes_algebra(dim={constraint.algebra.dim})"
+    elif isinstance(constraint, (Unconstrained, Physical)):
+        label = type(constraint).__name__.lower()
+    else:
+        raise TypeError(f"unsupported constraint {constraint!r}")
+    if n.in_dim != m.in_dim:
+        raise ValueError("channels must share the input dimension")
+    rho = linalg.as_hermitian(rho, "rho", dim=n.in_dim)
+    if abs(np.trace(rho).real - 1.0) > 1e-8:
+        raise ValueError("rho must have unit trace")
+    psi = _purification(rho)
+    src, dst, left, ops, finish = n, m, 1, None, None
+    if isinstance(constraint, Physical):
+        p, q = constraint.p, constraint.q
+        src, dst = channels_mod.compose(q, n), channels_mod.compose(p, m)
+        finish = lambda r: channels_mod.compose(p, channels_mod.compose(r, q))  # noqa: E731
+    if isinstance(constraint, FixesAlgebra):
+        b = constraint.algebra
+        if n.out_dim != m.out_dim or b.ambient_dim != n.out_dim:
+            raise ValueError("fixed-algebra constraints need matching dimensions")
+        if environment:
+            src = channels_mod.local_complementary(m, b)
+            dst = channels_mod.local_complementary(n, b)
+            left = algebra_mod.conditional_expectation(algebra_mod.commutant(b)).n_kraus
+        else:
+            ops = np.stack(algebra_mod.commutant(b).basis)
+    elif environment:
+        src, dst = channels_mod.complementary(dst), channels_mod.complementary(src)
+    if environment:
+        label = f"environment({label})"
+        finish = None if left == 1 else lambda r: channels_mod.tensor_channels(  # noqa: E731
+            channels_mod.identity_channel(left), r)
+    plan = _build_link_problem(
+        _state_after(src, psi), _state_after(dst, psi), left_dim=left,
+        act_in=src.out_dim // left, act_out=dst.out_dim // left,
+        ref_dim=psi.shape[1], op_basis=ops,
+    )
+    return plan, label, finish
+
+
+def build_recovery_fidelity_sdp(n, m, rho, constraints=None):
+    """Standard-form SDP for the optimal recovery fidelity.
+
+    Maximizes the purified fidelity between ``r . n`` and ``m`` at the
+    state ``rho`` over trace-preserving completely positive ``r``,
+    subject to ``constraints`` (an :class:`Unconstrained`,
+    :class:`Physical`, or :class:`FixesAlgebra` instance).  The optimal
+    value of the returned problem is the fidelity.
+    """
+    return _link_plan(n, m, rho, constraints, environment=False)[0].problem
+
+
+def _fidelity(n, m, rho, constraint, tol, environment):
+    """Build and solve one side of the duality; see :func:`_link_plan`."""
+    plan, label, finish = _link_plan(n, m, rho, constraint, environment)
+    sol = sdp.solve(plan.problem, tol=tol)
+    choi = plan.choi(sol)
+    out_dim, in_dim = plan.act_out, plan.act_in
+    if finish is not None:
+        full = finish(channels_mod.channel_from_choi(
+            choi, out_dim, in_dim, renormalize=True
+        ))
+        choi, out_dim, in_dim = full.choi, full.out_dim, full.in_dim
+    return FidelityResult(
+        value=float(np.clip(sol.value, 0.0, 1.0)),
+        optimizer=choi,
+        duality_gap=abs(sol.value - sol.dual_value),
+        iterations=sol.iterations,
+        constraint_set=label,
+        status=sol.status,
+        out_dim=out_dim,
+        in_dim=in_dim,
+    )
 
 
 def optimal_recovery_fidelity(n, m, rho, constraint=None, tol=1e-7):
@@ -445,31 +721,7 @@ def optimal_recovery_fidelity(n, m, rho, constraint=None, tol=1e-7):
     optimizer is the process matrix of the best recovery found (for a
     physical constraint, of the already-sandwiched map).
     """
-    constraint = Unconstrained() if constraint is None else constraint
-    label = _constraint_label(constraint)
-    plan = sdp._recovery_plan(n, m, rho, constraint)
-    sol = sdp.solve(plan.problem, tol=tol)
-    choi = plan.choi(sol)
-    out_dim, in_dim = plan.act_out, plan.act_in
-    if isinstance(constraint, Physical):
-        inner = channels_mod.channel_from_choi(
-            choi, out_dim, in_dim, renormalize=True
-        )
-        sandwiched = channels_mod.compose(
-            constraint.p, channels_mod.compose(inner, constraint.q)
-        )
-        choi = sandwiched.choi
-        out_dim, in_dim = sandwiched.out_dim, sandwiched.in_dim
-    return FidelityResult(
-        value=float(np.clip(sol.value, 0.0, 1.0)),
-        optimizer=choi,
-        duality_gap=abs(sol.value - sol.dual_value),
-        iterations=sol.iterations,
-        constraint_set=label,
-        status=sol.status,
-        out_dim=out_dim,
-        in_dim=in_dim,
-    )
+    return _fidelity(n, m, rho, constraint, tol, environment=False)
 
 
 def environment_side_fidelity(n, m, rho, constraint=None, tol=1e-7):
@@ -482,61 +734,7 @@ def environment_side_fidelity(n, m, rho, constraint=None, tol=1e-7):
     the conditional expectation; the optimizer then includes the
     identity on that first factor.
     """
-    from . import algebra as algebra_mod
-
-    constraint = Unconstrained() if constraint is None else constraint
-    label = f"environment({_constraint_label(constraint)})"
-    if isinstance(constraint, Physical):
-        n = channels_mod.compose(constraint.q, n)
-        m = channels_mod.compose(constraint.p, m)
-        constraint = Unconstrained()
-    rho = sdp._as_hermitian(rho, "rho", dim=n.in_dim)
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ValueError("rho must have unit trace")
-    psi = sdp._compact_purification(rho)
-    ref = psi.shape[1]
-    if isinstance(constraint, Unconstrained):
-        src = channels_mod.complementary(m)
-        dst = channels_mod.complementary(n)
-        left = 1
-    else:
-        b = constraint.algebra
-        if n.out_dim != m.out_dim or b.ambient_dim != n.out_dim:
-            raise ValueError("fixed-algebra duality needs matching dimensions")
-        src = channels_mod.local_complementary(m, b)
-        dst = channels_mod.local_complementary(n, b)
-        left = algebra_mod.conditional_expectation(
-            algebra_mod.commutant(b)
-        ).n_kraus
-    act_in = src.out_dim // left
-    act_out = dst.out_dim // left
-    eta = sdp._state_after(src, psi).reshape(src.out_dim * ref, -1)
-    sig = sdp._state_after(dst, psi).reshape(dst.out_dim * ref, -1)
-    plan = sdp._build_link_problem(
-        eta, sig, left, act_in, act_out, ref, label=label
-    )
-    sol = sdp.solve(plan.problem, tol=tol)
-    choi = plan.choi(sol)
-    out_dim, in_dim = act_out, act_in
-    if left > 1:
-        small = channels_mod.channel_from_choi(
-            choi, act_out, act_in, renormalize=True
-        )
-        full = channels_mod.tensor_channels(
-            channels_mod.identity_channel(left), small
-        )
-        choi = full.choi
-        out_dim, in_dim = full.out_dim, full.in_dim
-    return FidelityResult(
-        value=float(np.clip(sol.value, 0.0, 1.0)),
-        optimizer=choi,
-        duality_gap=abs(sol.value - sol.dual_value),
-        iterations=sol.iterations,
-        constraint_set=label,
-        status=sol.status,
-        out_dim=out_dim,
-        in_dim=in_dim,
-    )
+    return _fidelity(n, m, rho, constraint, tol, environment=True)
 
 
 def verify_duality(n, m, rho, constraint=None, tol=1e-5, solver_tol=None):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import metadata, resources
 from pathlib import Path
 
@@ -36,6 +36,7 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "load_scenario",
+    "with_tasks",
     "run_scenario",
     "report_rows",
     "ring_demo_scenario",
@@ -199,12 +200,7 @@ def load_scenario(source):
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{label}: not valid JSON ({exc})") from exc
 
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(part) for part in exc.absolute_path) or "<root>"
-        raise ScenarioError(f"{label}: schema violation at {where}: {exc.message}") from exc
-
+    _validate(raw, label)
     dim, qudit_dims, fsys = _build_system(raw["system"])
     algebras = {
         name: _build_algebra(name, spec, dim, fsys)
@@ -236,6 +232,29 @@ def load_scenario(source):
         for index, task in enumerate(raw["tasks"])
     ]
     return scenario
+
+
+def with_tasks(scenario, tasks):
+    """``scenario`` with its task list replaced by ``tasks``.
+
+    The new document is validated against the schema like a loaded file,
+    and its tasks are resolved against the algebras, channels and codes
+    already built, so nothing is constructed again. The source reads
+    ``<dict>``, as for a scenario loaded from a dict.
+    """
+    raw = dict(scenario.raw, tasks=tasks)
+    _validate(raw, "<dict>")
+    out = replace(scenario, source="<dict>", raw=raw)
+    out.tasks = [_resolve_task(out, task, index) for index, task in enumerate(tasks)]
+    return out
+
+
+def _validate(raw, label):
+    try:
+        jsonschema.validate(raw, _schema())
+    except jsonschema.ValidationError as exc:
+        where = "/".join(str(part) for part in exc.absolute_path) or "<root>"
+        raise ScenarioError(f"{label}: schema violation at {where}: {exc.message}") from exc
 
 
 def _build_system(spec):

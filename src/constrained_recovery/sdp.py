@@ -33,9 +33,9 @@ sparsity in primal-dual interior-point methods for semidefinite
 programming", Math. Prog. 79 (1997).  A problem stores the dense rows of
 its families as well, so every row reads the same in either form.
 
-The module also contains the builders that express fidelity
-maximization between states, and between channel outputs optimized over
-an intermediate processing channel, as problems in this standard form.
+The module knows nothing of channels: the fidelity problems are built in
+:mod:`.recovery`.  Problems can be written to and read from JSON files
+(:func:`dump_problem`, :func:`load_problem`).
 """
 
 from __future__ import annotations
@@ -46,26 +46,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .channels import Channel, compose
 
 __all__ = [
     "RowFamily",
     "SdpProblem",
     "SdpSolution",
-    "Unconstrained",
-    "Physical",
-    "FixesAlgebra",
     "solve",
     "svec",
     "unsvec",
     "dump_problem",
     "load_problem",
-    "build_state_fidelity_sdp",
-    "build_recovery_fidelity_sdp",
 ]
 
 _TRIU_CACHE = {}
-_BASIS_CACHE = {}
 _ROOT2 = np.sqrt(2.0)
 
 
@@ -73,15 +66,6 @@ def _triu(d):
     if d not in _TRIU_CACHE:
         _TRIU_CACHE[d] = np.triu_indices(d, 1)
     return _TRIU_CACHE[d]
-
-
-def _hermitian_basis(d):
-    """Read-only :func:`linalg.hermitian_basis`, built once per dimension."""
-    if d not in _BASIS_CACHE:
-        basis = linalg.hermitian_basis(d)
-        basis.setflags(write=False)
-        _BASIS_CACHE[d] = basis
-    return _BASIS_CACHE[d]
 
 
 def svec(h):
@@ -132,16 +116,16 @@ def _svec_stack(stack, out=None):
     return out
 
 
-def _as_hermitian(a, what, dim=None):
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError(f"{what} has dimension {a.shape[0]}, expected {dim}")
-    skew = np.linalg.norm(a - a.conj().T)
-    if skew > 1e-8 * max(1.0, np.linalg.norm(a)):
-        raise ValueError(f"{what} is not Hermitian (skew norm {skew:.2e})")
-    return (a + a.conj().T) / 2.0
+def _contract_basis(basis, t):
+    """out[j, u, v] = sum_kl t[u, k, v, l] h_j[k, l], Hermitian in (u, v).
+
+    ``basis`` stacks the h_j, shape (d*d, d, d); ``t`` has shape
+    (n, d, n, d).  One matmul covers the whole basis.
+    """
+    n, d = t.shape[:2]
+    out = basis.reshape(d * d, d * d) @ t.transpose(1, 3, 0, 2).reshape(d * d, n * n)
+    out = out.reshape(d * d, n, n)
+    return (out + out.conj().transpose(0, 2, 1)) / 2.0
 
 
 class RowFamily:
@@ -169,7 +153,7 @@ class RowFamily:
     def stacks(self, block_dims):
         """Dense rows per touched block, ``{block: (c*c, n, n) stack}``."""
         c = self.dim
-        basis = _hermitian_basis(c)
+        basis = linalg.hermitian_basis(c)
         out = {}
         for b, lift, coef in self.terms:
             if not 0 <= b < len(block_dims) or b in out:
@@ -230,7 +214,7 @@ class SdpProblem:
             raise ValueError("objective must have one entry per block")
         self.objective = [
             np.zeros((d, d), dtype=complex) if c is None
-            else _as_hermitian(c, f"objective block {b}", d)
+            else linalg.as_hermitian(c, f"objective block {b}", d)
             for b, (c, d) in enumerate(zip(objective, self.block_dims))
         ]
         self.constraints = []
@@ -250,7 +234,7 @@ class SdpProblem:
                 raise ValueError(f"constraint row {i} must cover every block")
             self.constraints.append([
                 None if a is None
-                else _as_hermitian(a, f"constraint {i}, block {b}", d)
+                else linalg.as_hermitian(a, f"constraint {i}, block {b}", d)
                 for b, (a, d) in enumerate(zip(row, self.block_dims))
             ])
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
@@ -454,7 +438,7 @@ def _schur_layout(problem, kept):
         sel = np.flatnonzero(pos[start:start + len(family)] >= 0)
         if sel.size == 0:
             continue
-        hm = _hermitian_basis(c).reshape(c * c, c * c)
+        hm = linalg.hermitian_basis(c).reshape(c * c, c * c)
         first = int(pos[start + sel[0]])
         for b, lift, coef in family.terms:
             terms[b].append(_Term(
@@ -764,290 +748,3 @@ def load_problem(path):
         rhs=[row["rhs"] for row in doc["constraints"]],
         sense=doc["sense"],
     )
-
-
-# ---------------------------------------------------------------------------
-# fidelity builders
-
-
-@dataclass
-class Unconstrained:
-    """No restriction on the optimized channel."""
-
-
-@dataclass(eq=False)
-class Physical:
-    """Restrict the recovery to maps of the form p . r . q.
-
-    ``p`` and ``q`` are idempotent channels (typically charge dephasing);
-    the optimum over such maps equals an unconstrained optimum over the
-    channels composed with them, which is how the builder encodes it.
-    """
-
-    p: Channel
-    q: Channel
-
-
-@dataclass(eq=False)
-class FixesAlgebra:
-    """Restrict the optimized channel to fix an algebra of observables.
-
-    The channel's adjoint must act as the identity on every element of
-    ``algebra``, which holds exactly when all Kraus operators lie in the
-    algebra's commutant; the builder parameterizes the process matrix in
-    that operator basis.
-    """
-
-    algebra: object
-
-
-def _support_isometry(sigma, cutoff=1e-12):
-    w, u = np.linalg.eigh(sigma)
-    keep = w > cutoff * max(float(w[-1]), 1.0)
-    if not np.any(keep):
-        raise ValueError("state has numerically empty support")
-    return u[:, keep]
-
-
-def build_state_fidelity_sdp(rho, sigma):
-    """Fidelity between two states as a maximization in standard form.
-
-    The optimal value of the returned problem equals
-    ``Tr sqrt(sqrt(rho) sigma sqrt(rho))``.  Each corner of the
-    two-by-two block variable is compressed onto the support of its own
-    state (the fidelity does not change, and the cross block of any
-    feasible point is automatically supported there), which keeps the
-    pinned corners positive definite and the problem strictly feasible
-    even for rank-deficient inputs.
-    """
-    rho = _as_hermitian(rho, "rho")
-    sigma = _as_hermitian(sigma, "sigma", dim=rho.shape[0])
-    p = _support_isometry(rho)
-    q = _support_isometry(sigma)
-    rp = p.shape[1]
-    rq = q.shape[1]
-    rho_c = p.conj().T @ rho @ p
-    sigma_c = q.conj().T @ sigma @ q
-    overlap = q.conj().T @ p
-    dim = rp + rq
-    rows = []
-    rhs = []
-    for h in linalg.hermitian_basis(rp):
-        top = np.zeros((dim, dim), dtype=complex)
-        top[:rp, :rp] = h
-        rows.append([top])
-        rhs.append(float(np.trace(h @ rho_c).real))
-    for h in linalg.hermitian_basis(rq):
-        bot = np.zeros((dim, dim), dtype=complex)
-        bot[rp:, rp:] = h
-        rows.append([bot])
-        rhs.append(float(np.trace(h @ sigma_c).real))
-    c = np.zeros((dim, dim), dtype=complex)
-    c[:rp, rp:] = overlap.conj().T / 2.0
-    c[rp:, :rp] = overlap / 2.0
-    return SdpProblem([dim], [c], rows, rhs, sense="max")
-
-
-def _compact_purification(rho, tol=1e-12):
-    """Matrix psi with rho = psi psi^dag and minimal reference dimension."""
-    rho = _as_hermitian(rho, "rho")
-    w, u = np.linalg.eigh(rho)
-    if w[0] < -1e-9:
-        raise ValueError(f"state is not PSD (min eigenvalue {w[0]:.3e})")
-    keep = w > tol * max(float(w[-1]), 1.0)
-    w = w[keep]
-    u = u[:, keep]
-    order = np.argsort(w)[::-1]
-    return u[:, order] * np.sqrt(w[order])
-
-
-def _state_after(channel, psi_m):
-    """(channel x id) applied to the purification, as a 4-index tensor.
-
-    ``psi_m`` has shape (d_in, r); the result has indices [out, ref,
-    out', ref'].
-    """
-    vs = np.stack([e @ psi_m for e in channel.kraus])
-    return np.einsum("kar,kbs->arbs", vs, vs.conj())
-
-
-@dataclass
-class _LinkPlan:
-    """A fidelity SDP plus the data needed to read the optimizer back."""
-
-    problem: SdpProblem
-    op_basis: np.ndarray | None
-    act_out: int
-    act_in: int
-    left_dim: int
-    sigma_support: np.ndarray
-    label: str
-
-    def choi(self, solution):
-        """Process matrix of the optimized channel, on out (x) in."""
-        j_small = solution.block_values[0]
-        if self.op_basis is None:
-            return j_small
-        qv = self.op_basis.reshape(self.op_basis.shape[0], -1).T
-        return qv @ j_small @ qv.conj().T
-
-
-def _matrix_units(d_out, d_in):
-    eye = np.eye(d_out * d_in, dtype=complex)
-    return eye.reshape(d_out * d_in, d_out, d_in)
-
-
-def _contract_basis(basis, t):
-    """out[j, u, v] = sum_kl t[u, k, v, l] h_j[k, l], Hermitian in (u, v).
-
-    ``basis`` stacks the h_j, shape (d*d, d, d); ``t`` has shape
-    (n, d, n, d).  One matmul covers the whole basis.
-    """
-    n, d = t.shape[:2]
-    out = basis.reshape(d * d, d * d) @ t.transpose(1, 3, 0, 2).reshape(d * d, n * n)
-    out = out.reshape(d * d, n, n)
-    return (out + out.conj().transpose(0, 2, 1)) / 2.0
-
-
-def _build_link_problem(eta, sigma, left_dim, act_in, act_out, ref_dim,
-                        op_basis=None, label="unconstrained"):
-    """Fidelity between a fixed state and a channel-parameterized one.
-
-    ``eta`` is the state of left (x) act_in (x) ref before the optimized
-    channel acts on the middle factor; ``sigma`` is the fixed comparison
-    state on left (x) act_out (x) ref.  ``op_basis``, when given, is an
-    orthonormal (vec inner product) family of act_out x act_in operators
-    spanning the allowed Kraus space; the process matrix is
-    parameterized in that basis, which keeps the feasible set exactly
-    the constrained channels while preserving strict feasibility.
-    """
-    d_eta = left_dim * act_in * ref_dim
-    eta = _as_hermitian(eta, "eta", dim=d_eta)
-    sigma = _as_hermitian(sigma, "sigma", dim=left_dim * act_out * ref_dim)
-    if op_basis is None:
-        ops = _matrix_units(act_out, act_in)
-        identity_basis = True
-    else:
-        ops = np.asarray(op_basis, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1:] != (act_out, act_in):
-            raise ValueError(
-                f"operator basis must have shape (*, {act_out}, {act_in})"
-            )
-        gram = ops.reshape(ops.shape[0], -1).conj() @ ops.reshape(ops.shape[0], -1).T
-        if np.linalg.norm(gram - np.eye(ops.shape[0])) > 1e-8:
-            raise ValueError("operator basis is not orthonormal")
-        identity_basis = False
-    n_ops = ops.shape[0]
-
-    q_sigma = _support_isometry(sigma)
-    r = q_sigma.shape[1]
-    sigma_c = q_sigma.conj().T @ sigma @ q_sigma
-    basis_in = _hermitian_basis(act_in)
-    basis_r = _hermitian_basis(r)
-
-    # ops_cols[i, (u, j)] = B_u[i, j]
-    ops_cols = ops.transpose(1, 0, 2).reshape(act_out, n_ops * act_in)
-    # g[(u, p), :] = row p of Q^dag (1 (x) B_u (x) 1), every u in one matmul
-    q_dag = q_sigma.conj().T.reshape(r, left_dim, act_out, ref_dim)
-    g = q_dag.transpose(0, 1, 3, 2).reshape(-1, act_out) @ ops_cols
-    g = g.reshape(r, left_dim, ref_dim, n_ops, act_in)
-    g = g.transpose(3, 0, 1, 4, 2).reshape(n_ops * r, d_eta)
-    # eta = V V^dag over its eigenvalues above rounding
-    w, v = np.linalg.eigh(eta)
-    keep = w > w.size * np.finfo(float).eps * max(float(w[-1]), 0.0)
-    gv = (g @ (v[:, keep] * np.sqrt(w[keep]))).reshape(n_ops, r, -1)
-    y_dim = 2 * r
-    rows = [
-        # trace preservation of the optimized channel: K^dag (1_out (x) h) K,
-        # K's columns vec(B_u)
-        RowFamily(act_in, [
-            (0, None if identity_basis else ops.reshape(n_ops, -1).conj(), 1.0)
-        ]),
-        # the top-left corner of the fidelity block equals the channel output,
-        # Tr_k of (Q^dag (1 (x) B_u (x) 1) V_k)(...)^dag against h:
-        # L[u, (k, p)] = conj((g V)[(u, p), k])
-        RowFamily(r, [
-            (0, gv.conj().transpose(0, 2, 1).reshape(n_ops, -1), -1.0),
-            (1, np.eye(y_dim, r), 1.0),
-        ]),
-        # the bottom-right corner is pinned to the fixed state
-        RowFamily(r, [(1, np.eye(y_dim, r, -r), 1.0)]),
-    ]
-    rhs = np.concatenate([
-        np.trace(basis_in, axis1=1, axis2=2).real,
-        np.zeros(r * r),
-        (basis_r.reshape(r * r, -1) @ sigma_c.T.reshape(-1)).real,
-    ])
-    c_y = np.zeros((y_dim, y_dim), dtype=complex)
-    c_y[:r, r:] = np.eye(r) / 2.0
-    c_y[r:, :r] = np.eye(r) / 2.0
-    problem = SdpProblem([n_ops, y_dim], [None, c_y], rows, rhs, sense="max")
-    return _LinkPlan(
-        problem=problem,
-        op_basis=None if identity_basis else ops,
-        act_out=act_out,
-        act_in=act_in,
-        left_dim=left_dim,
-        sigma_support=q_sigma,
-        label=label,
-    )
-
-
-def _recovery_plan(n, m, rho, constraint):
-    """Plan for max over recoveries r of the fidelity of (r.n, m) at rho."""
-    if n.in_dim != m.in_dim:
-        raise ValueError("channels must share the input dimension")
-    rho = _as_hermitian(rho, "rho", dim=n.in_dim)
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ValueError("rho must have unit trace")
-    if isinstance(constraint, Physical):
-        n_eff = compose(constraint.q, n)
-        m_eff = compose(constraint.p, m)
-        plan = _recovery_plan(n_eff, m_eff, rho, Unconstrained())
-        plan.label = "physical"
-        return plan
-    psi_m = _compact_purification(rho)
-    ref = psi_m.shape[1]
-    eta = _state_after(n, psi_m)
-    sigma = _state_after(m, psi_m)
-    d_mid = n.out_dim
-    d_fin = m.out_dim
-    if isinstance(constraint, FixesAlgebra):
-        from . import algebra as algebra_mod
-
-        b = constraint.algebra
-        if d_mid != d_fin or b.ambient_dim != d_mid:
-            raise ValueError(
-                "fixed-algebra recovery needs matching dimensions"
-            )
-        commutant = algebra_mod.commutant(b)
-        ops_rows = linalg.orthonormal_rows(
-            np.stack([linalg.vec(x) for x in commutant.basis])
-        )
-        ops = ops_rows.reshape(-1, d_mid, d_mid)
-        label = f"fixes_algebra(dim={b.dim})"
-    elif isinstance(constraint, Unconstrained):
-        ops = None
-        label = "unconstrained"
-    else:
-        raise TypeError(f"unsupported constraint {constraint!r}")
-    return _build_link_problem(
-        eta.reshape(d_mid * ref, d_mid * ref),
-        sigma.reshape(d_fin * ref, d_fin * ref),
-        left_dim=1, act_in=d_mid, act_out=d_fin, ref_dim=ref,
-        op_basis=ops, label=label,
-    )
-
-
-def build_recovery_fidelity_sdp(n, m, rho, constraints=None):
-    """Standard-form SDP for the optimal recovery fidelity.
-
-    Maximizes the purified fidelity between ``r . n`` and ``m`` at the
-    state ``rho`` over trace-preserving completely positive ``r``,
-    subject to ``constraints`` (an :class:`Unconstrained`,
-    :class:`Physical`, or :class:`FixesAlgebra` instance).  The optimal
-    value of the returned problem is the fidelity.
-    """
-    if constraints is None:
-        constraints = Unconstrained()
-    return _recovery_plan(n, m, rho, constraints).problem

@@ -270,6 +270,26 @@ def test_block_structure_roundtrip():
     _assert_blocks_rebuild(a, bs)
 
 
+def test_block_structure_order_of_equal_rank_sectors():
+    # two rank-2 sectors of different shapes: the order is fixed by the
+    # projectors (descending rank, then the trace against diag(0..d-1)),
+    # whatever the seed
+    rng = np.random.default_rng(12)
+    gens, _, d = planted_algebra(rng, [(2, 1), (1, 2)])
+    a = alg.generate_algebra(gens, d)
+    shapes = []
+    for seed in (0, alg.DEFAULT_SEED):
+        bs = alg.block_structure(a, seed=seed)
+        keys = [(-round(np.trace(s.projector).real),
+                 float(np.diag(s.projector).real @ np.arange(d)))
+                for s in bs.sectors]
+        assert keys == sorted(keys)
+        shapes.append([(s.left_dim, s.right_dim) for s in bs.sectors])
+        _assert_blocks_rebuild(a, bs)
+    assert shapes[0] == shapes[1]
+    assert sorted(shapes[0]) == [(1, 2), (2, 1)]
+
+
 def _assert_blocks_rebuild(a, bs):
     d = a.ambient_dim
     for s in bs.sectors:

@@ -294,6 +294,13 @@ def test_fermion_local_rejects_kraus_outside_region():
         rc.fermion_local_check(two_dim_code(0, 3), [m34], (1, 2))
 
 
+def test_fermion_local_names_the_first_kraus_outside_region():
+    m12 = np.asarray(fermion.majorana_monomial(S2, (1, 2)))
+    m34 = np.asarray(fermion.majorana_monomial(S2, (3, 4)))
+    with pytest.raises(ValueError, match="Kraus operator 1 is not"):
+        rc.fermion_local_check(two_dim_code(0, 3), [m12, m34], (1, 2))
+
+
 def test_sector_resolution_beats_plain_conditions():
     """The wrap window of an adjacent-unpaired ring is the logical parity:
     fatal for the plain conditions, absorbed by the sector-resolved ones."""
@@ -397,6 +404,23 @@ def test_duality_with_fixed_parity_algebra():
         rep = rc.verify_duality(n, m, rho, rc.FixesAlgebra(b))
         assert rep.passed
         assert rep.difference <= 1e-5
+
+
+def test_constraint_labels_of_both_sides():
+    rng = np.random.default_rng(37)
+    c = np.asarray(fermion.parity_operator(S2, (1, 2, 3, 4)).c)
+    pq = parity_dephasing(c)
+    b = alg.generate_algebra([c], 4)
+    n = random_physical_channel(rng, c, k=2)
+    m = random_physical_channel(rng, c, k=2)
+    for constraint, label in (
+        (rc.Unconstrained(), "unconstrained"),
+        (rc.Physical(pq, pq), "physical"),
+        (rc.FixesAlgebra(b), "fixes_algebra(dim=2)"),
+    ):
+        rep = rc.verify_duality(n, m, np.eye(4) / 4, constraint)
+        assert rep.recovery.constraint_set == label
+        assert rep.environment.constraint_set == f"environment({label})"
 
 
 def test_local_recovery_of_factor_noise_reduces_to_factor_problem():

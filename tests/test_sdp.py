@@ -133,7 +133,7 @@ def test_repeat_solves_are_bitwise_reproducible():
     rng = np.random.default_rng(17)
     rho = random_density(rng, 3)
     sigma = random_density(rng, 3)
-    prob = sdp.build_state_fidelity_sdp(rho, sigma)
+    prob = rc.build_state_fidelity_sdp(rho, sigma)
     first = sdp.solve(prob)
     second = sdp.solve(prob)
     assert first.iterations == second.iterations
@@ -181,7 +181,7 @@ def test_state_fidelity_matches_closed_form():
     for _ in range(4):
         rho = random_density(rng, 3)
         sigma = random_density(rng, 3)
-        sol = sdp.solve(sdp.build_state_fidelity_sdp(rho, sigma), tol=1e-9)
+        sol = sdp.solve(rc.build_state_fidelity_sdp(rho, sigma), tol=1e-9)
         assert sol.status == "optimal"
         assert abs(sol.value - state_fidelity_oracle(rho, sigma)) < 1e-7
         assert sol.value <= sol.dual_value + 1e-7
@@ -191,20 +191,20 @@ def test_state_fidelity_special_pairs():
     rng = np.random.default_rng(3)
     psi = random_pure(rng, 4)
     pure = np.outer(psi, psi.conj())
-    sol = sdp.solve(sdp.build_state_fidelity_sdp(pure, pure), tol=1e-9)
+    sol = sdp.solve(rc.build_state_fidelity_sdp(pure, pure), tol=1e-9)
     assert abs(sol.value - 1.0) < 1e-7
 
     e0 = np.zeros(2, dtype=complex)
     e0[0] = 1.0
     e1 = np.zeros(2, dtype=complex)
     e1[1] = 1.0
-    sol = sdp.solve(sdp.build_state_fidelity_sdp(
+    sol = sdp.solve(rc.build_state_fidelity_sdp(
         np.outer(e0, e0.conj()), np.outer(e1, e1.conj())
     ), tol=1e-9)
     assert abs(sol.value) < 1e-7
 
     # half the maximally mixed qubit overlaps a basis state
-    sol = sdp.solve(sdp.build_state_fidelity_sdp(
+    sol = sdp.solve(rc.build_state_fidelity_sdp(
         np.eye(2) / 2, np.outer(e0, e0.conj())
     ), tol=1e-9)
     assert abs(sol.value - 0.7071067811865476) < 1e-7
@@ -212,18 +212,18 @@ def test_state_fidelity_special_pairs():
 
 def test_state_fidelity_rejects_bad_input():
     with pytest.raises(ValueError):
-        sdp.build_state_fidelity_sdp(np.eye(2) / 2, np.eye(3) / 3)
+        rc.build_state_fidelity_sdp(np.eye(2) / 2, np.eye(3) / 3)
     with pytest.raises(ValueError):
-        sdp.build_state_fidelity_sdp(np.array([[0, 1], [0, 0]]), np.eye(2) / 2)
+        rc.build_state_fidelity_sdp(np.array([[0, 1], [0, 0]]), np.eye(2) / 2)
     with pytest.raises(ValueError):
-        sdp.build_state_fidelity_sdp(np.eye(2) / 2, np.zeros((2, 2)))
+        rc.build_state_fidelity_sdp(np.eye(2) / 2, np.zeros((2, 2)))
 
 
 def test_dump_load_round_trip(tmp_path):
     rng = np.random.default_rng(29)
     rho = random_density(rng, 2)
     sigma = random_density(rng, 2)
-    prob = sdp.build_state_fidelity_sdp(rho, sigma)
+    prob = rc.build_state_fidelity_sdp(rho, sigma)
     path = tmp_path / "fidelity.json"
     sdp.dump_problem(prob, path)
     loaded = sdp.load_problem(path)
@@ -240,7 +240,7 @@ def test_dump_load_round_trip(tmp_path):
 
 def test_recovery_builder_identity_pair():
     ident = ch.identity_channel(2)
-    prob = sdp.build_recovery_fidelity_sdp(ident, ident, np.eye(2) / 2)
+    prob = rc.build_recovery_fidelity_sdp(ident, ident, np.eye(2) / 2)
     sol = sdp.solve(prob)
     assert sol.status == "optimal"
     assert abs(sol.value - 1.0) < 1e-6
@@ -250,7 +250,7 @@ def test_recovery_builder_depolarizing_bound():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     depol = ch.Channel([np.eye(2) / 2, x / 2, y / 2, Z / 2])
-    prob = sdp.build_recovery_fidelity_sdp(
+    prob = rc.build_recovery_fidelity_sdp(
         depol, ch.identity_channel(2), np.eye(2) / 2
     )
     sol = sdp.solve(prob)
@@ -263,7 +263,7 @@ def test_recovery_builder_random_dims():
     n = ch.Channel(random_kraus(rng, 3, 2, 2))
     m = ch.Channel(random_kraus(rng, 2, 2, 2))
     rho = random_density(rng, 2)
-    sol = sdp.solve(sdp.build_recovery_fidelity_sdp(n, m, rho))
+    sol = sdp.solve(rc.build_recovery_fidelity_sdp(n, m, rho))
     assert sol.status == "optimal"
     assert -1e-8 <= sol.value <= 1.0 + 1e-8
     assert sol.value <= sol.dual_value + 1e-7
@@ -272,12 +272,12 @@ def test_recovery_builder_random_dims():
 def test_recovery_builder_validation():
     ident = ch.identity_channel(2)
     with pytest.raises(ValueError):
-        sdp.build_recovery_fidelity_sdp(ident, ch.identity_channel(3),
+        rc.build_recovery_fidelity_sdp(ident, ch.identity_channel(3),
                                         np.eye(2) / 2)
     with pytest.raises(ValueError):
-        sdp.build_recovery_fidelity_sdp(ident, ident, np.eye(2))
+        rc.build_recovery_fidelity_sdp(ident, ident, np.eye(2))
     with pytest.raises(TypeError):
-        sdp.build_recovery_fidelity_sdp(ident, ident, np.eye(2) / 2,
+        rc.build_recovery_fidelity_sdp(ident, ident, np.eye(2) / 2,
                                         constraints="free")
 
 
@@ -351,8 +351,8 @@ def test_fixes_algebra_solve_iterations_are_frozen():
     rng = np.random.default_rng(103)
     n = ch.Channel(random_kraus(rng, 4, 4, 3))
     m = ch.Channel(random_kraus(rng, 4, 4, 2))
-    prob = sdp.build_recovery_fidelity_sdp(
-        n, m, np.eye(4) / 4, sdp.FixesAlgebra(PARITY_ALGEBRA)
+    prob = rc.build_recovery_fidelity_sdp(
+        n, m, np.eye(4) / 4, rc.FixesAlgebra(PARITY_ALGEBRA)
     )
     sol = sdp.solve(prob)
     assert sol.status == "optimal"
@@ -374,7 +374,7 @@ def first_link_plan(monkeypatch, run):
 
     ``run`` is aborted right after that build, so no solve follows.
     """
-    build = sdp._build_link_problem
+    build = rc._build_link_problem
     built = []
 
     def spy(*args, **kwargs):
@@ -383,7 +383,7 @@ def first_link_plan(monkeypatch, run):
         built.append((bound.arguments, build(*args, **kwargs)))
         raise _Built
 
-    monkeypatch.setattr(sdp, "_build_link_problem", spy)
+    monkeypatch.setattr(rc, "_build_link_problem", spy)
     with pytest.raises(_Built):
         run()
     return built[0]
@@ -446,7 +446,7 @@ def test_link_rows_match_definition_rectangular(monkeypatch):
     m = ch.Channel(random_kraus(rng, 3, 2, 2))
     rho = random_density(rng, 2)
     args, plan = first_link_plan(
-        monkeypatch, lambda: sdp.build_recovery_fidelity_sdp(n, m, rho)
+        monkeypatch, lambda: rc.build_recovery_fidelity_sdp(n, m, rho)
     )
     assert (args["act_in"], args["act_out"]) == (2, 3)
     assert_plan_matches_definition(args, plan)
@@ -457,10 +457,10 @@ def test_link_rows_match_definition_physical(monkeypatch):
     dephase = ch.Channel([np.eye(4) / np.sqrt(2), PARITY2 / np.sqrt(2)])
     n = random_physical_channel(rng, PARITY2)
     m = random_physical_channel(rng, PARITY2, 2)
-    constraint = sdp.Physical(dephase, dephase)
+    constraint = rc.Physical(dephase, dephase)
     args, plan = first_link_plan(
         monkeypatch,
-        lambda: sdp.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint),
+        lambda: rc.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint),
     )
     assert_plan_matches_definition(args, plan)
 
@@ -469,10 +469,10 @@ def test_link_rows_match_definition_fixes_algebra(monkeypatch):
     rng = np.random.default_rng(79)
     n = ch.Channel(random_kraus(rng, 4, 4, 3))
     m = ch.Channel(random_kraus(rng, 4, 4, 2))
-    constraint = sdp.FixesAlgebra(PARITY_ALGEBRA)
+    constraint = rc.FixesAlgebra(PARITY_ALGEBRA)
     args, plan = first_link_plan(
         monkeypatch,
-        lambda: sdp.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint),
+        lambda: rc.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint),
     )
     assert args["op_basis"] is not None
     assert_plan_matches_definition(args, plan)
@@ -538,22 +538,22 @@ def definition_corpus_plan(monkeypatch, case):
         n = ch.Channel(random_kraus(rng, 2, 2, 2))
         m = ch.Channel(random_kraus(rng, 3, 2, 2))
         rho = random_density(rng, 2)
-        run = lambda: sdp.build_recovery_fidelity_sdp(n, m, rho)  # noqa: E731
+        run = lambda: rc.build_recovery_fidelity_sdp(n, m, rho)  # noqa: E731
     elif case == "physical":
         rng = np.random.default_rng(73)
         dephase = ch.Channel([np.eye(4) / np.sqrt(2), PARITY2 / np.sqrt(2)])
         n = random_physical_channel(rng, PARITY2)
         m = random_physical_channel(rng, PARITY2, 2)
-        constraint = sdp.Physical(dephase, dephase)
-        run = lambda: sdp.build_recovery_fidelity_sdp(  # noqa: E731
+        constraint = rc.Physical(dephase, dephase)
+        run = lambda: rc.build_recovery_fidelity_sdp(  # noqa: E731
             n, m, np.eye(4) / 4, constraint)
     else:
         rng = np.random.default_rng(79 if case == "fixes_algebra" else 83)
         n = ch.Channel(random_kraus(rng, 4, 4, 3))
         m = ch.Channel(random_kraus(rng, 4, 4, 2))
         if case == "fixes_algebra":
-            constraint = sdp.FixesAlgebra(PARITY_ALGEBRA)
-            run = lambda: sdp.build_recovery_fidelity_sdp(  # noqa: E731
+            constraint = rc.FixesAlgebra(PARITY_ALGEBRA)
+            run = lambda: rc.build_recovery_fidelity_sdp(  # noqa: E731
                 n, m, np.eye(4) / 4, constraint)
         else:
             constraint = rc.FixesAlgebra(PARITY_ALGEBRA)
@@ -648,7 +648,7 @@ def test_link_builders_put_every_row_on_the_family_path(monkeypatch):
     n = ch.Channel(random_kraus(rng, 3, 3, 2))
     m = ch.Channel(random_kraus(rng, 3, 3, 2))
     rho = random_density(rng, 3)
-    recovery = sdp.build_recovery_fidelity_sdp(n, m, rho)
+    recovery = rc.build_recovery_fidelity_sdp(n, m, rho)
     _, env_plan = first_link_plan(
         monkeypatch, lambda: rc.environment_side_fidelity(n, m, rho))
     for prob in (recovery, env_plan.problem):
@@ -662,8 +662,8 @@ def test_loaded_fixes_algebra_problem_solves_densely_alike(tmp_path):
     rng = np.random.default_rng(103)
     n = ch.Channel(random_kraus(rng, 4, 4, 3))
     m = ch.Channel(random_kraus(rng, 4, 4, 2))
-    prob = sdp.build_recovery_fidelity_sdp(
-        n, m, np.eye(4) / 4, sdp.FixesAlgebra(PARITY_ALGEBRA)
+    prob = rc.build_recovery_fidelity_sdp(
+        n, m, np.eye(4) / 4, rc.FixesAlgebra(PARITY_ALGEBRA)
     )
     path = tmp_path / "fixes.json"
     sdp.dump_problem(prob, path)

@@ -56,19 +56,19 @@ class AlgebraBasis:
     """
 
     def __init__(self, ambient_dim, basis):
-        self.ambient_dim = int(ambient_dim)
-        mats = [np.asarray(b, dtype=complex) for b in basis]
-        for b in mats:
-            if b.shape != (self.ambient_dim, self.ambient_dim):
+        self.ambient_dim = d = int(ambient_dim)
+        rows = np.empty((len(basis), d * d), dtype=complex)
+        for row, b in zip(rows, basis):
+            b = np.asarray(b)
+            if b.shape != (d, d):
                 raise ValueError(
-                    f"basis element of shape {b.shape} in ambient dimension "
-                    f"{self.ambient_dim}"
+                    f"basis element of shape {b.shape} in ambient dimension {d}"
                 )
-        self.basis = mats
-        if mats:
-            self._rows = np.stack([linalg.vec(b) for b in mats])
-        else:
-            self._rows = np.zeros((0, self.ambient_dim**2), dtype=complex)
+            row[:] = b.reshape(-1)
+        rows.flags.writeable = False
+        # each element is stored once: the basis matrices are views of _rows
+        self._rows = rows
+        self.basis = list(rows.reshape(-1, d, d))
 
     @property
     def dim(self):

@@ -239,12 +239,12 @@ def with_tasks(scenario, tasks):
 
     The new document is validated against the schema like a loaded file,
     and its tasks are resolved against the algebras, channels and codes
-    already built, so nothing is constructed again. The source reads
-    ``<dict>``, as for a scenario loaded from a dict.
+    already built, so nothing is constructed again. The source stays that
+    of ``scenario``.
     """
     raw = dict(scenario.raw, tasks=tasks)
-    _validate(raw, "<dict>")
-    out = replace(scenario, source="<dict>", raw=raw)
+    _validate(raw, scenario.source)
+    out = replace(scenario, raw=raw)
     out.tasks = [_resolve_task(out, task, index) for index, task in enumerate(tasks)]
     return out
 

@@ -24,6 +24,14 @@ def test_generate_empty_is_trivial():
     assert np.allclose(a.basis[0], np.eye(3) / np.sqrt(3))
 
 
+def test_basis_elements_are_views_of_the_rows():
+    mats = [np.eye(2) / np.sqrt(2), Z / np.sqrt(2)]
+    a = alg.AlgebraBasis(2, mats)
+    assert all(np.shares_memory(b, a._rows) for b in a.basis)
+    assert all(np.array_equal(b, m) for b, m in zip(a.basis, mats))
+    assert np.array_equal(a._rows, np.stack([m.reshape(-1) for m in mats]))
+
+
 def test_generate_diagonal():
     a = alg.generate_algebra([Z], 2)
     assert a.dim == 2

@@ -534,6 +534,28 @@ def test_channel_is_physical_one_shot(capsys):
     assert out["residual"] <= 1e-8
 
 
+def test_one_shot_report_names_the_bundled_scenario(capsys):
+    code, report = run_json(
+        ["check", "superselection-kl", "--scenario", "majorana_ring_n6"], capsys
+    )
+    assert code == 0
+    assert report["scenario"]["source"] == "bundled:majorana_ring_n6"
+
+
+def test_one_shot_report_names_the_scenario_file(tmp_path, capsys):
+    spec = qubit_scenario(
+        [{"task": "check", "variant": "kl", "code": "trivial", "channel": "dephase"}]
+    )
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(spec))
+    code, report = run_json(
+        ["channel", "complement", "--scenario", str(path), "--channel", "dephase"],
+        capsys,
+    )
+    assert code == 0
+    assert report["scenario"]["source"] == str(path)
+
+
 # ---------------------------------------------------------------------------
 # demo
 

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from constrained_recovery import algebra as alg
 from constrained_recovery import channels as ch
 from constrained_recovery import fermion
 from constrained_recovery import recovery as rc
+from constrained_recovery import scenario as sc
 from helpers import random_kraus, random_physical_channel
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -299,6 +303,53 @@ def test_fermion_local_names_the_first_kraus_outside_region():
     m34 = np.asarray(fermion.majorana_monomial(S2, (3, 4)))
     with pytest.raises(ValueError, match="Kraus operator 1 is not"):
         rc.fermion_local_check(two_dim_code(0, 3), [m12, m34], (1, 2))
+
+
+def _dense_even_residuals(system, region, x):
+    """Residuals of ``x`` against the dense basis of the region's even algebra,
+    as ``algebra.contains`` computes them."""
+    rows = fermion.physical_algebra(system, region)._rows
+    v = x.reshape(len(x), -1)
+    return np.linalg.norm(v - (rows @ v.conj().T).conj().T @ rows, axis=1)
+
+
+def test_even_residuals_match_the_dense_projection():
+    rng = np.random.default_rng(7)
+    for n_modes in range(1, 5):
+        system = fermion.FermionSystem(n_modes)
+        d = system.dim
+        indices = range(1, 2 * n_modes + 1)
+        for size in range(0, 2 * n_modes + 1, 2):
+            for region in itertools.combinations(indices, size):
+                basis = np.stack(fermion.physical_algebra(system, region).basis)
+                coeffs = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+                x = np.concatenate([
+                    rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d)),
+                    np.tensordot(coeffs, basis, axes=1)[None],
+                    fermion.majorana_monomial(system, (region or (1,))[:1])[None],
+                ])
+                c = fermion.parity_operator(system, region).c
+                outside = [k for k in indices if k not in region]
+                got = rc._even_residuals(system, c, outside, x)
+                want = _dense_even_residuals(system, region, x)
+                assert np.abs(got - want).max() <= 1e-12, (n_modes, region)
+                assert got[2] <= 1e-12
+                assert abs(got[3] - np.sqrt(d)) <= 1e-12
+
+
+def test_fermion_local_check_builds_no_region_basis():
+    """The 12-Majorana region basis alone would take 134 MB."""
+    scenario = sc.load_scenario("majorana_ring_n6")
+    task = next(t for t in scenario.tasks if t["variant"] == "fermion-local")
+    args = task["args"]
+    tracemalloc.start()
+    try:
+        rep = rc.fermion_local_check(args["code"], args["channel"], args["region"], tol=1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "correctable"
+    assert peak < 32 * 2**20
 
 
 def test_sector_resolution_beats_plain_conditions():

@@ -70,7 +70,9 @@ class Channel:
         self.kraus = ops
         self.out_dim, self.in_dim = int(shape[0]), int(shape[1])
         self._stack = np.stack(ops)
-        ksum = np.einsum("kba,kbc->ac", self._stack.conj(), self._stack)
+        # sum_k E_k^dag E_k as one product of the stacked operators
+        f = self._stack.reshape(-1, self.in_dim)
+        ksum = f.conj().T @ f
         self.tp_residual = float(np.linalg.norm(ksum - np.eye(self.in_dim), 2))
         if check and self.tp_residual > 1e-6:
             raise ValueError(

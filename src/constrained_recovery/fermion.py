@@ -81,13 +81,26 @@ class FermionSystem:
         self._check_relations()
 
     def _check_relations(self):
+        # each generator has one nonzero entry per row, at column perm[r]
+        # with value s[r], so w_a w_b = s_a[:, None] * w_b[perm_a]
+        gathers = []
+        for a, wa in enumerate(self.majoranas):
+            nonzero = wa != 0
+            if np.any(np.count_nonzero(nonzero, axis=1) != 1):
+                raise RuntimeError(
+                    f"Majorana generator {a + 1} does not have exactly one "
+                    f"nonzero entry per row"
+                )
+            perm = np.argmax(nonzero, axis=1)
+            gathers.append((perm, wa[np.arange(self.dim), perm][:, None]))
         worst = 0.0
         eye2 = 2.0 * np.eye(self.dim)
-        for a in range(len(self.majoranas)):
+        for a, (perm_a, s_a) in enumerate(gathers):
             wa = self.majoranas[a]
             for b in range(a, len(self.majoranas)):
                 wb = self.majoranas[b]
-                anti = wa @ wb + wb @ wa
+                perm_b, s_b = gathers[b]
+                anti = s_a * wb[perm_a] + s_b * wa[perm_b]
                 target = eye2 if a == b else 0.0
                 worst = max(worst, float(np.linalg.norm(anti - target)))
         if worst > 1e-10:

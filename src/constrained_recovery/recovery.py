@@ -401,6 +401,7 @@ def fermion_local_check(code, kraus, region, tol=1e-8):
     ) <= max(tol, 1e-10) * 10
 
     left = w.conj().T
+    heads = [left @ e.conj().T for e in ops]
     sectors = {"plus": parity.p_plus, "minus": parity.p_minus}
     lam = {name: np.zeros((n_ops, n_ops), dtype=complex) for name in sectors}
     present = {}
@@ -411,8 +412,7 @@ def fermion_local_check(code, kraus, region, tol=1e-8):
         present[name] = float(np.linalg.norm(fixed)) > 1e-10
         for i in range(n_ops):
             for j in range(n_ops):
-                head = left @ ops[i].conj().T @ ops[j]
-                target = np.einsum("kl,blm->bkm", head, right).reshape(-1)
+                target = np.einsum("kl,blm->bkm", heads[i] @ ops[j], right).reshape(-1)
                 lam[name][i, j], res = _scalar_fit(fixed, target)
                 resid_sq += res * res
     residual = float(np.sqrt(resid_sq))

@@ -65,19 +65,23 @@ class _TaskFailure(RuntimeError):
     """A task ran but did not produce a trustworthy numerical answer."""
 
 
-_SCHEMA = None
+_VALIDATOR = None
 
 
-def _schema():
-    global _SCHEMA
-    if _SCHEMA is None:
+def _validator():
+    """A validator of the bundled scenario schema, which is checked once."""
+    global _VALIDATOR
+    if _VALIDATOR is None:
         text = (
             resources.files(__package__)
             .joinpath("data/scenario.schema.json")
             .read_text()
         )
-        _SCHEMA = json.loads(text)
-    return _SCHEMA
+        schema = json.loads(text)
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        _VALIDATOR = cls(schema)
+    return _VALIDATOR
 
 
 def bundled_scenario_names():
@@ -250,9 +254,9 @@ def with_tasks(scenario, tasks):
 
 
 def _validate(raw, label):
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    if exc is not None:
         where = "/".join(str(part) for part in exc.absolute_path) or "<root>"
         raise ScenarioError(f"{label}: schema violation at {where}: {exc.message}") from exc
 

@@ -11,6 +11,19 @@ method with Nesterov-Todd scaling, an infeasible identity start, and a
 Mehrotra-style adaptive centering parameter.  Everything is dense and
 deterministic, aimed at blocks of a few hundred rows at most.
 
+Each iteration factors every block once (:func:`_nt_scaling`): with
+X = L L^dag and L^dag Z L = V diag(ev) V^dag, the scaling W with
+W Z W = X is G G^dag for G = L V ev^(-1/4), and Z^-1 = Q Q^dag for
+Q = L V ev^(-1/2), so one Cholesky factor and one eigendecomposition
+serve both (Todd, Toh & Tutuncu, "On the Nesterov-Todd direction in
+semidefinite programming", SIAM J. Optim. 8 (1998)).  The largest step
+t with X + t dX >= 0 is -1/lambda_min(F dX F^dag) for any frame F with
+F X F^dag = 1; the frames are ev^-1 V^dag L^dag Z = V^dag L^-1 for X and
+Q^dag for Z, so no inverse is formed, and an exact ``eigvalsh`` gives
+lambda_min (Toh, "A note on the calculation of step-lengths in
+interior-point methods for semidefinite programming", Comput. Optim.
+Appl. 21 (2002)).
+
 Rows come in two forms.  A dense row is one Hermitian matrix per block.
 A row family (:class:`RowFamily`) is the c*c rows
 
@@ -511,10 +524,29 @@ def _clipped_eigh(h, floor_rel=1e-15):
     return w, u
 
 
-def _max_step(w, u, delta):
-    """Largest t with X + t*delta >= 0, where (w, u) diagonalize X > 0."""
-    b = u.conj().T @ delta @ u
-    s = b / np.sqrt(np.outer(w, w))
+def _nt_scaling(x, z):
+    """Nesterov-Todd scaling of one block pair X, Z > 0, as in the module
+    docstring.
+
+    Returns ``(w, zinv, x_frame, z_frame)`` with W Z W = X, zinv = Z^-1,
+    x_frame X x_frame^dag = 1 and z_frame Z z_frame^dag = 1.  Raises
+    ``np.linalg.LinAlgError`` when X is not positive definite.
+    """
+    low = np.linalg.cholesky(x)
+    lz = low.conj().T @ z
+    m = lz @ low
+    ev, v = _clipped_eigh((m + m.conj().T) / 2.0)
+    lv = low @ v
+    g = lv * ev**-0.25
+    q = lv * ev**-0.5
+    w = g @ g.conj().T
+    x_frame = (v.conj().T / ev[:, None]) @ lz
+    return (w + w.conj().T) / 2.0, q @ q.conj().T, x_frame, q.conj().T
+
+
+def _max_step(frame, delta):
+    """Largest t with X + t*delta >= 0, where frame X frame^dag = 1."""
+    s = frame @ delta @ frame.conj().T
     lam = float(np.linalg.eigvalsh((s + s.conj().T) / 2.0)[0])
     if lam >= -1e-13:
         return 1e16
@@ -587,9 +619,10 @@ def solve(problem, tol=1e-7, max_iter=200):
         r_p = b_vec - ax
         aty = adjoint(y)
         r_d = [c_blocks[b] - aty[b] - z[b] for b in range(len(dims))]
-        pobj = float(sum(np.trace(c_blocks[b] @ x[b]).real for b in range(len(dims))))
+        # Tr(A B) = vdot(A, B) for Hermitian A
+        pobj = float(sum(np.vdot(c_blocks[b], x[b]).real for b in range(len(dims))))
         dobj = float(b_vec @ y)
-        mu = float(sum(np.trace(x[b] @ z[b]).real for b in range(len(dims)))) / n_total
+        mu = float(sum(np.vdot(x[b], z[b]).real for b in range(len(dims)))) / n_total
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         p_res = float(np.linalg.norm(r_p)) / (1.0 + float(np.linalg.norm(b_vec)))
         d_res = np.sqrt(sum(np.linalg.norm(r) ** 2 for r in r_d)) / (1.0 + norm_c)
@@ -602,20 +635,13 @@ def solve(problem, tol=1e-7, max_iter=200):
                                      "infeasible or unbounded")
             break
 
-        # Nesterov-Todd scaling point per block
-        w_scale = []
-        x_eigs = []
-        z_eigs = []
-        for b in range(len(dims)):
-            wx, ux = _clipped_eigh(x[b])
-            x_eigs.append((wx, ux))
-            xs = (ux * np.sqrt(wx)) @ ux.conj().T
-            t = xs @ z[b] @ xs
-            wt, ut = _clipped_eigh((t + t.conj().T) / 2.0)
-            tis = (ut * wt**-0.5) @ ut.conj().T
-            wmat = xs @ tis @ xs
-            w_scale.append((wmat + wmat.conj().T) / 2.0)
-            z_eigs.append(_clipped_eigh(z[b]))
+        # Nesterov-Todd scaling point, Z^-1 and step frames per block
+        try:
+            w_scale, zinv, x_frames, z_frames = zip(
+                *(_nt_scaling(x[b], z[b]) for b in range(len(dims))))
+        except np.linalg.LinAlgError:
+            diagnostics["reason"] = "primal iterate lost positive definiteness"
+            break
 
         # Schur complement and its factorization
         schur = _schur(layout, w_scale, a_svec, blocks, m)
@@ -645,20 +671,16 @@ def solve(problem, tol=1e-7, max_iter=200):
         for b in range(len(dims)):
             t = -x[b] - w_scale[b] @ dz_aff[b] @ w_scale[b]
             dx_aff.append((t + t.conj().T) / 2.0)
-        ap = min(1.0, min(_max_step(*x_eigs[b], dx_aff[b]) for b in range(len(dims))))
-        ad = min(1.0, min(_max_step(*z_eigs[b], dz_aff[b]) for b in range(len(dims))))
+        ap = min(1.0, min(_max_step(x_frames[b], dx_aff[b]) for b in range(len(dims))))
+        ad = min(1.0, min(_max_step(z_frames[b], dz_aff[b]) for b in range(len(dims))))
         mu_aff = sum(
-            np.trace((x[b] + ap * dx_aff[b]) @ (z[b] + ad * dz_aff[b])).real
+            np.vdot(x[b] + ap * dx_aff[b], z[b] + ad * dz_aff[b]).real
             for b in range(len(dims))
         ) / n_total
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 0.0, 1.0))
 
         # corrector: recentered step reusing the same factorization
-        r_nt = []
-        for b in range(len(dims)):
-            wz, uz = z_eigs[b]
-            zinv = (uz / wz) @ uz.conj().T
-            r_nt.append(sigma * mu * zinv - x[b])
+        r_nt = [sigma * mu * zinv[b] - x[b] for b in range(len(dims))]
         dy = (np.linalg.solve(schur_j, r_p - operator(r_nt) + a_wrdw)
               if m else np.zeros(0))
         aty_c = adjoint(dy)
@@ -667,8 +689,8 @@ def solve(problem, tol=1e-7, max_iter=200):
         for b in range(len(dims)):
             t = r_nt[b] - w_scale[b] @ dz[b] @ w_scale[b]
             dx.append((t + t.conj().T) / 2.0)
-        ap = min(1.0, tau * min(_max_step(*x_eigs[b], dx[b]) for b in range(len(dims))))
-        ad = min(1.0, tau * min(_max_step(*z_eigs[b], dz[b]) for b in range(len(dims))))
+        ap = min(1.0, tau * min(_max_step(x_frames[b], dx[b]) for b in range(len(dims))))
+        ad = min(1.0, tau * min(_max_step(z_frames[b], dz[b]) for b in range(len(dims))))
         if ap < 1e-10 and ad < 1e-10:
             stall += 1
             if stall >= 2:

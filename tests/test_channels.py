@@ -42,6 +42,15 @@ def test_constructor_guards():
     assert abs(piece.tp_residual - 0.0201) < 1e-12
 
 
+def test_tp_residual_matches_the_kraus_sum():
+    rng = np.random.default_rng(19)
+    for d_out, d_in, k in ((3, 2, 4), (2, 5, 3), (16, 16, 5)):
+        ops = [e * rng.uniform(0.9, 1.1) for e in random_kraus(rng, d_out, d_in, k)]
+        ksum = sum(e.conj().T @ e for e in ops)
+        want = np.linalg.norm(ksum - np.eye(d_in), 2)
+        assert abs(ch.Channel(ops, check=False).tp_residual - want) < 1e-10
+
+
 def test_validate_reports_residuals():
     rep = ch.validate(ch.Channel([1.01 * np.eye(2)], check=False))
     assert not rep.valid

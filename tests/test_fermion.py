@@ -48,6 +48,24 @@ def test_anticommutation_relations():
             assert np.linalg.norm(wa @ wb + wb @ wa - target) < 1e-10
 
 
+@pytest.mark.parametrize("generator", [0, 3, 5])
+def test_relation_check_rejects_a_corrupted_generator(generator):
+    system = fermion.FermionSystem(3)
+    w = system.majoranas[generator].copy()
+    r, c = np.argwhere(w)[2]
+    w[r, c] = -w[r, c]
+    system.majoranas[generator] = w
+    with pytest.raises(RuntimeError, match="anticommutation"):
+        system._check_relations()
+
+
+def test_relation_check_rejects_a_generator_with_two_entries_in_a_row():
+    system = fermion.FermionSystem(2)
+    system.majoranas[1] = system.majoranas[1] + 0.5 * np.eye(system.dim)
+    with pytest.raises(RuntimeError, match="one nonzero entry per row"):
+        system._check_relations()
+
+
 def test_monomial_phase_and_involution():
     # i * w1 w2 on one mode is i*Y*X = Z
     assert np.allclose(fermion.majorana_monomial(S1, (1, 2)), Z)

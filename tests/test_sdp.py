@@ -361,6 +361,117 @@ def test_fixes_algebra_solve_iterations_are_frozen():
     assert abs(sol.value - FROZEN_FIXES_ALGEBRA_VALUE) < 1e-9
 
 
+def _rectangular_fidelity():
+    rng = np.random.default_rng(71)
+    n = ch.Channel(random_kraus(rng, 2, 2, 2))
+    m = ch.Channel(random_kraus(rng, 3, 2, 2))
+    return rc.optimal_recovery_fidelity(n, m, random_density(rng, 2))
+
+
+def _physical_fidelity():
+    rng = np.random.default_rng(73)
+    dephase = ch.Channel([np.eye(4) / np.sqrt(2), PARITY2 / np.sqrt(2)])
+    n = random_physical_channel(rng, PARITY2)
+    m = random_physical_channel(rng, PARITY2, 2)
+    return rc.optimal_recovery_fidelity(
+        n, m, np.eye(4) / 4, rc.Physical(dephase, dephase))
+
+
+def _environment_fixes_algebra_fidelity():
+    # the corpus of test_link_rows_match_definition_environment_fixes_algebra,
+    # whose link problem has left_dim > 1
+    rng = np.random.default_rng(83)
+    n = ch.Channel(random_kraus(rng, 4, 4, 3))
+    m = ch.Channel(random_kraus(rng, 4, 4, 2))
+    return rc.environment_side_fidelity(
+        n, m, np.eye(4) / 4, rc.FixesAlgebra(PARITY_ALGEBRA))
+
+
+# iterations and values from the solver with eigh-based Nesterov-Todd scaling
+@pytest.mark.parametrize("run, iterations, value", [
+    (_rectangular_fidelity, 15, 0.9198380499819996),
+    (_physical_fidelity, 18, 0.807228842572417),
+    (_environment_fixes_algebra_fidelity, 16, 0.6250052236567352),
+], ids=["rectangular", "physical", "environment-fixes-algebra"])
+def test_fidelity_solve_iterations_are_frozen(run, iterations, value):
+    res = run()
+    assert res.status == "optimal"
+    assert res.iterations == iterations
+    assert abs(res.value - value) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Nesterov-Todd scaling and step lengths
+
+
+def random_pd(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return g @ g.conj().T / d + 0.1 * np.eye(d)
+
+
+def eigh_power(h, p):
+    w, u = np.linalg.eigh(h)
+    return (u * w**p) @ u.conj().T
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_nt_scaling_matches_the_eigh_formula(d):
+    rng = np.random.default_rng(100 + d)
+    x, z = random_pd(rng, d), random_pd(rng, d)
+    w, zinv, x_frame, z_frame = sdp._nt_scaling(x, z)
+    assert rel_err(w @ z @ w, x) < 1e-10
+    xs = eigh_power(x, 0.5)
+    assert rel_err(w, xs @ eigh_power(xs @ z @ xs, -0.5) @ xs) < 1e-10
+    assert rel_err(zinv, np.linalg.inv(z)) < 1e-10
+    eye = np.eye(d)
+    assert np.linalg.norm(x_frame @ x @ x_frame.conj().T - eye) < 1e-10
+    assert np.linalg.norm(z_frame @ z @ z_frame.conj().T - eye) < 1e-10
+
+
+def test_nt_scaling_rejects_an_indefinite_x():
+    with pytest.raises(np.linalg.LinAlgError):
+        sdp._nt_scaling(np.diag([1.0, -1e-3]).astype(complex), np.eye(2))
+
+
+def test_max_step_matches_the_eigh_step():
+    rng = np.random.default_rng(107)
+    for d in (1, 3, 16):
+        x, z = random_pd(rng, d), random_pd(rng, d)
+        _, _, x_frame, z_frame = sdp._nt_scaling(x, z)
+        for mat, frame in ((x, x_frame), (z, z_frame)):
+            delta = random_hermitian(rng, d) - 2.0 * np.linalg.norm(mat, 2) * np.eye(d)
+            inv_root = eigh_power(mat, -0.5)
+            lam = np.linalg.eigvalsh(inv_root @ delta @ inv_root)[0]
+            step = sdp._max_step(frame, delta)
+            assert abs(step - (-1.0 / lam)) < 1e-10 * step
+            assert np.linalg.eigvalsh(mat + step * delta)[0] > -1e-9 * np.linalg.norm(mat)
+            # a direction that never leaves the cone gives no bound
+            assert sdp._max_step(frame, delta @ delta) == 1e16
+
+
+def test_lost_definiteness_ends_the_solve_with_a_reason(monkeypatch):
+    scaling = sdp._nt_scaling
+    calls = []
+
+    def breaks_on_the_third_call(x, z):
+        calls.append(None)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("not positive definite")
+        return scaling(x, z)
+
+    monkeypatch.setattr(sdp, "_nt_scaling", breaks_on_the_third_call)
+    prob = sdp.SdpProblem([3], [np.diag([1.0, 2.0, 3.0]).astype(complex)],
+                          [trace_row(3)], [1.0])
+    sol = sdp.solve(prob)
+    assert sol.status == "max_iter"
+    assert sol.iterations == 3
+    assert "definiteness" in sol.diagnostics["reason"]
+
+
 # ---------------------------------------------------------------------------
 # the link builder against its definition, written with explicit kron products
 

@@ -1,11 +1,12 @@
 """Command-line interface for scenario runs and one-shot queries.
 
 Every subcommand works against a scenario file (a path, or the name of
-a bundled scenario): ``run`` executes the full task list, while
-``algebra``, ``channel``, ``check``, and ``fidelity`` run a single kind
-of task, either the matching tasks already declared in the scenario or
-one synthesized from command-line flags.  ``demo majorana-ring`` builds
-and runs a ring-code scenario in one step.
+a bundled scenario): ``run`` executes the full task list, while each task
+kind of :data:`scenario.TASKS` is a subcommand that runs a single kind of
+task, either the matching tasks already declared in the scenario or one
+synthesized from command-line flags.  A one-shot flag sets the task key
+it is named after.  ``demo majorana-ring`` builds and runs a ring-code
+scenario in one step.
 
 Exit codes: 0 when every task completed (verdicts may still be
 negative), 1 for usage errors, 2 for scenarios rejected by schema or
@@ -18,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -81,14 +83,69 @@ def _constraint_arg(text):
     )
 
 
+def _state_arg(name):
+    return {"kind": "code_mixed", "code": name}
+
+
+def _bounded(convert, accept, expected):
+    """An argparse type: ``convert`` the text, then refuse what ``accept`` does not."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+# the schema's bounds on a task tolerance and on a scenario seed
+_tolerance = _bounded(float, lambda x: math.isfinite(x) and x > 0, "a positive finite number")
+_seed = _bounded(int, lambda n: n >= 0, "a non-negative integer")
+
+# The one-shot flag of each task key: its spelling, help and other argparse
+# keywords. Its dest is the key, so a given flag sets that key of a task.
+_FLAGS = {
+    "code": ("--code", "code name (default: the only one)", {}),
+    "channel": ("--channel", "channel name (default: the only one)", {}),
+    "algebra": ("--algebra", "algebra name (default: the only one)", {}),
+    "second_algebra": ("--second-algebra", "containing algebra (default: the only one)", {}),
+    "p": ("--p", "output-side idempotent channel of a physicality test", {}),
+    "q": ("--q", "input-side idempotent channel of a physicality test", {}),
+    "noise": ("--noise", "noise channel name", {}),
+    "target": ("--target", "ideal channel name", {}),
+    "state": ("--state-code", "the maximally mixed state of this code", {"type": _state_arg}),
+    "constraint": (
+        "--constraint",
+        "'unconstrained', 'physical:P,Q', or 'fixes:ALGEBRA'",
+        {"type": _constraint_arg},
+    ),
+    "rounds": ("--rounds", "alternation rounds of the worst-case search", {"type": int}),
+    "projectors": (
+        "--projectors", "projector family (files can give matrices)", {"choices": ("parity",)}
+    ),
+    "dims": ("--dims", "tensor factor dimensions, e.g. 2,2", {"type": _csv_ints}),
+    "region": ("--region", "Majorana indices (default: the whole system)", {"type": _csv_ints}),
+}
+
+
+def _keys(kind):
+    """Task keys that some variant of ``kind`` needs or reads, in table order."""
+    variants = scenario_mod.TASKS[kind].values()
+    return list(dict.fromkeys(key for v in variants for key in v.needs + v.reads))
+
+
 def _add_common(parser):
     parser.add_argument(
-        "--tol", type=float, help="override every task tolerance"
+        "--tol", type=_tolerance, help="override every task tolerance (positive, finite)"
     )
     parser.add_argument(
         "--seed",
-        type=int,
-        help=f"seed recorded in the report (fallback: ${_ENV_SEED})",
+        type=_seed,
+        help=f"non-negative seed recorded in the report (fallback: ${_ENV_SEED})",
     )
     parser.add_argument(
         "--format",
@@ -96,11 +153,7 @@ def _add_common(parser):
         default="json",
         help="report format (csv keeps only scalar verdicts and values)",
     )
-    parser.add_argument(
-        "-o",
-        "--output",
-        help="write the report to this file instead of stdout",
-    )
+    parser.add_argument("-o", "--output", help="write the report to this file instead of stdout")
 
 
 def _build_parser():
@@ -114,85 +167,26 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    run_p = sub.add_parser(
-        "run", help="run every task in a scenario (path or bundled name)"
-    )
+    run_p = sub.add_parser("run", help="run every task in a scenario (path or bundled name)")
     run_p.add_argument("scenario", help="scenario file path or bundled name")
     _add_common(run_p)
 
-    alg = sub.add_parser("algebra", help="inspect a named algebra")
-    alg.add_argument("variant", choices=("commutant", "center", "blocks"))
-    alg.add_argument("--scenario", required=True)
-    alg.add_argument("--algebra", help="algebra name (default: the only one)")
-    _add_common(alg)
-
-    chan = sub.add_parser("channel", help="transform or test a named channel")
-    chan.add_argument(
-        "variant",
-        choices=("complement", "local-complement", "is-physical", "is-local"),
-    )
-    chan.add_argument("--scenario", required=True)
-    chan.add_argument("--channel", help="channel name (default: the only one)")
-    chan.add_argument("--algebra", help="algebra for locality variants")
-    chan.add_argument(
-        "--second-algebra",
-        dest="second_algebra",
-        help="containing algebra for is-local",
-    )
-    chan.add_argument("--p", help="output-side idempotent channel for is-physical")
-    chan.add_argument("--q", help="input-side idempotent channel for is-physical")
-    _add_common(chan)
-
-    chk = sub.add_parser("check", help="algebraic correctability conditions")
-    chk.add_argument(
-        "variant",
-        choices=("kl", "superselection-kl", "tensor-local", "fermion-local"),
-    )
-    chk.add_argument("--scenario", required=True)
-    chk.add_argument("--code", help="code name (default: the only one)")
-    chk.add_argument("--channel", help="channel name (default: the only one)")
-    chk.add_argument(
-        "--projectors",
-        choices=("parity",),
-        help="projector family for superselection-kl (files can give matrices)",
-    )
-    chk.add_argument(
-        "--dims", type=_csv_ints, help="tensor factor dimensions, e.g. 2,2"
-    )
-    chk.add_argument(
-        "--region",
-        type=_csv_ints,
-        help="Majorana indices for fermion-local (default: the whole system)",
-    )
-    _add_common(chk)
-
-    fid = sub.add_parser("fidelity", help="optimal recovery fidelities")
-    fid.add_argument(
-        "variant", choices=("optimal", "environment", "duality", "seesaw")
-    )
-    fid.add_argument("--scenario", required=True)
-    fid.add_argument("--noise", help="noise channel name")
-    fid.add_argument("--target", help="ideal channel name")
-    fid.add_argument(
-        "--state-code",
-        dest="state_code",
-        help="average over this code's maximally mixed state",
-    )
-    fid.add_argument(
-        "--constraint",
-        type=_constraint_arg,
-        help="'unconstrained', 'physical:P,Q', or 'fixes:ALGEBRA'",
-    )
-    fid.add_argument("--code", help="code for the seesaw variant")
-    fid.add_argument("--rounds", type=int, help="seesaw alternation rounds")
-    _add_common(fid)
+    for kind, variants in scenario_mod.TASKS.items():
+        one = sub.add_parser(
+            kind, help=f"run the scenario's {kind} tasks, or one built from the flags"
+        )
+        one.add_argument("variant", choices=list(variants))
+        one.add_argument("--scenario", required=True)
+        for key in _keys(kind):
+            flag, text, keywords = _FLAGS[key]
+            one.add_argument(flag, dest=key, help=text, **keywords)
+        _add_common(one)
 
     demo = sub.add_parser("demo", help="build and run a prepared scenario")
     demo_sub = demo.add_subparsers(dest="demo_name", metavar="name")
     demo_sub.required = True
     ring = demo_sub.add_parser(
-        "majorana-ring",
-        help="ring code under geometric noise, checked three ways",
+        "majorana-ring", help="ring code under geometric noise, checked three ways"
     )
     ring.add_argument("--modes", type=int, required=True)
     ring.add_argument(
@@ -208,9 +202,7 @@ def _build_parser():
     )
     ring.add_argument("--max-support", dest="max_support", type=int, default=2)
     ring.add_argument(
-        "--save-scenario",
-        dest="save_scenario",
-        help="also write the generated scenario file here",
+        "--save-scenario", dest="save_scenario", help="also write the generated scenario file here"
     )
     _add_common(ring)
     return parser
@@ -222,9 +214,9 @@ def _resolve_seed(args, parser):
     env = os.environ.get(_ENV_SEED)
     if env:
         try:
-            return int(env)
-        except ValueError:
-            parser.error(f"{_ENV_SEED} must be an integer, got {env!r}")
+            return _seed(env)
+        except argparse.ArgumentTypeError:
+            parser.error(f"{_ENV_SEED} must be an integer >= 0, got {env!r}")
     return None
 
 
@@ -248,12 +240,44 @@ def _finish(scenario, args, parser):
     return 0 if report["all_tasks_completed"] else 3
 
 
-def _only(table, flag, parser):
+def _only(table, key, parser):
     if len(table) == 1:
         return next(iter(table))
-    parser.error(
-        f"--{flag} is required (the scenario defines {len(table)} candidates)"
-    )
+    parser.error(f"{_FLAGS[key][0]} is required (the scenario defines {len(table)} candidates)")
+
+
+def _default(key, base, parser):
+    """What a synthesized task takes for a needed key whose flag is left out.
+
+    A code, the channel under test and the algebras default to the
+    scenario's only one; the projectors to the parity sectors; a region to
+    the whole fermion system. The noise and the target of a fidelity are
+    never guessed. Any other key stays out of the task, and the scenario
+    check reports it missing.
+    """
+    if key in ("noise", "target"):
+        parser.error("--noise and --target are required to synthesize a task")
+    if key in ("code", "channel", "algebra", "second_algebra"):
+        kind = scenario_mod.REFERENCES[key]
+        return _only(getattr(base, f"{kind}s"), key, parser)
+    if key == "projectors":
+        return "parity"
+    if key == "region" and base.fermion_system is not None:
+        return list(range(1, 2 * base.fermion_system.n_modes + 1))
+    return None
+
+
+def _synthesize(args, base, parser):
+    """A task of the requested kind and variant made from the given flags."""
+    needs = scenario_mod.TASKS[args.command][args.variant].needs
+    task = {"task": args.command, "variant": args.variant}
+    for key in _keys(args.command):
+        value = getattr(args, key)
+        if value is None and key in needs:
+            value = _default(key, base, parser)
+        if value is not None:
+            task[key] = value
+    return task
 
 
 def _cmd_run(args, parser):
@@ -269,90 +293,15 @@ def _cmd_demo(args, parser):
     return _finish(scenario_mod.load_scenario(spec), args, parser)
 
 
-def _synth_algebra(args, base, parser):
-    return {
-        "task": "algebra",
-        "variant": args.variant,
-        "algebra": args.algebra or _only(base.algebras, "algebra", parser),
-    }
-
-
-def _synth_channel(args, base, parser):
-    task = {
-        "task": "channel",
-        "variant": args.variant,
-        "channel": args.channel or _only(base.channels, "channel", parser),
-    }
-    for key in ("algebra", "second_algebra", "p", "q"):
-        value = getattr(args, key)
-        if value is not None:
-            task[key] = value
-    return task
-
-
-def _synth_check(args, base, parser):
-    task = {
-        "task": "check",
-        "variant": args.variant,
-        "code": args.code or _only(base.codes, "code", parser),
-        "channel": args.channel or _only(base.channels, "channel", parser),
-    }
-    if args.variant == "superselection-kl":
-        task["projectors"] = args.projectors or "parity"
-    if args.dims is not None:
-        task["dims"] = args.dims
-    if args.region is not None:
-        task["region"] = args.region
-    elif args.variant == "fermion-local" and base.fermion_system is not None:
-        task["region"] = list(range(1, 2 * base.fermion_system.n_modes + 1))
-    return task
-
-
-def _synth_fidelity(args, base, parser):
-    if not args.noise or not args.target:
-        parser.error("--noise and --target are required to synthesize a task")
-    task = {
-        "task": "fidelity",
-        "variant": args.variant,
-        "noise": args.noise,
-        "target": args.target,
-    }
-    if args.variant == "seesaw":
-        task["code"] = args.code or _only(base.codes, "code", parser)
-        if args.rounds is not None:
-            task["rounds"] = args.rounds
-        return task
-    if args.state_code:
-        task["state"] = {"kind": "code_mixed", "code": args.state_code}
-    if args.constraint is not None:
-        task["constraint"] = args.constraint
-    return task
-
-
-_SYNTH = {
-    "algebra": (_synth_algebra, ("algebra",)),
-    "channel": (
-        _synth_channel,
-        ("channel", "algebra", "second_algebra", "p", "q"),
-    ),
-    "check": (_synth_check, ("code", "channel", "projectors", "dims", "region")),
-    "fidelity": (
-        _synth_fidelity,
-        ("noise", "target", "state_code", "constraint", "code", "rounds"),
-    ),
-}
-
-
 def _one_shot(args, parser):
+    """Run the scenario's tasks of the requested variant; when a task flag is
+    given or there are none, run one task synthesized from the flags."""
     base = scenario_mod.load_scenario(args.scenario)
-    synthesize, flags = _SYNTH[args.command]
-    explicit = any(getattr(args, flag) is not None for flag in flags)
-    matches = [] if explicit else [
-        t
-        for t in base.raw["tasks"]
-        if t["task"] == args.command and t["variant"] == args.variant
-    ]
-    tasks = matches or [synthesize(args, base, parser)]
+    tasks = []
+    if all(getattr(args, key) is None for key in _keys(args.command)):
+        wanted = (args.command, args.variant)
+        tasks = [t for t in base.raw["tasks"] if (t["task"], t["variant"]) == wanted]
+    tasks = tasks or [_synthesize(args, base, parser)]
     return _finish(scenario_mod.with_tasks(base, tasks), args, parser)
 
 
@@ -362,16 +311,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "run": _cmd_run,
-        "demo": _cmd_demo,
-        "algebra": _one_shot,
-        "channel": _one_shot,
-        "check": _one_shot,
-        "fidelity": _one_shot,
-    }
+    handler = {"run": _cmd_run, "demo": _cmd_demo}.get(args.command, _one_shot)
     try:
-        return handlers[args.command](args, parser)
+        return handler(args, parser)
     except scenario_mod.ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

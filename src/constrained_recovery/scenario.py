@@ -35,6 +35,8 @@ from . import recovery as recovery_mod
 __all__ = [
     "Scenario",
     "ScenarioError",
+    "TASKS",
+    "REFERENCES",
     "load_scenario",
     "with_tasks",
     "run_scenario",
@@ -54,7 +56,6 @@ _MATRIX_EMBED_LIMIT = 4096
 _DEFAULT_CHECK_TOL = 1e-8
 _DEFAULT_SOLVER_TOL = 1e-7
 _DEFAULT_DUALITY_TOL = 1e-5
-_DEFAULT_BLOCK_SEED = 1793
 
 
 class ScenarioError(ValueError):
@@ -206,18 +207,6 @@ def load_scenario(source):
 
     _validate(raw, label)
     dim, qudit_dims, fsys = _build_system(raw["system"])
-    algebras = {
-        name: _build_algebra(name, spec, dim, fsys)
-        for name, spec in raw.get("algebras", {}).items()
-    }
-    channels = {
-        name: _build_channel(name, spec, dim, fsys)
-        for name, spec in raw.get("channels", {}).items()
-    }
-    codes = {
-        name: _build_code(name, spec, dim, fsys)
-        for name, spec in raw.get("codes", {}).items()
-    }
     scenario = Scenario(
         name=raw.get("name", "unnamed"),
         source=label,
@@ -225,16 +214,13 @@ def load_scenario(source):
         dim=dim,
         qudit_dims=qudit_dims,
         fermion_system=fsys,
-        algebras=algebras,
-        channels=channels,
-        codes=codes,
+        algebras=_build_all(_build_algebra, "algebra", raw.get("algebras", {}), dim, fsys),
+        channels=_build_all(_build_channel, "channel", raw.get("channels", {}), dim, fsys),
+        codes=_build_all(_build_code, "code", raw.get("codes", {}), dim, fsys),
         tasks=[],
         seed=raw.get("seed"),
     )
-    scenario.tasks = [
-        _resolve_task(scenario, task, index)
-        for index, task in enumerate(raw["tasks"])
-    ]
+    scenario.tasks = [_resolve_task(scenario, task, i) for i, task in enumerate(raw["tasks"])]
     return scenario
 
 
@@ -275,18 +261,38 @@ def _build_system(spec):
     return 2**modes, None, fermion_mod.FermionSystem(modes)
 
 
+def _build_all(build, kind, specs, dim, fsys):
+    """Every named object of one kind, built by ``build(what, spec, dim, fsys)``.
+
+    A ValueError from the numerics becomes a ScenarioError naming the object.
+    """
+    built = {}
+    for name, spec in specs.items():
+        what = f"{kind} {name!r}"
+        try:
+            built[name] = build(what, spec, dim, fsys)
+        except ScenarioError:
+            raise
+        except ValueError as exc:
+            raise ScenarioError(f"{what}: {exc}") from exc
+    return built
+
+
 def _require_fermion(fsys, what):
     if fsys is None:
         raise ScenarioError(f"{what} requires a fermionic system")
     return fsys
 
 
-def _whole_region(fsys):
-    return tuple(range(1, 2 * fsys.n_modes + 1))
-
-
 def _parity_matrix(fsys):
-    return np.asarray(fermion_mod.parity_operator(fsys, _whole_region(fsys)).c)
+    whole = tuple(range(1, 2 * fsys.n_modes + 1))
+    return np.asarray(fermion_mod.parity_operator(fsys, whole).c)
+
+
+def _parity_projectors(fsys):
+    c = _parity_matrix(fsys)
+    one = np.eye(len(c))
+    return [(one + c) / 2.0, (one - c) / 2.0]
 
 
 def _full_algebra_generators(dim):
@@ -295,34 +301,28 @@ def _full_algebra_generators(dim):
     return [shift, clock]
 
 
-def _build_algebra(name, spec, dim, fsys):
-    what = f"algebra {name!r}"
+def _build_algebra(what, spec, dim, fsys):
     kind = spec["kind"]
-    try:
-        if kind == "generated":
-            gens = []
-            for i, rows in enumerate(spec["generators"]):
-                g = _as_matrix(rows, f"{what} generator {i}")
-                if g.shape != (dim, dim):
-                    raise ScenarioError(
-                        f"{what} generator {i} has shape {g.shape}, "
-                        f"expected ({dim}, {dim})"
-                    )
-                gens.append(g)
-            return algebra_mod.generate_algebra(gens, dim)
-        if kind == "full":
-            return algebra_mod.generate_algebra(_full_algebra_generators(dim), dim)
-        if kind == "parity":
-            fsys = _require_fermion(fsys, what)
-            return algebra_mod.generate_algebra([_parity_matrix(fsys)], dim)
+    if kind == "generated":
+        gens = []
+        for i, rows in enumerate(spec["generators"]):
+            g = _as_matrix(rows, f"{what} generator {i}")
+            if g.shape != (dim, dim):
+                raise ScenarioError(
+                    f"{what} generator {i} has shape {g.shape}, "
+                    f"expected ({dim}, {dim})"
+                )
+            gens.append(g)
+        return algebra_mod.generate_algebra(gens, dim)
+    if kind == "full":
+        return algebra_mod.generate_algebra(_full_algebra_generators(dim), dim)
+    if kind == "parity":
         fsys = _require_fermion(fsys, what)
-        majoranas = tuple(int(i) for i in spec["majoranas"])
-        _check_majorana_indices(majoranas, fsys, what)
-        return fermion_mod.physical_algebra(fsys, majoranas)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"{what}: {exc}") from exc
+        return algebra_mod.generate_algebra([_parity_matrix(fsys)], dim)
+    fsys = _require_fermion(fsys, what)
+    majoranas = tuple(int(i) for i in spec["majoranas"])
+    _check_majorana_indices(majoranas, fsys, what)
+    return fermion_mod.physical_algebra(fsys, majoranas)
 
 
 def _check_majorana_indices(indices, fsys, what):
@@ -334,92 +334,161 @@ def _check_majorana_indices(indices, fsys, what):
         raise ScenarioError(f"{what}: repeated Majorana indices")
 
 
-def _build_channel(name, spec, dim, fsys):
-    what = f"channel {name!r}"
+def _build_channel(what, spec, dim, fsys):
     kind = spec["kind"]
-    try:
-        if kind == "kraus":
-            ops = [
-                _as_matrix(rows, f"{what} operator {i}")
-                for i, rows in enumerate(spec["operators"])
-            ]
-            shapes = {op.shape for op in ops}
-            if len(shapes) != 1:
-                raise ScenarioError(f"{what}: operators have mixed shapes {shapes}")
-            return channel_mod.Channel(ops)
-        if kind == "identity":
-            return channel_mod.identity_channel(int(spec.get("dim", dim)))
-        if kind == "geometric_noise":
-            fsys = _require_fermion(fsys, what)
-            weights = spec.get("weights")
-            if weights is not None:
-                weights = [float(w) for w in weights]
-            return fermion_mod.geometric_noise(
-                fsys,
-                int(spec["max_support"]),
-                weights,
-                allow_odd=bool(spec.get("allow_odd", False)),
-            )
-        if kind == "monomials":
-            fsys = _require_fermion(fsys, what)
-            ops = []
-            for i, term in enumerate(spec["terms"]):
-                indices = tuple(int(x) for x in term["indices"])
-                _check_majorana_indices(indices, fsys, f"{what} term {i}")
-                if list(indices) != sorted(indices):
-                    raise ScenarioError(
-                        f"{what} term {i}: indices must be strictly increasing "
-                        "(reordering flips the sign convention)"
-                    )
-                coeff = _as_complex(term["coeff"])
-                ops.append(coeff * fermion_mod.majorana_monomial(fsys, indices))
-            return channel_mod.Channel(ops)
+    if kind == "kraus":
+        ops = [
+            _as_matrix(rows, f"{what} operator {i}")
+            for i, rows in enumerate(spec["operators"])
+        ]
+        shapes = {op.shape for op in ops}
+        if len(shapes) != 1:
+            raise ScenarioError(f"{what}: operators have mixed shapes {shapes}")
+        return channel_mod.Channel(ops)
+    if kind == "identity":
+        return channel_mod.identity_channel(int(spec.get("dim", dim)))
+    if kind == "geometric_noise":
         fsys = _require_fermion(fsys, what)
+        weights = spec.get("weights")
+        if weights is not None:
+            weights = [float(w) for w in weights]
+        return fermion_mod.geometric_noise(
+            fsys,
+            int(spec["max_support"]),
+            weights,
+            allow_odd=bool(spec.get("allow_odd", False)),
+        )
+    if kind == "monomials":
+        fsys = _require_fermion(fsys, what)
+        ops = []
+        for i, term in enumerate(spec["terms"]):
+            indices = tuple(int(x) for x in term["indices"])
+            _check_majorana_indices(indices, fsys, f"{what} term {i}")
+            if list(indices) != sorted(indices):
+                raise ScenarioError(
+                    f"{what} term {i}: indices must be strictly increasing "
+                    "(reordering flips the sign convention)"
+                )
+            coeff = _as_complex(term["coeff"])
+            ops.append(coeff * fermion_mod.majorana_monomial(fsys, indices))
+        return channel_mod.Channel(ops)
+    fsys = _require_fermion(fsys, what)
+    if kind == "parity_dephasing":
         c = _parity_matrix(fsys)
-        if kind == "parity_dephasing":
-            return channel_mod.Channel([np.eye(dim) / np.sqrt(2), c / np.sqrt(2)])
-        p_plus = (np.eye(dim) + c) / 2.0
-        p_minus = (np.eye(dim) - c) / 2.0
-        return channel_mod.Channel([p_plus, p_minus])
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"{what}: {exc}") from exc
+        return channel_mod.Channel([np.eye(dim) / np.sqrt(2), c / np.sqrt(2)])
+    return channel_mod.Channel(_parity_projectors(fsys))
 
 
-def _build_code(name, spec, dim, fsys):
-    what = f"code {name!r}"
-    try:
-        if spec["kind"] == "isometry":
-            w = _as_matrix(spec["isometry"], what)
-            return recovery_mod.Code(w.shape[1], w.shape[0], w)
-        fsys = _require_fermion(fsys, what)
-        unpaired = tuple(int(i) for i in spec["unpaired"])
-        pairing = tuple(
-            (int(a), int(b)) for a, b in spec["pairing"]
-        )
-        _check_majorana_indices(
-            unpaired + tuple(i for pair in pairing for i in pair), fsys, what
-        )
-        ring = fermion_mod.majorana_ring(fsys, unpaired, pairing)
-        return ring.code
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"{what}: {exc}") from exc
+def _build_code(what, spec, dim, fsys):
+    if spec["kind"] == "isometry":
+        w = _as_matrix(spec["isometry"], what)
+        return recovery_mod.Code(w.shape[1], w.shape[0], w)
+    fsys = _require_fermion(fsys, what)
+    unpaired = tuple(int(i) for i in spec["unpaired"])
+    pairing = tuple((int(a), int(b)) for a, b in spec["pairing"])
+    _check_majorana_indices(
+        unpaired + tuple(i for pair in pairing for i in pair), fsys, what
+    )
+    ring = fermion_mod.majorana_ring(fsys, unpaired, pairing)
+    return ring.code
 
 
 # ---------------------------------------------------------------------------
 # Task resolution (all consistency checks happen here, before any run)
 
 
+# the kind of object each named reference of a task is looked up among
+REFERENCES = dict(
+    code="code", channel="channel", noise="channel", target="channel", p="channel", q="channel",
+    algebra="algebra", second_algebra="algebra",
+)
+
+
 def _lookup(table, name, what, index):
     if name not in table:
         known = ", ".join(sorted(table)) or "none"
-        raise ScenarioError(
-            f"task {index}: unknown {what} {name!r} (defined: {known})"
-        )
+        raise ScenarioError(f"task {index}: unknown {what} {name!r} (defined: {known})")
     return table[name]
+
+
+def _resolve_task(scenario, task, index):
+    """Look up the references the task's variant needs, then run its check.
+
+    ``refs`` keeps the names of the references in the order of the
+    variant's needs; the check may add more and turns raw task values in
+    ``args`` into the runner's arguments.
+    """
+    variant = task["variant"]
+    spec = TASKS[task["task"]][variant]
+    args, refs = {}, {}
+    for key in spec.needs:
+        if key not in task:
+            raise ScenarioError(f"task {index}: {variant} needs '{key}'")
+        kind = REFERENCES.get(key)
+        if kind is None:
+            args[key] = task[key]
+        else:
+            args[key] = _lookup(getattr(scenario, f"{kind}s"), task[key], kind, index)
+            refs[key] = task[key]
+    args.update((key, task[key]) for key in spec.reads if key in task)
+    if spec.check is not None:
+        spec.check(scenario, args, refs, index)
+    tol = float(task.get("tol", spec.tol))
+    return {"index": index, "task": task["task"], "variant": variant, "tol": tol,
+            "refs": refs, "args": args}
+
+
+def _check_code_input(scenario, args, refs, index):
+    code, chan = args["code"], args["channel"]
+    if chan.in_dim != code.physical_dim:
+        raise ScenarioError(
+            f"task {index}: channel input dimension {chan.in_dim} does not "
+            f"match the code's physical dimension {code.physical_dim}"
+        )
+
+
+def _check_projectors(scenario, args, refs, index):
+    _check_code_input(scenario, args, refs, index)
+    if args["projectors"] == "parity":
+        fsys = _require_fermion(scenario.fermion_system, f"task {index}: parity projectors")
+        projectors = _parity_projectors(fsys)
+    else:
+        projectors = [
+            _as_matrix(rows, f"task {index} projector {i}")
+            for i, rows in enumerate(args["projectors"])
+        ]
+    d = args["channel"].out_dim
+    for i, p in enumerate(projectors):
+        if p.shape != (d, d):
+            raise ScenarioError(
+                f"task {index}: projector {i} has shape {p.shape}, "
+                f"expected ({d}, {d})"
+            )
+    args["projectors"] = projectors
+
+
+def _check_dims(scenario, args, refs, index):
+    code, chan = args["code"], args["channel"]
+    da, db = (int(x) for x in args["dims"])
+    if da * db != code.physical_dim:
+        raise ScenarioError(
+            f"task {index}: dims {da}x{db} do not factor the code's "
+            f"physical dimension {code.physical_dim}"
+        )
+    if (chan.in_dim, chan.out_dim) != (da, da):
+        raise ScenarioError(
+            f"task {index}: tensor-local noise must act on the first "
+            f"factor (dimension {da})"
+        )
+    args["dims"] = (da, db)
+
+
+def _check_region(scenario, args, refs, index):
+    _check_code_input(scenario, args, refs, index)
+    fsys = _require_fermion(scenario.fermion_system, f"task {index}: fermion-local")
+    region = tuple(int(i) for i in args["region"])
+    _check_majorana_indices(region, fsys, f"task {index}")
+    args["region"] = region
 
 
 def _resolve_state(scenario, spec, dim, index):
@@ -473,218 +542,81 @@ def _resolve_constraint(scenario, spec, n, m, index):
     return recovery_mod.FixesAlgebra(b), {"algebra": spec["algebra"]}
 
 
-def _resolve_check(scenario, task, index):
-    code = _lookup(scenario.codes, task["code"], "code", index)
-    chan = _lookup(scenario.channels, task["channel"], "channel", index)
-    variant = task["variant"]
-    args = {"code": code, "channel": chan}
-    refs = {"code": task["code"], "channel": task["channel"]}
-    if variant == "tensor-local":
-        if "dims" not in task:
-            raise ScenarioError(f"task {index}: tensor-local needs 'dims'")
-        da, db = (int(x) for x in task["dims"])
-        if da * db != code.physical_dim:
-            raise ScenarioError(
-                f"task {index}: dims {da}x{db} do not factor the code's "
-                f"physical dimension {code.physical_dim}"
-            )
-        if (chan.in_dim, chan.out_dim) != (da, da):
-            raise ScenarioError(
-                f"task {index}: tensor-local noise must act on the first "
-                f"factor (dimension {da})"
-            )
-        args["dims"] = (da, db)
-        return args, refs
-    if chan.in_dim != code.physical_dim:
-        raise ScenarioError(
-            f"task {index}: channel input dimension {chan.in_dim} does not "
-            f"match the code's physical dimension {code.physical_dim}"
-        )
-    if variant == "superselection-kl":
-        if "projectors" not in task:
-            raise ScenarioError(
-                f"task {index}: superselection-kl needs 'projectors'"
-            )
-        if task["projectors"] == "parity":
-            fsys = _require_fermion(
-                scenario.fermion_system, f"task {index}: parity projectors"
-            )
-            c = _parity_matrix(fsys)
-            projectors = [(np.eye(scenario.dim) + c) / 2.0, (np.eye(scenario.dim) - c) / 2.0]
-        else:
-            projectors = [
-                _as_matrix(rows, f"task {index} projector {i}")
-                for i, rows in enumerate(task["projectors"])
-            ]
-        d = chan.out_dim
-        for i, p in enumerate(projectors):
-            if p.shape != (d, d):
-                raise ScenarioError(
-                    f"task {index}: projector {i} has shape {p.shape}, "
-                    f"expected ({d}, {d})"
-                )
-        args["projectors"] = projectors
-    elif variant == "fermion-local":
-        if "region" not in task:
-            raise ScenarioError(f"task {index}: fermion-local needs 'region'")
-        fsys = _require_fermion(
-            scenario.fermion_system, f"task {index}: fermion-local"
-        )
-        region = tuple(int(i) for i in task["region"])
-        _check_majorana_indices(region, fsys, f"task {index}")
-        args["region"] = region
-    return args, refs
-
-
-def _resolve_fidelity(scenario, task, index):
-    n = _lookup(scenario.channels, task["noise"], "channel", index)
-    m = _lookup(scenario.channels, task["target"], "channel", index)
-    refs = {"noise": task["noise"], "target": task["target"]}
+def _check_noise_target(index, n, m):
     if n.in_dim != m.in_dim:
         raise ScenarioError(
             f"task {index}: noise and target must share an input dimension "
             f"({n.in_dim} vs {m.in_dim})"
         )
-    args = {"noise": n, "target": m}
-    if task["variant"] == "seesaw":
-        if "code" not in task:
-            raise ScenarioError(f"task {index}: seesaw needs 'code'")
-        code = _lookup(scenario.codes, task["code"], "code", index)
-        if code.physical_dim != n.in_dim:
+
+
+def _check_fidelity(scenario, args, refs, index):
+    n, m = args["noise"], args["target"]
+    _check_noise_target(index, n, m)
+    state, constraint = args.get("state"), args.get("constraint")
+    args["state"] = _resolve_state(scenario, state, n.in_dim, index)
+    if state is not None:
+        refs["state"] = state["kind"]
+    args["constraint"], cref = _resolve_constraint(scenario, constraint, n, m, index)
+    if constraint is not None:
+        refs["constraint"] = dict(cref, kind=constraint["kind"])
+
+
+def _check_seesaw(scenario, args, refs, index):
+    n, code = args["noise"], args["code"]
+    _check_noise_target(index, n, args["target"])
+    if code.physical_dim != n.in_dim:
+        raise ScenarioError(
+            f"task {index}: seesaw code lives on dimension "
+            f"{code.physical_dim}, expected {n.in_dim}"
+        )
+    args["rounds"] = int(args.get("rounds", 10))
+
+
+def _check_ambient(scenario, args, refs, index):
+    chan = args["channel"]
+    for key in ("algebra", "second_algebra"):
+        a = args.get(key)
+        if a is not None and a.ambient_dim != chan.in_dim:
             raise ScenarioError(
-                f"task {index}: seesaw code lives on dimension "
-                f"{code.physical_dim}, expected {n.in_dim}"
+                f"task {index}: {key.replace('_', ' ')} ambient dimension "
+                f"{a.ambient_dim} does not match the channel input {chan.in_dim}"
             )
-        args["code"] = code
-        args["rounds"] = int(task.get("rounds", 10))
-        refs["code"] = task["code"]
-        return args, refs
-    args["state"] = _resolve_state(scenario, task.get("state"), n.in_dim, index)
-    if task.get("state") is not None:
-        refs["state"] = task["state"]["kind"]
-    constraint, cref = _resolve_constraint(
-        scenario, task.get("constraint"), n, m, index
-    )
-    args["constraint"] = constraint
-    if task.get("constraint") is not None:
-        refs["constraint"] = dict(cref, kind=task["constraint"]["kind"])
-    return args, refs
 
 
-def _resolve_algebra_task(scenario, task, index):
-    a = _lookup(scenario.algebras, task["algebra"], "algebra", index)
-    return {"algebra": a}, {"algebra": task["algebra"]}
-
-
-def _resolve_channel_task(scenario, task, index):
-    chan = _lookup(scenario.channels, task["channel"], "channel", index)
-    args = {"channel": chan}
-    refs = {"channel": task["channel"]}
-    variant = task["variant"]
-    if variant in ("local-complement", "is-local"):
-        if "algebra" not in task:
-            raise ScenarioError(f"task {index}: {variant} needs 'algebra'")
-        a = _lookup(scenario.algebras, task["algebra"], "algebra", index)
-        if a.ambient_dim != chan.in_dim:
-            raise ScenarioError(
-                f"task {index}: algebra ambient dimension {a.ambient_dim} "
-                f"does not match the channel input {chan.in_dim}"
-            )
-        args["algebra"] = a
-        refs["algebra"] = task["algebra"]
-    if variant == "is-local":
-        if "second_algebra" not in task:
-            raise ScenarioError(f"task {index}: is-local needs 'second_algebra'")
-        b = _lookup(scenario.algebras, task["second_algebra"], "algebra", index)
-        if b.ambient_dim != chan.in_dim:
-            raise ScenarioError(
-                f"task {index}: second algebra ambient dimension "
-                f"{b.ambient_dim} does not match the channel input {chan.in_dim}"
-            )
-        args["second_algebra"] = b
-        refs["second_algebra"] = task["second_algebra"]
-    if variant == "is-physical":
-        for key in ("p", "q"):
-            if key not in task:
-                raise ScenarioError(f"task {index}: is-physical needs '{key}'")
-        p = _lookup(scenario.channels, task["p"], "channel", index)
-        q = _lookup(scenario.channels, task["q"], "channel", index)
-        if (p.in_dim, p.out_dim) != (chan.in_dim, chan.in_dim):
-            raise ScenarioError(
-                f"task {index}: p must act on dimension {chan.in_dim}"
-            )
-        if (q.in_dim, q.out_dim) != (chan.out_dim, chan.out_dim):
-            raise ScenarioError(
-                f"task {index}: q must act on dimension {chan.out_dim}"
-            )
-        args["p"], args["q"] = p, q
-        refs["p"], refs["q"] = task["p"], task["q"]
-    return args, refs
-
-
-def _default_tol(task):
-    if task["task"] == "check":
-        return _DEFAULT_CHECK_TOL
-    if task["task"] == "fidelity":
-        if task["variant"] == "duality":
-            return _DEFAULT_DUALITY_TOL
-        return _DEFAULT_SOLVER_TOL
-    return _DEFAULT_CHECK_TOL
-
-
-def _resolve_task(scenario, task, index):
-    resolvers = {
-        "check": _resolve_check,
-        "fidelity": _resolve_fidelity,
-        "algebra": _resolve_algebra_task,
-        "channel": _resolve_channel_task,
-    }
-    args, refs = resolvers[task["task"]](scenario, task, index)
-    return {
-        "index": index,
-        "task": task["task"],
-        "variant": task["variant"],
-        "tol": float(task.get("tol", _default_tol(task))),
-        "refs": refs,
-        "args": args,
-    }
+def _check_idempotents(scenario, args, refs, index):
+    chan, p, q = args["channel"], args["p"], args["q"]
+    if (p.in_dim, p.out_dim) != (chan.in_dim, chan.in_dim):
+        raise ScenarioError(f"task {index}: p must act on dimension {chan.in_dim}")
+    if (q.in_dim, q.out_dim) != (chan.out_dim, chan.out_dim):
+        raise ScenarioError(f"task {index}: q must act on dimension {chan.out_dim}")
 
 
 # ---------------------------------------------------------------------------
-# Task execution
+# Task execution (a runner looks its library function up when called)
 
 
-def _run_check(resolved, tol, seed):
-    args = resolved["args"]
-    variant = resolved["variant"]
-    if variant == "kl":
-        rep = recovery_mod.kl_check(args["code"], args["channel"], tol=tol)
-    elif variant == "superselection-kl":
-        rep = recovery_mod.superselection_kl_check(
-            args["code"], args["channel"], args["projectors"], tol=tol
-        )
-    elif variant == "tensor-local":
-        rep = recovery_mod.tensor_local_check(
-            args["code"], args["channel"], args["dims"], tol=tol
-        )
-    else:
-        rep = recovery_mod.fermion_local_check(
-            args["code"], args["channel"], args["region"], tol=tol
-        )
-    out = {
-        "verdict": rep.verdict,
-        "correctable": bool(rep),
-        "residual": float(rep.residual),
-        "tol": tol,
-        "sufficiency_flags": dict(rep.sufficiency_flags),
-    }
-    coefficients = {}
-    for key, value in rep.coefficients.items():
-        encoded = _encode_gated(value)
-        if encoded is not None:
-            coefficients[key] = encoded
-    out["coefficients"] = coefficients
-    return out
+def _checked(name):
+    """Runner of the correctability check ``recovery.<name>`` on the task's
+    arguments in the order of its needs: code, channel, then its own."""
+
+    def run(args, tol, seed):
+        rep = getattr(recovery_mod, name)(*args.values(), tol=tol)
+        coefficients = {}
+        for key, value in rep.coefficients.items():
+            encoded = _encode_gated(value)
+            if encoded is not None:
+                coefficients[key] = encoded
+        return {
+            "verdict": rep.verdict,
+            "correctable": bool(rep),
+            "residual": float(rep.residual),
+            "tol": tol,
+            "sufficiency_flags": dict(rep.sufficiency_flags),
+            "coefficients": coefficients,
+        }
+
+    return run
 
 
 def _solver_summary(result, tol):
@@ -698,68 +630,68 @@ def _solver_summary(result, tol):
     }
 
 
-def _run_fidelity(resolved, tol, seed):
-    args = resolved["args"]
-    variant = resolved["variant"]
-    n, m = args["noise"], args["target"]
-    if variant == "seesaw":
-        used_seed = recovery_mod.SEESAW_DEFAULT_SEED if seed is None else seed
-        result = recovery_mod.worst_case_fidelity_seesaw(
-            n, m, args["code"], rounds=args["rounds"], tol=tol, seed=used_seed
-        )
-        return {**_solver_summary(result, tol), "seed": int(used_seed)}
-    if variant == "duality":
-        rep = recovery_mod.verify_duality(
-            n, m, args["state"], args["constraint"], tol=tol
-        )
-        if rep.indeterminate:
-            raise _TaskFailure(
-                "duality comparison indeterminate: a solve did not reach "
-                "optimality"
-            )
-        return {
-            "recovery_value": float(rep.recovery.value),
-            "environment_value": float(rep.environment.value),
-            "difference": float(rep.difference),
-            "passed": bool(rep.passed),
-            "tol": tol,
-            "recovery": _solver_summary(rep.recovery, tol),
-            "environment": _solver_summary(rep.environment, tol),
-        }
-    solve = (
-        recovery_mod.optimal_recovery_fidelity
-        if variant == "optimal"
-        else recovery_mod.environment_side_fidelity
+def _solved(name):
+    """Runner of the fidelity solve ``recovery.<name>``."""
+
+    def run(args, tol, seed):
+        solve = getattr(recovery_mod, name)
+        result = solve(args["noise"], args["target"], args["state"], args["constraint"], tol=tol)
+        if result.status != "optimal":
+            raise _TaskFailure(f"solver finished with status {result.status!r}")
+        return _solver_summary(result, tol)
+
+    return run
+
+
+def _run_duality(args, tol, seed):
+    rep = recovery_mod.verify_duality(
+        args["noise"], args["target"], args["state"], args["constraint"], tol=tol
     )
-    result = solve(n, m, args["state"], args["constraint"], tol=tol)
-    if result.status != "optimal":
-        raise _TaskFailure(f"solver finished with status {result.status!r}")
-    return _solver_summary(result, tol)
+    if rep.indeterminate:
+        raise _TaskFailure(
+            "duality comparison indeterminate: a solve did not reach "
+            "optimality"
+        )
+    return {
+        "recovery_value": float(rep.recovery.value),
+        "environment_value": float(rep.environment.value),
+        "difference": float(rep.difference),
+        "passed": bool(rep.passed),
+        "tol": tol,
+        "recovery": _solver_summary(rep.recovery, tol),
+        "environment": _solver_summary(rep.environment, tol),
+    }
 
 
-def _algebra_summary(basis):
-    out = {"dimension": int(basis.dim), "ambient_dim": int(basis.ambient_dim)}
-    encoded = _encode_gated(basis.basis)
-    if encoded is not None:
-        out["basis"] = encoded
-    return out
+def _run_seesaw(args, tol, seed):
+    used_seed = recovery_mod.SEESAW_DEFAULT_SEED if seed is None else seed
+    result = recovery_mod.worst_case_fidelity_seesaw(
+        args["noise"], args["target"], args["code"], rounds=args["rounds"], tol=tol,
+        seed=used_seed,
+    )
+    return {**_solver_summary(result, tol), "seed": int(used_seed)}
 
 
-def _run_algebra(resolved, tol, seed):
-    a = resolved["args"]["algebra"]
-    variant = resolved["variant"]
-    if variant == "commutant":
-        return _algebra_summary(algebra_mod.commutant(a))
-    if variant == "center":
-        return _algebra_summary(algebra_mod.center(a))
-    used_seed = _DEFAULT_BLOCK_SEED if seed is None else seed
-    blocks = algebra_mod.block_structure(a, seed=used_seed)
+def _algebra_summary(name):
+    """Runner of ``algebra.<name>``, which derives an algebra from the task's."""
+
+    def run(args, tol, seed):
+        basis = getattr(algebra_mod, name)(args["algebra"])
+        out = {"dimension": int(basis.dim), "ambient_dim": int(basis.ambient_dim)}
+        encoded = _encode_gated(basis.basis)
+        if encoded is not None:
+            out["basis"] = encoded
+        return out
+
+    return run
+
+
+def _run_blocks(args, tol, seed):
+    used_seed = algebra_mod.DEFAULT_SEED if seed is None else seed
+    blocks = algebra_mod.block_structure(args["algebra"], seed=used_seed)
     sectors = []
     for sector in blocks.sectors:
-        entry = {
-            "left_dim": int(sector.left_dim),
-            "right_dim": int(sector.right_dim),
-        }
+        entry = {"left_dim": int(sector.left_dim), "right_dim": int(sector.right_dim)}
         encoded = _encode_gated(sector.isometry)
         if encoded is not None:
             entry["isometry"] = encoded
@@ -772,40 +704,36 @@ def _run_algebra(resolved, tol, seed):
 
 
 def _channel_summary(chan):
-    out = {
-        "out_dim": int(chan.out_dim),
-        "in_dim": int(chan.in_dim),
-        "n_kraus": int(chan.n_kraus),
-    }
+    out = {"out_dim": int(chan.out_dim), "in_dim": int(chan.in_dim), "n_kraus": int(chan.n_kraus)}
     encoded = _encode_gated(np.asarray(chan.kraus))
     if encoded is not None:
         out["kraus"] = encoded
     return out
 
 
-def _run_channel(resolved, tol, seed):
-    args = resolved["args"]
-    chan = args["channel"]
-    variant = resolved["variant"]
-    if variant == "complement":
-        return _channel_summary(channel_mod.complementary(chan))
-    if variant == "local-complement":
-        lc = channel_mod.local_complementary(chan, args["algebra"])
-        defect = channel_mod.local_complement_defect(chan, args["algebra"], lc)
-        out = _channel_summary(lc)
-        out["defect"] = float(defect)
-        out["within_tol"] = bool(defect <= tol)
-        out["tol"] = tol
-        return out
-    if variant == "is-physical":
-        rep = channel_mod.is_physical(chan, args["p"], args["q"], tol=tol)
-        return {
-            "physical": bool(rep.physical),
-            "residual": float(rep.residual),
-            "tol": float(rep.tol),
-        }
+def _run_complement(args, tol, seed):
+    return _channel_summary(channel_mod.complementary(args["channel"]))
+
+
+def _run_local_complement(args, tol, seed):
+    chan, a = args["channel"], args["algebra"]
+    lc = channel_mod.local_complementary(chan, a)
+    defect = channel_mod.local_complement_defect(chan, a, lc)
+    out = _channel_summary(lc)
+    out["defect"] = float(defect)
+    out["within_tol"] = bool(defect <= tol)
+    out["tol"] = tol
+    return out
+
+
+def _run_is_physical(args, tol, seed):
+    rep = channel_mod.is_physical(args["channel"], args["p"], args["q"], tol=tol)
+    return {"physical": bool(rep.physical), "residual": float(rep.residual), "tol": float(rep.tol)}
+
+
+def _run_is_local(args, tol, seed):
     rep = channel_mod.is_local(
-        chan, args["algebra"], args["second_algebra"], tol=tol
+        args["channel"], args["algebra"], args["second_algebra"], tol=tol
     )
     return {
         "local": bool(rep.local),
@@ -821,11 +749,75 @@ def _run_channel(resolved, tol, seed):
     }
 
 
-_RUNNERS = {
-    "check": _run_check,
-    "fidelity": _run_fidelity,
-    "algebra": _run_algebra,
-    "channel": _run_channel,
+# ---------------------------------------------------------------------------
+# The task table
+
+
+@dataclass(frozen=True)
+class _Variant:
+    """One task variant.
+
+    ``needs`` are the task keys it requires, named references first, in
+    the order a report lists them; ``reads`` are keys it uses when given.
+    ``check(scenario, args, refs, index)`` runs at load time and raises
+    :class:`ScenarioError`; ``run(args, tol, seed)`` returns the output.
+    """
+
+    needs: tuple
+    run: object
+    check: object = None
+    tol: float = _DEFAULT_CHECK_TOL
+    reads: tuple = ()
+
+
+_CHECK = ("code", "channel")
+_FIDELITY = ("noise", "target")
+_STATE = ("state", "constraint")
+
+# task kind -> variant -> what the variant needs, how it is checked and run
+TASKS = {
+    "check": {
+        "kl": _Variant(_CHECK, _checked("kl_check"), _check_code_input),
+        "superselection-kl": _Variant(
+            _CHECK + ("projectors",), _checked("superselection_kl_check"), _check_projectors
+        ),
+        "tensor-local": _Variant(_CHECK + ("dims",), _checked("tensor_local_check"), _check_dims),
+        "fermion-local": _Variant(
+            _CHECK + ("region",), _checked("fermion_local_check"), _check_region
+        ),
+    },
+    "fidelity": {
+        "optimal": _Variant(
+            _FIDELITY, _solved("optimal_recovery_fidelity"), _check_fidelity,
+            _DEFAULT_SOLVER_TOL, _STATE,
+        ),
+        "environment": _Variant(
+            _FIDELITY, _solved("environment_side_fidelity"), _check_fidelity,
+            _DEFAULT_SOLVER_TOL, _STATE,
+        ),
+        "duality": _Variant(
+            _FIDELITY, _run_duality, _check_fidelity, _DEFAULT_DUALITY_TOL, _STATE
+        ),
+        "seesaw": _Variant(
+            _FIDELITY + ("code",), _run_seesaw, _check_seesaw, _DEFAULT_SOLVER_TOL,
+            ("rounds",),
+        ),
+    },
+    "algebra": {
+        "commutant": _Variant(("algebra",), _algebra_summary("commutant")),
+        "center": _Variant(("algebra",), _algebra_summary("center")),
+        "blocks": _Variant(("algebra",), _run_blocks),
+    },
+    "channel": {
+        "complement": _Variant(("channel",), _run_complement),
+        "local-complement": _Variant(
+            ("channel", "algebra"), _run_local_complement, _check_ambient
+        ),
+        "is-physical": _Variant(("channel", "p", "q"), _run_is_physical, _check_idempotents),
+        "is-local": _Variant(
+            ("channel", "algebra", "second_algebra"), _run_is_local, _check_ambient
+        ),
+    },
 }
 
 
@@ -868,7 +860,8 @@ def run_scenario(scenario, seed=None, tol=None):
         }
         t0 = time.perf_counter()
         try:
-            entry["output"] = _RUNNERS[resolved["task"]](resolved, eff_tol, used_seed)
+            run = TASKS[resolved["task"]][resolved["variant"]].run
+            entry["output"] = run(resolved["args"], eff_tol, used_seed)
             entry["completed"] = True
         except Exception as exc:
             entry["output"] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -916,29 +909,14 @@ def report_rows(report):
     rows = [("index", "task", "variant", "metric", "value", "tol")]
     for entry in report["tasks"]:
         output = entry.get("output", {})
-        for metric in _CSV_METRICS:
-            if metric in output:
-                rows.append(
-                    (
-                        entry["index"],
-                        entry["task"],
-                        entry["variant"],
-                        metric,
-                        output[metric],
-                        entry.get("tol"),
-                    )
-                )
+        head = (entry["index"], entry["task"], entry["variant"])
+        rows.extend(
+            head + (metric, output[metric], entry.get("tol"))
+            for metric in _CSV_METRICS
+            if metric in output
+        )
         if not entry["completed"]:
-            rows.append(
-                (
-                    entry["index"],
-                    entry["task"],
-                    entry["variant"],
-                    "error",
-                    output.get("error", "unknown"),
-                    entry.get("tol"),
-                )
-            )
+            rows.append(head + ("error", output.get("error", "unknown"), entry.get("tol")))
     return rows
 
 
@@ -980,6 +958,11 @@ def ring_demo_scenario(modes, unpaired, pairing=None, max_support=2):
             pairing.extend([arc[i], arc[i + 1]] for i in range(0, len(arc), 2))
     else:
         pairing = [[int(a), int(b)] for a, b in pairing]
+
+    def check(variant, **extra):
+        return dict(task="check", variant=variant, code="ring", channel="window_noise",
+                    **extra, tol=1e-10)
+
     return {
         "schema_version": SCHEMA_VERSION,
         "name": f"majorana-ring-n{modes}",
@@ -998,28 +981,8 @@ def ring_demo_scenario(modes, unpaired, pairing=None, max_support=2):
             }
         },
         "tasks": [
-            {
-                "task": "check",
-                "variant": "kl",
-                "code": "ring",
-                "channel": "window_noise",
-                "tol": 1e-10,
-            },
-            {
-                "task": "check",
-                "variant": "superselection-kl",
-                "code": "ring",
-                "channel": "window_noise",
-                "projectors": "parity",
-                "tol": 1e-10,
-            },
-            {
-                "task": "check",
-                "variant": "fermion-local",
-                "code": "ring",
-                "channel": "window_noise",
-                "region": list(range(1, n_maj + 1)),
-                "tol": 1e-10,
-            },
+            check("kl"),
+            check("superselection-kl", projectors="parity"),
+            check("fermion-local", region=list(range(1, n_maj + 1))),
         ],
     }

@@ -1,8 +1,10 @@
+import argparse
 import csv
 import io
 import json
 import shutil
 import subprocess
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -277,6 +279,27 @@ def test_malformed_seed_env_var_exit_1(capsys, monkeypatch):
     monkeypatch.setenv("CONSTRAINED_RECOVERY_SEED", "lots")
     assert cli.main(["run", "poisoning"]) == 1
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_must_be_positive_and_finite_exit_1(tol, capsys):
+    """The schema requires a task tolerance > 0; --tol inf would call every
+    residual small and nan would make every comparison indeterminate."""
+    assert cli.main(["run", "poisoning", "--tol", tol]) == 1
+    assert "argument --tol" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exit_1(capsys):
+    args = ["fidelity", "seesaw", "--scenario", "poisoning", "--noise", "poisoning"]
+    args += ["--target", "parity_readout", "--rounds", "1", "--seed", "-2"]
+    assert cli.main(args) == 1
+    assert "argument --seed" in capsys.readouterr().err
+
+
+def test_negative_seed_env_var_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("CONSTRAINED_RECOVERY_SEED", "-1")
+    assert cli.main(["run", "poisoning"]) == 1
+    assert "CONSTRAINED_RECOVERY_SEED must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_constraint_flag_parse_errors_exit_1(capsys):
@@ -554,6 +577,96 @@ def test_one_shot_report_names_the_scenario_file(tmp_path, capsys):
     )
     assert code == 0
     assert report["scenario"]["source"] == str(path)
+
+
+CHECK = {"task": "check", "code": "trivial", "channel": "dephase"}
+CHANNEL = {"task": "channel", "channel": "dephase"}
+
+
+@pytest.mark.parametrize(
+    "task, key",
+    [
+        (dict(CHECK, variant="tensor-local"), "dims"),
+        (dict(CHECK, variant="superselection-kl"), "projectors"),
+        (dict(CHECK, variant="fermion-local"), "region"),
+        (
+            {"task": "fidelity", "variant": "seesaw", "noise": "dephase", "target": "ideal"},
+            "code",
+        ),
+        (dict(CHANNEL, variant="local-complement"), "algebra"),
+        (dict(CHANNEL, variant="is-local", algebra="diagonal"), "second_algebra"),
+        (dict(CHANNEL, variant="is-physical"), "p"),
+    ],
+)
+def test_variant_specific_key_missing_rejected(task, key):
+    with pytest.raises(sc.ScenarioError) as excinfo:
+        sc.load_scenario(qubit_scenario([task]))
+    assert f"{task['variant']} needs '{key}'" in str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
+# the task table, the schema and the parser agree
+
+
+# one-shot flags of each task kind besides --scenario and the common flags
+ONE_SHOT_FLAGS = {
+    "algebra": {"--algebra"},
+    "channel": {"--channel", "--algebra", "--second-algebra", "--p", "--q"},
+    "check": {"--code", "--channel", "--projectors", "--dims", "--region"},
+    "fidelity": {"--noise", "--target", "--state-code", "--constraint", "--code", "--rounds"},
+}
+COMMON_FLAGS = {"--scenario", "--tol", "--seed", "--format", "-o", "--output", "-h", "--help"}
+
+
+def schema_task_branches():
+    text = resources.files("constrained_recovery").joinpath("data/scenario.schema.json")
+    schema = json.loads(text.read_text())
+    return {
+        branch["properties"]["task"]["const"]: branch
+        for branch in schema["definitions"]["task"]["oneOf"]
+    }
+
+
+def test_task_table_matches_schema():
+    branches = schema_task_branches()
+    assert set(branches) == set(sc.TASKS)
+    for kind, variants in sc.TASKS.items():
+        properties = branches[kind]["properties"]
+        assert properties["variant"]["enum"] == list(variants)
+        required = set(branches[kind]["required"]) - {"task", "variant"}
+        for spec in variants.values():
+            assert set(spec.needs + spec.reads) <= set(properties), kind
+            assert required <= set(spec.needs), kind
+
+
+def test_one_shot_parser_matches_table():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for kind, flags in ONE_SHOT_FLAGS.items():
+        actions = sub.choices[kind]._actions
+        assert {s for a in actions for s in a.option_strings} == flags | COMMON_FLAGS
+        variant = next(a for a in actions if a.dest == "variant")
+        assert list(variant.choices) == list(sc.TASKS[kind])
+        keys = {key for spec in sc.TASKS[kind].values() for key in spec.needs + spec.reads}
+        dests = {a.dest for a in actions if set(a.option_strings) & flags}
+        assert dests == keys, kind
+
+
+def test_local_complement_one_shot_defaults_to_the_only_algebra(tmp_path, capsys):
+    spec = qubit_scenario(
+        [{"task": "check", "variant": "kl", "code": "trivial", "channel": "dephase"}]
+    )
+    path = tmp_path / "one_algebra.json"
+    path.write_text(json.dumps(spec))
+    args = ["channel", "local-complement", "--scenario", str(path), "--channel", "dephase"]
+    code, report = run_json(args, capsys)
+    assert code == 0
+    assert report["tasks"][0]["refs"] == {"channel": "dephase", "algebra": "diagonal"}
+
+    del spec["algebras"]
+    path.write_text(json.dumps(spec))
+    assert cli.main(args) == 1
+    assert "--algebra is required" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -244,11 +244,16 @@ def local_complementary(c, b):
     """
     from . import algebra as algebra_mod
 
-    if c.out_dim != b.ambient_dim:
+    return _local_complement(c, algebra_mod.conditional_expectation(algebra_mod.commutant(b)))
+
+
+def _local_complement(c, p):
+    """:func:`local_complementary` of ``c`` given ``p``, the conditional
+    expectation onto the commutant of the fixed algebra."""
+    if c.out_dim != p.in_dim:
         raise ValueError(
-            f"algebra ambient dim {b.ambient_dim} != channel output dim {c.out_dim}"
+            f"algebra ambient dim {p.in_dim} != channel output dim {c.out_dim}"
         )
-    p = algebra_mod.conditional_expectation(algebra_mod.commutant(b))
     return complementary(compose(p, c, reduce=False))
 
 
@@ -268,9 +273,9 @@ def local_complement_defect(c, b, lc=None):
     """
     from . import algebra as algebra_mod
 
-    if lc is None:
-        lc = local_complementary(c, b)
     p = algebra_mod.conditional_expectation(algebra_mod.commutant(b))
+    if lc is None:
+        lc = _local_complement(c, p)
     k_p = p.n_kraus
     k_n = c.n_kraus
     d = c.out_dim
@@ -383,14 +388,12 @@ def maps_into(n, a, tol=1e-8):
     """Whether the adjoint of ``n`` maps the algebra ``a`` into itself."""
     if n.in_dim != n.out_dim or n.in_dim != a.ambient_dim:
         raise ValueError("dimension mismatch between channel and algebra")
-    worst = 0.0
-    for aop in a.basis:
-        x = adjoint_apply(n, aop)
-        proj = np.zeros_like(x)
-        for bop in a.basis:
-            proj += linalg.hs_inner(bop, x) * bop
-        worst = max(worst, float(np.linalg.norm(x - proj)))
-    return worst <= tol
+    from . import algebra as algebra_mod
+
+    if not a.dim:
+        return True
+    images = np.stack([adjoint_apply(n, aop) for aop in a.basis])
+    return bool(algebra_mod.contains(a, images, tol).all())
 
 
 @dataclass

@@ -251,12 +251,15 @@ def _default(key, base, parser):
 
     A code, the channel under test and the algebras default to the
     scenario's only one; the projectors to the parity sectors; a region to
-    the whole fermion system. The noise and the target of a fidelity are
-    never guessed. Any other key stays out of the task, and the scenario
-    check reports it missing.
+    the whole fermion system. The noise and the target of a fidelity and
+    the idempotent channels of a physicality test are never guessed: a
+    missing one is a usage error that names both flags. Any other key
+    stays out of the task, and the scenario check reports it missing.
     """
     if key in ("noise", "target"):
         parser.error("--noise and --target are required to synthesize a task")
+    if key in ("p", "q"):
+        parser.error("--p and --q are required to synthesize an is-physical task")
     if key in ("code", "channel", "algebra", "second_algebra"):
         kind = scenario_mod.REFERENCES[key]
         return _only(getattr(base, f"{kind}s"), key, parser)

@@ -11,7 +11,7 @@ channel dilations), so the two optimal values can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -122,16 +122,14 @@ class DualityReport:
         return self.passed
 
 
-def _kraus_list(kraus):
-    if isinstance(kraus, Channel):
-        return list(kraus.kraus)
-    ops = [np.asarray(e, dtype=complex) for e in kraus]
-    if not ops:
-        raise ValueError("need at least one Kraus operator")
-    shape = ops[0].shape
-    if len(shape) != 2 or any(e.shape != shape for e in ops):
-        raise ValueError("Kraus operators must share a single 2d shape")
-    return ops
+# a row of fixed data with at most this norm carries no information
+_NULL_ROW = 1e-10
+
+
+def _as_channel(kraus):
+    """A Kraus set as a :class:`Channel`, which raises on an empty set or on
+    mismatched shapes; its ``_stack`` holds the operators as one array."""
+    return kraus if isinstance(kraus, Channel) else Channel(kraus, check=False)
 
 
 def _density_conditions(mat, tol):
@@ -142,38 +140,64 @@ def _density_conditions(mat, tol):
     return h, ok
 
 
+def _verdict(structural, residual, tol, densities_ok):
+    """Indeterminate when a structural precondition fails; otherwise
+    correctable when the conditions fit within tol with valid densities."""
+    if not structural:
+        return "indeterminate"
+    if residual > tol or not densities_ok:
+        return "not_correctable"
+    return "correctable"
+
+
+def _fit(fixed, targets):
+    """Least-squares coefficients ``c`` of ``targets ~ c @ fixed`` and the
+    Frobenius misfit.
+
+    Every check compares the two sides of one condition,
+    ``W^dag E_i^dag E_j B W = lambda_ij W^dag B W`` over the operators B
+    that its recoveries leave alone (the operator-algebra form of the
+    Knill-Laflamme conditions): a row of ``targets`` stacks the left side
+    of one pair (i, j) over all B, and ``fixed`` the right sides it may
+    combine.  A row of ``fixed`` with norm at most 1e-10 carries no
+    information and gets coefficient 0.
+    """
+    keep = np.linalg.norm(fixed, axis=1) > _NULL_ROW
+    coeff = np.zeros((len(targets), len(fixed)), dtype=complex)
+    if keep.any():
+        coeff[:, keep] = targets @ np.linalg.pinv(fixed[keep], rcond=1e-10)
+    return coeff, float(np.linalg.norm(targets - coeff @ fixed))
+
+
+def _gram_rows(v):
+    """Row (i, j) holds vec(V_i^dag V_j) for the stack ``v``, shape (n, a, m)."""
+    n, a, m = v.shape
+    flat = v.transpose(1, 0, 2).reshape(a, n * m)
+    gram = (flat.conj().T @ flat).reshape(n, m, n, m)
+    return gram.transpose(0, 2, 1, 3).reshape(n * n, m * m)
+
+
 def kl_check(code, kraus, tol=1e-8):
     """Exact correctability of a Kraus set on a code subspace.
 
     The code corrects the errors exactly when the compressions
     ``W^dag E_j^dag E_i W`` are all proportional to the identity; the
-    proportionality coefficients then form a density matrix.
+    proportionality coefficients ``sigma[i, j]`` then form a density
+    matrix.  This is :func:`tensor_local_check` with a trivial second
+    factor, whose ``lambda`` is the transpose of ``sigma``.
     """
-    ops = _kraus_list(kraus)
-    w = code.isometry
-    k = code.logical_dim
-    if ops[0].shape != (code.physical_dim, code.physical_dim):
+    kraus = _as_channel(kraus)
+    d = code.physical_dim
+    if (kraus.out_dim, kraus.in_dim) != (d, d):
         raise ValueError("Kraus operators must act on the physical space")
-    lifted = np.stack([e @ w for e in ops])
-    gram = np.einsum("jak,ial->jikl", lifted.conj(), lifted)
-    sigma = np.einsum("jikk->ij", gram) / k
-    ideal = np.einsum("ij,kl->jikl", sigma, np.eye(k))
-    residual = float(np.linalg.norm(gram - ideal))
-    sigma, sigma_ok = _density_conditions(sigma, tol)
-    verdict = "correctable" if residual <= tol and sigma_ok else "not_correctable"
-    return CorrectabilityReport(
-        verdict=verdict,
-        residual=residual,
-        coefficients={"sigma": sigma},
-        sufficiency_flags={"error_density_valid": sigma_ok},
-    )
+    rep = tensor_local_check(code, kraus, (d, 1), tol)
+    return replace(rep, coefficients={"sigma": rep.coefficients["lambda"].T})
 
 
 def _validate_projector_family(projectors, dim, tol=1e-8):
     mats = [np.asarray(p, dtype=complex) for p in projectors]
     if not mats:
         raise ValueError("need at least one projector")
-    total = np.zeros((dim, dim), dtype=complex)
     for i, p in enumerate(mats):
         if p.shape != (dim, dim):
             raise ValueError(f"projector {i} has shape {p.shape}, expected "
@@ -184,10 +208,9 @@ def _validate_projector_family(projectors, dim, tol=1e-8):
         for j in range(i):
             if np.linalg.norm(mats[j] @ p) > tol:
                 raise ValueError(f"projectors {j} and {i} overlap")
-        total += p
-    if np.linalg.norm(total - np.eye(dim)) > tol:
+    if np.linalg.norm(sum(mats) - np.eye(dim)) > tol:
         raise ValueError("projectors do not sum to the identity")
-    return mats
+    return np.stack(mats)
 
 
 def superselection_kl_check(code, kraus, projectors, tol=1e-8):
@@ -202,72 +225,40 @@ def superselection_kl_check(code, kraus, projectors, tol=1e-8):
     projector) is a structural precondition; when it fails the verdict
     is indeterminate.
     """
-    ops = _kraus_list(kraus)
+    ops = _as_channel(kraus)._stack
     d = code.physical_dim
-    if ops[0].shape != (d, d):
+    if ops.shape[1:] != (d, d):
         raise ValueError("Kraus operators must act on the physical space")
     mats = _validate_projector_family(projectors, d)
     w = code.isometry
-    k = code.logical_dim
     n_ops = len(ops)
     n_sec = len(mats)
 
     proj = code.projector
-    commute = max(float(np.linalg.norm(p @ proj - proj @ p)) for p in mats)
+    commute = float(np.linalg.norm(mats @ proj - proj @ mats, axis=(1, 2)).max())
     projectors_commute = commute <= max(tol, 1e-10) * 10
-    fixed_sector = any(
-        np.linalg.norm(p @ w - w) <= max(tol, 1e-10) * 10 for p in mats
+    fixed_sector = bool(np.any(np.linalg.norm(mats @ w - w, axis=(1, 2)) <= max(tol, 1e-10) * 10))
+
+    # row i of fixed is vec(W^dag P_i W); row (j, n, m) of the targets is
+    # vec(W^dag E_n^dag P_j E_m W), a Gram block of the stack P_j E W
+    fixed = (w.conj().T @ mats @ w).reshape(n_sec, -1)
+    lifted = ops @ w
+    coeff, residual = _fit(fixed, np.concatenate([_gram_rows(p @ lifted) for p in mats]))
+    # coeff[i, j]: the error density of input sector i into output sector j
+    coeff = coeff.reshape(n_sec, n_ops, n_ops, n_sec).transpose(3, 0, 1, 2)
+    coeff = (coeff + coeff.conj().swapaxes(2, 3)) / 2.0
+    determined = np.linalg.norm(fixed, axis=1) > _NULL_ROW
+    blocks = coeff[determined]
+    totals = np.trace(blocks, axis1=2, axis2=3).real.sum(axis=1)
+    densities_ok = bool(
+        (np.linalg.eigvalsh(blocks)[..., 0] >= -10 * tol).all()
+        and (np.abs(totals - 1.0) <= 10 * tol).all()
     )
+    # the code has no weight in an undetermined sector; any completion works
+    coeff[~determined] = np.eye(n_ops) / (n_sec * n_ops)
 
-    q_mats = [w.conj().T @ p @ w for p in mats]
-    determined = [float(np.linalg.norm(q)) > 1e-10 for q in q_mats]
-    basis = np.stack([linalg.vec(q) for q, keep in zip(q_mats, determined)
-                      if keep])
-    pinv = np.linalg.pinv(basis.T, rcond=1e-10)
-
-    lifted = np.stack([e @ w for e in ops])
-    resid_sq = 0.0
-    coeff = np.zeros((n_sec, n_sec, n_ops, n_ops), dtype=complex)
-    for j, p in enumerate(mats):
-        plift = np.stack([p @ v for v in lifted])
-        targets = np.einsum("nak,mal->nmkl", plift.conj(), plift)
-        flat = targets.reshape(n_ops * n_ops, k * k)
-        c = pinv @ flat.T
-        resid_sq += float(np.linalg.norm(basis.T @ c - flat.T) ** 2)
-        c = c.T.reshape(n_ops, n_ops, -1)
-        slot = 0
-        for i in range(n_sec):
-            if determined[i]:
-                coeff[i, j] = c[:, :, slot]
-                slot += 1
-    residual = float(np.sqrt(resid_sq))
-
-    densities_ok = True
-    for i in range(n_sec):
-        if not determined[i]:
-            # the code has no weight in this sector; any completion works
-            coeff[i] = np.broadcast_to(
-                np.eye(n_ops) / (n_sec * n_ops), (n_sec, n_ops, n_ops)
-            )
-            continue
-        total = 0.0
-        for j in range(n_sec):
-            block, ok = _density_conditions(coeff[i, j], tol)
-            coeff[i, j] = block
-            if np.linalg.eigvalsh(block)[0] < -10 * tol:
-                densities_ok = False
-            total += float(np.trace(block).real)
-        if abs(total - 1.0) > 10 * tol:
-            densities_ok = False
-
-    if not projectors_commute:
-        verdict = "indeterminate"
-    elif residual > tol or not densities_ok:
-        verdict = "not_correctable"
-    else:
-        verdict = "correctable"
     return CorrectabilityReport(
-        verdict=verdict,
+        verdict=_verdict(projectors_commute, residual, tol, densities_ok),
         residual=residual,
         coefficients={"sector_densities": coeff},
         sufficiency_flags={
@@ -278,15 +269,6 @@ def superselection_kl_check(code, kraus, projectors, tol=1e-8):
     )
 
 
-def _scalar_fit(rows_fixed, rows_target):
-    """Least-squares scalar with rows_target ~ lam * rows_fixed."""
-    denom = float(np.vdot(rows_fixed, rows_fixed).real)
-    if denom <= 1e-24:
-        return 0.0 + 0.0j, float(np.linalg.norm(rows_target))
-    lam = np.vdot(rows_fixed, rows_target) / denom
-    return lam, float(np.linalg.norm(rows_target - lam * rows_fixed))
-
-
 def tensor_local_check(code, kraus, dims, tol=1e-8):
     """Correctability against noise on the first tensor factor when the
     recovery may only act there as well.
@@ -294,7 +276,9 @@ def tensor_local_check(code, kraus, dims, tol=1e-8):
     ``dims`` is the (d_A, d_B) bipartition of the physical space and the
     Kraus operators act on the first factor.  The condition compares
     ``W^dag (E_i^dag E_j (x) B) W`` with ``lambda_ij W^dag (1 (x) B) W``
-    over a basis of the second factor.
+    over a basis of the second factor.  Read as a d_A x (d_B k) matrix,
+    W turns the left sides over all B into the Gram blocks
+    ``(E_i W)^dag (E_j W)``, and the right side into ``W^dag W``.
     """
     d_a, d_b = (int(x) for x in dims)
     if d_a * d_b != code.physical_dim:
@@ -302,31 +286,14 @@ def tensor_local_check(code, kraus, dims, tol=1e-8):
             f"bipartition {d_a} x {d_b} does not match physical dimension "
             f"{code.physical_dim}"
         )
-    ops = _kraus_list(kraus)
-    if ops[0].shape != (d_a, d_a):
+    ops = _as_channel(kraus)._stack
+    if ops.shape[1:] != (d_a, d_a):
         raise ValueError("Kraus operators must act on the first factor")
-    w = code.isometry
-    n_ops = len(ops)
-
-    units = np.eye(d_b * d_b, dtype=complex).reshape(d_b * d_b, d_b, d_b)
-    fixed = np.stack([
-        linalg.vec(w.conj().T @ np.kron(np.eye(d_a), b) @ w) for b in units
-    ]).reshape(-1)
-    lam = np.zeros((n_ops, n_ops), dtype=complex)
-    resid_sq = 0.0
-    for i in range(n_ops):
-        for j in range(n_ops):
-            g = ops[i].conj().T @ ops[j]
-            target = np.stack([
-                linalg.vec(w.conj().T @ np.kron(g, b) @ w) for b in units
-            ]).reshape(-1)
-            lam[i, j], res = _scalar_fit(fixed, target)
-            resid_sq += res * res
-    residual = float(np.sqrt(resid_sq))
-    lam, lam_ok = _density_conditions(lam, tol)
-    verdict = "correctable" if residual <= tol and lam_ok else "not_correctable"
+    w = code.isometry.reshape(d_a, -1)
+    lam, residual = _fit((w.conj().T @ w).reshape(1, -1), _gram_rows(ops @ w))
+    lam, lam_ok = _density_conditions(lam.reshape(len(ops), -1), tol)
     return CorrectabilityReport(
-        verdict=verdict,
+        verdict=_verdict(True, residual, tol, lam_ok),
         residual=residual,
         coefficients={"lambda": lam},
         sufficiency_flags={"error_density_valid": lam_ok},
@@ -372,11 +339,11 @@ def fermion_local_check(code, kraus, region, tol=1e-8):
     system = fermion_mod.FermionSystem(n_modes)
     region = tuple(sorted(set(int(i) for i in region)))
     parity = fermion_mod.parity_operator(system, region)
-    ops = _kraus_list(kraus)
-    if ops[0].shape != (d, d):
+    ops = _as_channel(kraus)._stack
+    if ops.shape[1:] != (d, d):
         raise ValueError("Kraus operators must act on the physical space")
     outside = [i for i in range(1, 2 * n_modes + 1) if i not in region]
-    inside = _even_residuals(system, parity.c, outside, np.stack(ops)) <= 1e-8
+    inside = _even_residuals(system, parity.c, outside, ops) <= 1e-8
     if not inside.all():
         raise ValueError(
             f"Kraus operator {int(np.argmin(inside))} is not in the even "
@@ -384,59 +351,44 @@ def fermion_local_check(code, kraus, region, tol=1e-8):
         )
 
     w = code.isometry
-    n_ops = len(ops)
-    commutant_ops = []
+    # the code projector, then each Kraus operator, against the region parity
+    x = np.concatenate([code.projector[None], ops])
+    commute = np.linalg.norm(parity.c @ x - x @ parity.c, axis=(1, 2)) <= max(tol, 1e-10) * 10
+    code_parity_ok, kraus_parity_ok = bool(commute[0]), bool(commute[1:].all())
+
+    # W^dag E_i^dag E_j for every pair, as rows (i, j, x) of one matrix
+    heads = ((w.conj().T @ ops.conj().transpose(0, 2, 1))[:, None] @ ops).reshape(-1, d)
+    # B P W for both parity sectors P, B over the relative commutant of the
+    # region algebra: the even monomials outside the region and their
+    # products with the region parity
+    pw = np.concatenate([parity.p_plus @ w, parity.p_minus @ w], axis=1)
+    right = []
     for size in range(0, len(outside) + 1, 2):
         for subset in combinations(outside, size):
-            t = fermion_mod.majorana_monomial(system, subset)
-            commutant_ops.append(t)
-            commutant_ops.append(parity.c @ t)
+            bpw = fermion_mod.majorana_monomial(system, subset) @ pw
+            right += [bpw, parity.c @ bpw]
+    right = np.stack(right, axis=1).reshape(d, len(right), 2, -1)
 
-    proj = code.projector
-    code_parity_ok = float(
-        np.linalg.norm(parity.c @ proj - proj @ parity.c)
-    ) <= max(tol, 1e-10) * 10
-    kraus_parity_ok = max(
-        float(np.linalg.norm(parity.c @ e - e @ parity.c)) for e in ops
-    ) <= max(tol, 1e-10) * 10
-
-    left = w.conj().T
-    heads = [left @ e.conj().T for e in ops]
-    sectors = {"plus": parity.p_plus, "minus": parity.p_minus}
-    lam = {name: np.zeros((n_ops, n_ops), dtype=complex) for name in sectors}
-    present = {}
+    lam = {}
     resid_sq = 0.0
-    for name, p_k in sectors.items():
-        right = np.stack([b @ p_k @ w for b in commutant_ops])
-        fixed = np.einsum("kl,blm->bkm", left, right).reshape(-1)
-        present[name] = float(np.linalg.norm(fixed)) > 1e-10
-        for i in range(n_ops):
-            for j in range(n_ops):
-                target = np.einsum("kl,blm->bkm", heads[i] @ ops[j], right).reshape(-1)
-                lam[name][i, j], res = _scalar_fit(fixed, target)
-                resid_sq += res * res
+    densities_ok = True
+    for s, name in enumerate(("plus", "minus")):
+        # columns (x, b, y): entry (x, y) of W^dag (.) B_b P W
+        r = right[:, :, s].reshape(d, -1)
+        fixed = (w.conj().T @ r).reshape(1, -1)
+        coeff, res = _fit(fixed, (heads @ r).reshape(-1, fixed.size))
+        lam[name] = coeff.reshape(len(ops), -1)
+        resid_sq += res * res
+        # a sector the code has no weight in has no condition to meet
+        if float(np.linalg.norm(fixed)) > _NULL_ROW:
+            lam[name], ok = _density_conditions(lam[name], tol)
+            densities_ok = densities_ok and ok
     residual = float(np.sqrt(resid_sq))
 
-    densities_ok = True
-    for name in sectors:
-        if not present[name]:
-            continue
-        lam[name], ok = _density_conditions(lam[name], tol)
-        densities_ok = densities_ok and ok
-
-    if not (code_parity_ok and kraus_parity_ok):
-        verdict = "indeterminate"
-    elif residual > tol or not densities_ok:
-        verdict = "not_correctable"
-    else:
-        verdict = "correctable"
     return CorrectabilityReport(
-        verdict=verdict,
+        verdict=_verdict(code_parity_ok and kraus_parity_ok, residual, tol, densities_ok),
         residual=residual,
-        coefficients={
-            "lambda_plus": lam["plus"],
-            "lambda_minus": lam["minus"],
-        },
+        coefficients={f"lambda_{name}": lam[name] for name in lam},
         sufficiency_flags={
             "code_parity_compatible": code_parity_ok,
             "kraus_parity_preserving": kraus_parity_ok,
@@ -676,9 +628,10 @@ def _link_plan(n, m, rho, constraint, environment):
         if n.out_dim != m.out_dim or b.ambient_dim != n.out_dim:
             raise ValueError("fixed-algebra constraints need matching dimensions")
         if environment:
-            src = channels_mod.local_complementary(m, b)
-            dst = channels_mod.local_complementary(n, b)
-            left = algebra_mod.conditional_expectation(algebra_mod.commutant(b)).n_kraus
+            p = algebra_mod.conditional_expectation(algebra_mod.commutant(b))
+            src = channels_mod._local_complement(m, p)
+            dst = channels_mod._local_complement(n, p)
+            left = p.n_kraus
         else:
             ops = np.stack(algebra_mod.commutant(b).basis)
     elif environment:

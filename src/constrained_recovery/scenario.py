@@ -18,6 +18,8 @@ the tolerance it was judged against.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import platform
 import time
 from dataclasses import dataclass, replace
@@ -843,8 +845,16 @@ def run_scenario(scenario, seed=None, tol=None):
     rather than raised: a task entry with ``completed: false`` carries
     the error message, and ``all_tasks_completed`` reflects the whole
     run.  Verdicts and fidelity values are never failures; only a task
-    that could not produce an answer is.
+    that could not produce an answer is.  An override outside the schema's
+    bounds (a seed that is not an integer >= 0, a tolerance that is not
+    positive and finite) raises ValueError before any task runs.
     """
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                             or seed < 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                            or not math.isfinite(tol) or tol <= 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     used_seed = seed if seed is not None else scenario.seed
     started = time.perf_counter()
     entries = []

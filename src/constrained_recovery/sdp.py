@@ -88,13 +88,7 @@ def svec(h):
     strict upper triangle, then sqrt(2) times its imaginary parts.
     """
     h = np.asarray(h)
-    d = h.shape[0]
-    iu, ju = _triu(d)
-    off = h[iu, ju]
-    root2 = np.sqrt(2.0)
-    return np.concatenate(
-        [np.diagonal(h).real, root2 * off.real, root2 * off.imag]
-    )
+    return _SvecMap([h.shape[0]]).svec([h])
 
 
 def unsvec(v, d):
@@ -102,14 +96,7 @@ def unsvec(v, d):
     v = np.asarray(v, dtype=float)
     if v.shape != (d * d,):
         raise ValueError(f"expected length {d * d}, got {v.shape}")
-    iu, ju = _triu(d)
-    k = iu.size
-    h = np.zeros((d, d), dtype=complex)
-    h[np.arange(d), np.arange(d)] = v[:d]
-    off = (v[d:d + k] + 1j * v[d + k:]) / np.sqrt(2.0)
-    h[iu, ju] = off
-    h[ju, iu] = off.conj()
-    return h
+    return _SvecMap([d]).unsvec(v)[0]
 
 
 def _svec_stack(stack, out=None):

@@ -1,8 +1,11 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and reference implementations for the test suite.
 
 All generators take an explicit ``numpy.random.Generator`` so individual
-tests stay reproducible.
+tests stay reproducible. The references write the correctability
+conditions out pair by pair, as a check against the stacked fits.
 """
+
+import itertools
 
 import numpy as np
 
@@ -102,3 +105,74 @@ def commutant_by_svd(a, tol=1e-10):
     _, s, vh = np.linalg.svd(maps, full_matrices=False)
     null = vh[np.count_nonzero(s > tol * max(1.0, s[0])):]
     return AlgebraBasis(d, list(null.conj().reshape(-1, d, d)))
+
+
+def _scalar_fit(fixed, target):
+    """Least-squares scalar with target ~ lam * fixed, and the misfit."""
+    denom = float(np.vdot(fixed, fixed).real)
+    if denom <= 1e-24:
+        return 0.0, float(np.linalg.norm(target))
+    lam = np.vdot(fixed, target) / denom
+    return lam, float(np.linalg.norm(target - lam * fixed))
+
+
+def tensor_local_reference(code, kraus, dims):
+    """lambda and residual of the tensor-local condition, written out.
+
+    Every pair (i, j) compares W^dag (E_i^dag E_j (x) B) W with
+    lambda_ij W^dag (1 (x) B) W, with an explicit np.kron for each matrix
+    unit B of the second factor and one least-squares scalar per pair.
+    """
+    d_a, d_b = dims
+    w = code.isometry
+    units = np.eye(d_b * d_b, dtype=complex).reshape(d_b * d_b, d_b, d_b)
+
+    def stacked(g):
+        return np.concatenate([(w.conj().T @ np.kron(g, b) @ w).ravel() for b in units])
+
+    fixed = stacked(np.eye(d_a))
+    n = len(kraus)
+    lam = np.zeros((n, n), dtype=complex)
+    resid_sq = 0.0
+    for i in range(n):
+        for j in range(n):
+            lam[i, j], res = _scalar_fit(fixed, stacked(kraus[i].conj().T @ kraus[j]))
+            resid_sq += res * res
+    return lam, np.sqrt(resid_sq)
+
+
+def fermion_local_reference(code, kraus, region):
+    """lambda of both region parity sectors and the residual of the
+    fermion-local condition, written out.
+
+    Every pair (i, j) compares W^dag E_i^dag E_j B P W with
+    lambda_ij W^dag B P W, B over the even Majorana monomials outside the
+    region and their products with the region parity C.
+    """
+    from constrained_recovery import fermion
+
+    d = code.physical_dim
+    n_modes = int(round(np.log2(d)))
+    system = fermion.FermionSystem(n_modes)
+    parity = fermion.parity_operator(system, region)
+    outside = [k for k in range(1, 2 * n_modes + 1) if k not in region]
+    commutant = []
+    for size in range(0, len(outside) + 1, 2):
+        for subset in itertools.combinations(outside, size):
+            t = np.asarray(fermion.majorana_monomial(system, subset))
+            commutant += [t, parity.c @ t]
+    w = code.isometry
+    n = len(kraus)
+    lams = []
+    resid_sq = 0.0
+    for p in (parity.p_plus, parity.p_minus):
+        fixed = np.concatenate([(w.conj().T @ b @ p @ w).ravel() for b in commutant])
+        lam = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                g = w.conj().T @ kraus[i].conj().T @ kraus[j]
+                target = np.concatenate([(g @ b @ p @ w).ravel() for b in commutant])
+                lam[i, j], res = _scalar_fit(fixed, target)
+                resid_sq += res * res
+        lams.append(lam)
+    return lams[0], lams[1], np.sqrt(resid_sq)

@@ -452,6 +452,18 @@ def _defect_by_einsum(c, b, lc):
     return worst
 
 
+def test_local_complement_defect_builds_the_expectation_once(monkeypatch):
+    rng = np.random.default_rng(61)
+    b = alg.generate_algebra([np.kron(np.eye(2), np.diag([1.0, -1.0]))], 4)
+    c = ch.Channel(random_kraus(rng, 4, 4, 2))
+    want = ch.local_complement_defect(c, b)
+    calls = []
+    inner = alg.commutant
+    monkeypatch.setattr(alg, "commutant", lambda a: calls.append(a) or inner(a))
+    assert ch.local_complement_defect(c, b) == want
+    assert len(calls) == 1
+
+
 def test_local_complement_defect_matches_einsum_contraction():
     rng = np.random.default_rng(26)
     gens, _, d = planted_algebra(rng, [(2, 1), (1, 2)])

@@ -491,6 +491,34 @@ def test_fidelity_requires_noise_and_target_exit_1(capsys):
     assert "--noise and --target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("given", [[], ["--p", "parity_readout"], ["--q", "parity_readout"]])
+def test_is_physical_requires_p_and_q_exit_1(given, capsys):
+    args = ["channel", "is-physical", "--scenario", "poisoning", "--channel", "poisoning"]
+    assert cli.main(args + given) == 1
+    assert "--p and --q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"tol": float("inf")},
+        {"tol": float("nan")},
+        {"tol": 0.0},
+        {"tol": -1e-8},
+        {"seed": -3},
+        {"seed": 1.5},
+        {"seed": True},
+    ],
+)
+def test_run_scenario_refuses_overrides_outside_the_schema(override, monkeypatch):
+    scenario = sc.load_scenario("poisoning")
+    calls = []
+    monkeypatch.setattr(rc, "superselection_kl_check", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=next(iter(override))):
+        sc.run_scenario(scenario, **override)
+    assert calls == []
+
+
 def test_algebra_commutant_and_blocks(tmp_path, capsys):
     spec = qubit_scenario(
         [{"task": "algebra", "variant": "commutant", "algebra": "diagonal"}]

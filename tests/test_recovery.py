@@ -9,7 +9,13 @@ from constrained_recovery import channels as ch
 from constrained_recovery import fermion
 from constrained_recovery import recovery as rc
 from constrained_recovery import scenario as sc
-from helpers import random_kraus, random_physical_channel
+from helpers import (
+    fermion_local_reference,
+    random_kraus,
+    random_physical_channel,
+    random_unitary,
+    tensor_local_reference,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -372,6 +378,108 @@ def test_sector_resolution_beats_plain_conditions():
 
 
 # ---------------------------------------------------------------------------
+# the one least-squares fit behind the checks
+
+
+def hermitian_part(x):
+    return (x + x.conj().T) / 2
+
+
+def random_code(rng, d, k=2):
+    return rc.Code(k, d, random_unitary(rng, d)[:, :k])
+
+
+def test_fit_gives_a_zero_row_coefficient_zero():
+    rng = np.random.default_rng(41)
+    targets = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    coeff, residual = rc._fit(np.zeros((1, 4)), targets)
+    assert np.array_equal(coeff, np.zeros((3, 1)))
+    assert residual == np.linalg.norm(targets)
+    fixed = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1e-11, 0.0]])
+    coeff, residual = rc._fit(fixed, 2.5 * fixed[:1] + 1e-3 * np.eye(4)[3])
+    assert np.allclose(coeff, [[2.5, 0.0]], atol=1e-14)
+    assert abs(residual - 1e-3) <= 1e-14
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 1)])
+def test_tensor_local_matches_the_explicit_kron_reference(dims):
+    rng = np.random.default_rng(43)
+    for _ in range(3):
+        code = random_code(rng, dims[0] * dims[1])
+        kraus = random_kraus(rng, dims[0], dims[0], 3)
+        rep = rc.tensor_local_check(code, kraus, dims)
+        lam, residual = tensor_local_reference(code, kraus, dims)
+        assert np.abs(rep.coefficients["lambda"] - hermitian_part(lam)).max() <= 1e-12
+        assert abs(rep.residual - residual) <= 1e-12
+
+
+def test_kl_check_is_tensor_local_with_a_trivial_second_factor():
+    rng = np.random.default_rng(47)
+    cases = [(RING_WIDE.code, NOISE6.kraus), (RING_ADJ.code, NOISE6.kraus)]
+    cases += [(random_code(rng, 6), random_kraus(rng, 6, 6, 3)) for _ in range(3)]
+    for code, kraus in cases:
+        d = code.physical_dim
+        plain = rc.kl_check(code, kraus)
+        local = rc.tensor_local_check(code, kraus, (d, 1))
+        assert np.array_equal(plain.coefficients["sigma"], local.coefficients["lambda"].T)
+        assert plain.residual == local.residual
+        assert plain.verdict == local.verdict
+        lam, residual = tensor_local_reference(code, kraus, (d, 1))
+        assert np.abs(plain.coefficients["sigma"] - hermitian_part(lam).T).max() <= 1e-12
+        assert abs(plain.residual - residual) <= 1e-12
+
+
+def region_noise(rng, system, region, k=3):
+    """Random operators in the even algebra of ``region``."""
+    even = [m for size in range(0, len(region) + 1, 2)
+            for m in itertools.combinations(region, size)]
+    monomials = np.stack([fermion.majorana_monomial(system, m) for m in even])
+    return [np.tensordot(rng.normal(size=len(even)) + 1j * rng.normal(size=len(even)),
+                         monomials, axes=1) for _ in range(k)]
+
+
+def test_fermion_local_matches_the_per_pair_reference():
+    rng = np.random.default_rng(53)
+    c2 = np.asarray(fermion.parity_operator(S2, (1, 2, 3, 4)).c)
+    cases = [
+        (RING_WIDE.code, NOISE6.kraus, WHOLE6),
+        (RING_ADJ.code, NOISE6.kraus, WHOLE6),
+        (two_dim_code(0, 3), [np.eye(4) / np.sqrt(2), c2 / np.sqrt(2)], (1, 2, 3, 4)),
+        (RING_POISON.code, region_noise(rng, S3, (1, 2, 3, 4)), (1, 2, 3, 4)),
+        (random_code(rng, 8), region_noise(rng, S3, (2, 5)), (2, 5)),
+        (random_code(rng, 16), region_noise(rng, fermion.FermionSystem(4), (1, 2, 7, 8)),
+         (1, 2, 7, 8)),
+    ]
+    for code, kraus, region in cases:
+        rep = rc.fermion_local_check(code, kraus, region)
+        lam_plus, lam_minus, residual = fermion_local_reference(code, kraus, region)
+        for got, want in ((rep.coefficients["lambda_plus"], lam_plus),
+                          (rep.coefficients["lambda_minus"], lam_minus)):
+            assert np.abs(got - hermitian_part(want)).max() <= 1e-12, region
+        assert abs(rep.residual - residual) <= 1e-12, region
+
+
+def test_superselection_code_in_one_sector_keeps_its_completion():
+    """The odd sector carries no code weight: its densities are the uniform
+    completion and the verdict rests on the even sector alone."""
+    par = fermion.parity_operator(S2, (1, 2, 3, 4))
+    kraus = [np.eye(4) / np.sqrt(2), np.asarray(par.c) / np.sqrt(2)]
+    rep = rc.superselection_kl_check(two_dim_code(0, 3), kraus, [par.p_plus, par.p_minus])
+    assert rep.verdict == "correctable"
+    assert rep.residual <= 1e-12
+    assert rep.sufficiency_flags["fixed_charge_sector"]
+    densities = rep.coefficients["sector_densities"]
+    assert np.array_equal(densities[1], np.broadcast_to(np.eye(2) / 4, (2, 2, 2)))
+    assert np.allclose(densities[0, 0], np.full((2, 2), 0.5), atol=1e-12)
+    assert np.allclose(densities[0, 1], 0.0, atol=1e-12)
+    flip = [np.asarray(fermion.majorana_monomial(S2, (1, 3)))]
+    rep = rc.superselection_kl_check(two_dim_code(0, 3), flip, [par.p_plus, par.p_minus])
+    assert rep.verdict == "correctable"
+    assert np.array_equal(rep.coefficients["sector_densities"][1],
+                          np.broadcast_to(np.eye(1) / 2, (2, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
 # optimal_recovery_fidelity and extraction
 
 
@@ -472,6 +580,26 @@ def test_constraint_labels_of_both_sides():
         rep = rc.verify_duality(n, m, np.eye(4) / 4, constraint)
         assert rep.recovery.constraint_set == label
         assert rep.environment.constraint_set == f"environment({label})"
+
+
+def test_fixed_algebra_environment_side_builds_the_expectation_once(monkeypatch):
+    """Both local complements and the expectation's Kraus rank share one
+    commutant and one conditional expectation."""
+    rng = np.random.default_rng(59)
+    b = alg.generate_algebra([np.asarray(PAR3.c)], 8)
+    n = ch.Channel(random_kraus(rng, 8, 8, 2))
+    m = ch.Channel(random_kraus(rng, 8, 8, 2))
+    want = rc.environment_side_fidelity(n, m, np.eye(8) / 8, rc.FixesAlgebra(b))
+    calls = {"commutant": 0, "_modules": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(alg, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(alg, name, counted)
+    got = rc.environment_side_fidelity(n, m, np.eye(8) / 8, rc.FixesAlgebra(b))
+    assert calls == {"commutant": 1, "_modules": 2}
+    assert got.value == want.value
+    assert np.array_equal(got.optimizer, want.optimizer)
 
 
 def test_local_recovery_of_factor_noise_reduces_to_factor_problem():

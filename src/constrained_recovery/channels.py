@@ -242,9 +242,14 @@ def local_complementary(c, b):
     product Kraus family, so the output space factors as the expectation's
     environment tensor the environment of ``c`` (in that order).
     """
+    return _local_complement(c, _commutant_expectation(b))
+
+
+def _commutant_expectation(b):
+    """The conditional expectation onto the commutant of the algebra ``b``."""
     from . import algebra as algebra_mod
 
-    return _local_complement(c, algebra_mod.conditional_expectation(algebra_mod.commutant(b)))
+    return algebra_mod.conditional_expectation(algebra_mod.commutant(b))
 
 
 def _local_complement(c, p):
@@ -271,11 +276,21 @@ def local_complement_defect(c, b, lc=None):
     residual is part of the defect. Returns the largest Frobenius residual
     over an orthonormal basis of ``b`` and all environment matrix units.
     """
-    from . import algebra as algebra_mod
+    p = _commutant_expectation(b)
+    return _defect(c, b, p, _local_complement(c, p) if lc is None else lc)
 
-    p = algebra_mod.conditional_expectation(algebra_mod.commutant(b))
-    if lc is None:
-        lc = _local_complement(c, p)
+
+def _checked_local_complement(c, b):
+    """:func:`local_complementary` of ``c`` for ``b`` and its
+    :func:`local_complement_defect`, from one conditional expectation."""
+    p = _commutant_expectation(b)
+    lc = _local_complement(c, p)
+    return lc, _defect(c, b, p, lc)
+
+
+def _defect(c, b, p, lc):
+    """:func:`local_complement_defect` of ``lc`` given ``p``, the
+    conditional expectation onto the commutant of ``b``."""
     k_p = p.n_kraus
     k_n = c.n_kraus
     d = c.out_dim

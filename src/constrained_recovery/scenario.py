@@ -719,8 +719,7 @@ def _run_complement(args, tol, seed):
 
 def _run_local_complement(args, tol, seed):
     chan, a = args["channel"], args["algebra"]
-    lc = channel_mod.local_complementary(chan, a)
-    defect = channel_mod.local_complement_defect(chan, a, lc)
+    lc, defect = channel_mod._checked_local_complement(chan, a)
     out = _channel_summary(lc)
     out["defect"] = float(defect)
     out["within_tol"] = bool(defect <= tol)

@@ -7,9 +7,30 @@ The solver handles problems of the form
 
 with complex Hermitian blocks treated natively and the real inner
 product ``<A, B> = Tr(A B)``.  It is a primal-dual path-following
-method with Nesterov-Todd scaling, an infeasible identity start, and a
-Mehrotra-style adaptive centering parameter.  Everything is dense and
-deterministic, aimed at blocks of a few hundred rows at most.
+method with Nesterov-Todd scaling from an infeasible identity start.
+Everything is dense and deterministic, aimed at blocks of a few hundred
+rows at most.
+
+Each iteration is Mehrotra's predictor-corrector (Mehrotra, "On the
+implementation of a primal-dual interior point method", SIAM J. Optim. 2
+(1992)) in the Nesterov-Todd frame of Todd, Toh & Tutuncu (below).  The
+predictor is the affine Newton step toward X Z = 0, with largest
+feasible step lengths alpha_p, alpha_d <= 1; its complementarity mu_aff
+gives the centering sigma = (mu_aff / mu)^3.  In the frame G below,
+G^-1 X G^-dag = G^dag Z G = D = diag(ev^(1/2)), and the corrector's
+scaled direction R = G^-1 dX G^-dag + G^dag dZ G solves
+
+    D R + R D = 2 sigma mu 1 - 2 D^2 - (M + M^dag)
+
+entrywise, where M is the product of the scaled affine directions
+G^-1 dX_aff G^-dag and G^dag dZ_aff G (:func:`_corrector`).  Without M
+this is the plain recentering step toward X Z = sigma mu 1.  Both steps
+share one Schur factorization.  The corrector's primal and dual steps
+are a fraction tau = 0.9 + 0.09 min(alpha_p, alpha_d) of the largest
+feasible ones, as in SDPT3 (Toh, Todd & Tutuncu, "SDPT3 -- a MATLAB
+software package for semidefinite programming", Optim. Methods Softw. 11
+(1999)).  ``SdpSolution.diagnostics`` keeps the last step's ``sigma``,
+``step_fraction`` (tau), ``alpha_primal`` and ``alpha_dual``.
 
 Each iteration factors every block once (:func:`_nt_scaling`): with
 X = L L^dag and L^dag Z L = V diag(ev) V^dag, the scaling W with
@@ -531,6 +552,26 @@ def _nt_scaling(x, z):
     return (w + w.conj().T) / 2.0, q @ q.conj().T, x_frame, q.conj().T
 
 
+def _corrector(x, zinv, x_frame, z_frame, dx_aff, dz_aff, sigma_mu):
+    """Right side r = G R G^dag of dX + W dZ W = r for the corrector on one
+    block, with R as in the module docstring.
+
+    ``zinv``, ``x_frame`` and ``z_frame`` are the block's :func:`_nt_scaling`
+    outputs, and ``dx_aff``, ``dz_aff`` its affine directions.  The frame is
+    read off the step frames: D^-1 = diag(x_frame z_frame^dag),
+    G^-1 = D^(1/2) x_frame and G^dag = D^(1/2) z_frame.  The part of R
+    without M maps back to sigma mu Z^-1 - X; the rest is -H with
+    H_ij = (M + M^dag)_ij / (D_i + D_j).
+    """
+    d = 1.0 / np.einsum("ij,ij->i", x_frame, z_frame.conj()).real
+    root = np.sqrt(d)[:, None]
+    g_inv = root * x_frame
+    g_dag = root * z_frame
+    m = (g_inv @ dx_aff @ g_inv.conj().T) @ (g_dag @ dz_aff @ g_dag.conj().T)
+    h = (m + m.conj().T) / (d[:, None] + d[None, :])
+    return sigma_mu * zinv - x - g_dag.conj().T @ h @ g_dag
+
+
 def _max_step(frame, delta):
     """Largest t with X + t*delta >= 0, where frame X frame^dag = 1."""
     s = frame @ delta @ frame.conj().T
@@ -597,7 +638,6 @@ def solve(problem, tol=1e-7, max_iter=200):
     status = "max_iter"
     it = 0
     stall = 0
-    tau = 0.98
     pobj = dobj = 0.0
     rel_gap = p_res = d_res = np.inf
 
@@ -665,9 +705,11 @@ def solve(problem, tol=1e-7, max_iter=200):
             for b in range(len(dims))
         ) / n_total
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 0.0, 1.0))
+        tau = 0.9 + 0.09 * min(ap, ad)
 
-        # corrector: recentered step reusing the same factorization
-        r_nt = [sigma * mu * zinv[b] - x[b] for b in range(len(dims))]
+        # corrector: recentered second-order step reusing the same factorization
+        r_nt = [_corrector(x[b], zinv[b], x_frames[b], z_frames[b], dx_aff[b], dz_aff[b],
+                           sigma * mu) for b in range(len(dims))]
         dy = (np.linalg.solve(schur_j, r_p - operator(r_nt) + a_wrdw)
               if m else np.zeros(0))
         aty_c = adjoint(dy)
@@ -678,6 +720,7 @@ def solve(problem, tol=1e-7, max_iter=200):
             dx.append((t + t.conj().T) / 2.0)
         ap = min(1.0, tau * min(_max_step(x_frames[b], dx[b]) for b in range(len(dims))))
         ad = min(1.0, tau * min(_max_step(z_frames[b], dz[b]) for b in range(len(dims))))
+        diagnostics.update(sigma=sigma, step_fraction=tau, alpha_primal=ap, alpha_dual=ad)
         if ap < 1e-10 and ad < 1e-10:
             stall += 1
             if stall >= 2:

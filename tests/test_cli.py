@@ -697,6 +697,21 @@ def test_local_complement_one_shot_defaults_to_the_only_algebra(tmp_path, capsys
     assert "--algebra is required" in capsys.readouterr().err
 
 
+def test_local_complement_task_builds_the_expectation_once(monkeypatch):
+    from constrained_recovery import algebra as alg
+
+    task = dict(CHANNEL, variant="local-complement", algebra="diagonal")
+    scenario = sc.load_scenario(qubit_scenario([task]))
+    want = sc.run_scenario(scenario)["tasks"][0]
+    calls = []
+    inner = alg.conditional_expectation
+    monkeypatch.setattr(alg, "conditional_expectation",
+                        lambda *a, **k: calls.append(a) or inner(*a, **k))
+    got = sc.run_scenario(scenario)["tasks"][0]
+    assert len(calls) == 1
+    assert got["completed"] and got["output"] == want["output"]
+
+
 # ---------------------------------------------------------------------------
 # demo
 

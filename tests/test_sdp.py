@@ -340,9 +340,14 @@ def test_dependent_row_with_inconsistent_rhs_is_infeasible():
 S2 = fermion.FermionSystem(2)
 PARITY2 = np.asarray(fermion.parity_operator(S2, (1, 2, 3, 4)).c)
 PARITY_ALGEBRA = alg.generate_algebra([PARITY2], 4)
-# what the solver gave with Gram-Schmidt row reduction and the einsum builder
-FROZEN_FIXES_ALGEBRA_ITERATIONS = 18
-FROZEN_FIXES_ALGEBRA_VALUE = 0.5458951079673856
+# what the solver gives with the Mehrotra corrector at tol=1e-7; these
+# pin its path, while the tol=1e-10 checks below compare with the optimum
+FROZEN_FIXES_ALGEBRA_ITERATIONS = 9
+FROZEN_FIXES_ALGEBRA_VALUE = 0.5458951748449699
+# tol=1e-10 values and iteration counts of the recentering-only solver
+# with a fixed step fraction of 0.98, the path these tests pinned before
+TIGHT_FIXES_ALGEBRA_ITERATIONS = 24
+TIGHT_FIXES_ALGEBRA_VALUE = 0.5458952023611481
 
 
 def test_fixes_algebra_solve_iterations_are_frozen():
@@ -359,45 +364,55 @@ def test_fixes_algebra_solve_iterations_are_frozen():
     assert sol.diagnostics["rows_kept"] < sol.diagnostics["rows"]
     assert sol.iterations == FROZEN_FIXES_ALGEBRA_ITERATIONS
     assert abs(sol.value - FROZEN_FIXES_ALGEBRA_VALUE) < 1e-9
+    tight = sdp.solve(prob, tol=1e-10)
+    assert tight.status == "optimal"
+    assert tight.iterations <= TIGHT_FIXES_ALGEBRA_ITERATIONS
+    assert abs(tight.value - TIGHT_FIXES_ALGEBRA_VALUE) < 1e-9
 
 
-def _rectangular_fidelity():
+def _rectangular_fidelity(tol=1e-7):
     rng = np.random.default_rng(71)
     n = ch.Channel(random_kraus(rng, 2, 2, 2))
     m = ch.Channel(random_kraus(rng, 3, 2, 2))
-    return rc.optimal_recovery_fidelity(n, m, random_density(rng, 2))
+    return rc.optimal_recovery_fidelity(n, m, random_density(rng, 2), tol=tol)
 
 
-def _physical_fidelity():
+def _physical_fidelity(tol=1e-7):
     rng = np.random.default_rng(73)
     dephase = ch.Channel([np.eye(4) / np.sqrt(2), PARITY2 / np.sqrt(2)])
     n = random_physical_channel(rng, PARITY2)
     m = random_physical_channel(rng, PARITY2, 2)
     return rc.optimal_recovery_fidelity(
-        n, m, np.eye(4) / 4, rc.Physical(dephase, dephase))
+        n, m, np.eye(4) / 4, rc.Physical(dephase, dephase), tol=tol)
 
 
-def _environment_fixes_algebra_fidelity():
+def _environment_fixes_algebra_fidelity(tol=1e-7):
     # the corpus of test_link_rows_match_definition_environment_fixes_algebra,
     # whose link problem has left_dim > 1
     rng = np.random.default_rng(83)
     n = ch.Channel(random_kraus(rng, 4, 4, 3))
     m = ch.Channel(random_kraus(rng, 4, 4, 2))
     return rc.environment_side_fidelity(
-        n, m, np.eye(4) / 4, rc.FixesAlgebra(PARITY_ALGEBRA))
+        n, m, np.eye(4) / 4, rc.FixesAlgebra(PARITY_ALGEBRA), tol=tol)
 
 
-# iterations and values from the solver with eigh-based Nesterov-Todd scaling
-@pytest.mark.parametrize("run, iterations, value", [
-    (_rectangular_fidelity, 15, 0.9198380499819996),
-    (_physical_fidelity, 18, 0.807228842572417),
-    (_environment_fixes_algebra_fidelity, 16, 0.6250052236567352),
+# iterations and values at tol=1e-7 from the solver with the Mehrotra
+# corrector, then the tol=1e-10 iterations and values of the solver before it
+@pytest.mark.parametrize("run, iterations, value, tight_iterations, tight_value", [
+    (_rectangular_fidelity, 9, 0.9198380973997116, 22, 0.9198381301278888),
+    (_physical_fidelity, 9, 0.8072288506274594, 24, 0.8072289001478333),
+    (_environment_fixes_algebra_fidelity, 9, 0.6250052179017285, 22, 0.6250053080004165),
 ], ids=["rectangular", "physical", "environment-fixes-algebra"])
-def test_fidelity_solve_iterations_are_frozen(run, iterations, value):
+def test_fidelity_solve_iterations_are_frozen(run, iterations, value, tight_iterations,
+                                              tight_value):
     res = run()
     assert res.status == "optimal"
     assert res.iterations == iterations
     assert abs(res.value - value) < 1e-9
+    tight = run(tol=1e-10)
+    assert tight.status == "optimal"
+    assert tight.iterations <= tight_iterations
+    assert abs(tight.value - tight_value) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +466,40 @@ def test_max_step_matches_the_eigh_step():
             assert np.linalg.eigvalsh(mat + step * delta)[0] > -1e-9 * np.linalg.norm(mat)
             # a direction that never leaves the cone gives no bound
             assert sdp._max_step(frame, delta @ delta) == 1e16
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_corrector_solves_the_scaled_complementarity_equation(d):
+    rng = np.random.default_rng(110 + d)
+    x, z = random_pd(rng, d), random_pd(rng, d)
+    dx, dz = random_hermitian(rng, d), random_hermitian(rng, d)
+    sigma_mu = 0.3
+    _, zinv, x_frame, z_frame = sdp._nt_scaling(x, z)
+    # the frame from its definition: G = L V ev^-1/4 and D = ev^1/2
+    low = np.linalg.cholesky(x)
+    ev, v = np.linalg.eigh(low.conj().T @ z @ low)
+    g = (low @ v) * ev**-0.25
+    g_inv = np.linalg.inv(g)
+    diag = ev**0.5
+    # without the second-order term, the recentering step
+    no_second_order = sdp._corrector(x, zinv, x_frame, z_frame, dx, np.zeros((d, d)),
+                                     sigma_mu)
+    assert rel_err(no_second_order, sigma_mu * np.linalg.inv(z) - x) < 1e-12
+    r = sdp._corrector(x, zinv, x_frame, z_frame, dx, dz, sigma_mu)
+    big_r = g_inv @ r @ g_inv.conj().T
+    m = (g_inv @ dx @ g_inv.conj().T) @ (g.conj().T @ dz @ g)
+    rhs = 2.0 * sigma_mu * np.eye(d) - 2.0 * np.diag(diag**2) - (m + m.conj().T)
+    assert rel_err(diag[:, None] * big_r + big_r * diag[None, :], rhs) < 1e-12
+
+
+def test_diagnostics_report_the_last_step():
+    rng = np.random.default_rng(19)
+    sol = sdp.solve(rc.build_state_fidelity_sdp(random_density(rng, 3),
+                                                random_density(rng, 3)))
+    assert sol.status == "optimal"
+    for key in ("sigma", "step_fraction", "alpha_primal", "alpha_dual"):
+        assert 0.0 <= sol.diagnostics[key] <= 1.0
+    assert 0.9 <= sol.diagnostics["step_fraction"] <= 0.99
 
 
 def test_lost_definiteness_ends_the_solve_with_a_reason(monkeypatch):

@@ -413,6 +413,16 @@ class Physical:
     ``p`` and ``q`` are idempotent channels (typically charge dephasing);
     the optimum over such maps equals an unconstrained optimum over the
     channels composed with them, which is how the builder encodes it.
+
+    When each of ``q`` and ``p`` has a parity involution U (from the two
+    minimal central projectors of the algebra its Kraus operators
+    generate, U = P_+ - P_-) with Ad_U . q = q and Ad_U . p = p, the
+    states that r links are invariant under Ad_U.  Twirling r over
+    {1, U} then does not lower the fidelity, which is concave in r, so
+    some optimal r has Kraus operators of definite parity.  The recovery
+    SDP is solved in two PSD blocks, even and odd operators (d^2/2 each
+    for balanced sectors), instead of one of d^2 (Gatermann & Parrilo,
+    JPAA 192 (2004)).  The environment side keeps one block.
     """
 
     p: Channel
@@ -500,79 +510,94 @@ class _LinkPlan:
     """A fidelity SDP plus the data needed to read the optimizer back."""
 
     problem: sdp.SdpProblem
-    op_basis: np.ndarray | None
+    op_bases: list
     act_out: int
     act_in: int
     sigma_support: np.ndarray
 
     def choi(self, solution):
-        """Process matrix of the optimized channel, on out (x) in."""
-        j_small = solution.block_values[0]
-        if self.op_basis is None:
-            return j_small
-        qv = self.op_basis.reshape(self.op_basis.shape[0], -1).T
-        return qv @ j_small @ qv.conj().T
+        """Process matrix of the optimized channel, on out (x) in: the sum
+        of Q_b J_b Q_b^dag over the operator blocks, where Q_b's columns
+        are vec(B_u) of block b's basis (the identity for ``None``)."""
+        out = 0
+        for basis, j in zip(self.op_bases, solution.block_values):
+            if basis is not None:
+                qv = basis.reshape(basis.shape[0], -1).T
+                j = qv @ j @ qv.conj().T
+            out = out + j
+        return out
+
+
+def _checked_basis(ops, act_out, act_in):
+    ops = np.asarray(ops, dtype=complex)
+    if ops.ndim != 3 or ops.shape[1:] != (act_out, act_in):
+        raise ValueError(
+            f"operator basis must have shape (*, {act_out}, {act_in})"
+        )
+    gram = ops.reshape(ops.shape[0], -1).conj() @ ops.reshape(ops.shape[0], -1).T
+    if np.linalg.norm(gram - np.eye(ops.shape[0])) > 1e-8:
+        raise ValueError("operator basis is not orthonormal")
+    return ops
 
 
 def _build_link_problem(eta, sigma, left_dim, act_in, act_out, ref_dim,
-                        op_basis=None):
+                        op_bases=(None,)):
     """Fidelity between a fixed state and a channel-parameterized one.
 
     ``eta`` is the state of left (x) act_in (x) ref before the optimized
     channel acts on the middle factor; ``sigma`` is the fixed comparison
-    state on left (x) act_out (x) ref.  ``op_basis``, when given, is an
-    orthonormal (vec inner product) family of act_out x act_in operators
-    spanning the allowed Kraus space; the process matrix is
-    parameterized in that basis, which keeps the feasible set exactly
-    the constrained channels while preserving strict feasibility.
+    state on left (x) act_out (x) ref.  ``op_bases`` holds one orthonormal
+    (vec inner product) family of act_out x act_in operators per PSD
+    block, ``None`` for all operators; the families must be mutually
+    orthogonal.  The process matrix is parameterized as the sum of one
+    block per family, which keeps the feasible set exactly the channels
+    whose Kraus operators each lie in one family, while preserving strict
+    feasibility.  Every row family has one term per operator block, and
+    the y block holding the fidelity's 2 x 2 block matrix comes last.
     """
     d_eta = left_dim * act_in * ref_dim
     eta = linalg.as_hermitian(eta, "eta", dim=d_eta)
     sigma = linalg.as_hermitian(sigma, "sigma", dim=left_dim * act_out * ref_dim)
-    if op_basis is None:
-        ops = np.eye(act_out * act_in, dtype=complex).reshape(-1, act_out, act_in)
-    else:
-        ops = np.asarray(op_basis, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1:] != (act_out, act_in):
-            raise ValueError(
-                f"operator basis must have shape (*, {act_out}, {act_in})"
-            )
-        gram = ops.reshape(ops.shape[0], -1).conj() @ ops.reshape(ops.shape[0], -1).T
-        if np.linalg.norm(gram - np.eye(ops.shape[0])) > 1e-8:
-            raise ValueError("operator basis is not orthonormal")
-    n_ops = ops.shape[0]
+    bases = [None if ops is None else _checked_basis(ops, act_out, act_in)
+             for ops in op_bases]
 
     q_sigma = _support_isometry(sigma)
     r = q_sigma.shape[1]
     sigma_c = q_sigma.conj().T @ sigma @ q_sigma
-
-    # ops_cols[i, (u, j)] = B_u[i, j]
-    ops_cols = ops.transpose(1, 0, 2).reshape(act_out, n_ops * act_in)
-    # g[(u, p), :] = row p of Q^dag (1 (x) B_u (x) 1), every u in one matmul
+    y_dim = 2 * r
     q_dag = q_sigma.conj().T.reshape(r, left_dim, act_out, ref_dim)
-    g = q_dag.transpose(0, 1, 3, 2).reshape(-1, act_out) @ ops_cols
-    g = g.reshape(r, left_dim, ref_dim, n_ops, act_in)
-    g = g.transpose(3, 0, 1, 4, 2).reshape(n_ops * r, d_eta)
+    q_dag = q_dag.transpose(0, 1, 3, 2).reshape(-1, act_out)
     # eta = V V^dag over its eigenvalues above rounding
     w, v = np.linalg.eigh(eta)
     keep = w > w.size * np.finfo(float).eps * max(float(w[-1]), 0.0)
-    gv = (g @ (v[:, keep] * np.sqrt(w[keep]))).reshape(n_ops, r, -1)
-    y_dim = 2 * r
-    rows = [
+    root = v[:, keep] * np.sqrt(w[keep])
+
+    trace_terms, link_terms = [], []
+    for b, basis in enumerate(bases):
+        ops = (np.eye(act_out * act_in, dtype=complex).reshape(-1, act_out, act_in)
+               if basis is None else basis)
+        n_ops = ops.shape[0]
+        # ops_cols[i, (u, j)] = B_u[i, j]
+        ops_cols = ops.transpose(1, 0, 2).reshape(act_out, n_ops * act_in)
+        # g[(u, p), :] = row p of Q^dag (1 (x) B_u (x) 1), every u in one matmul
+        g = (q_dag @ ops_cols).reshape(r, left_dim, ref_dim, n_ops, act_in)
+        g = g.transpose(3, 0, 1, 4, 2).reshape(n_ops * r, d_eta)
+        gv = (g @ root).reshape(n_ops, r, -1)
         # trace preservation of the optimized channel: K^dag (1_out (x) h) K,
         # K's columns vec(B_u)
-        sdp.RowFamily(act_in, [
-            (0, None if op_basis is None else ops.reshape(n_ops, -1).conj(), 1.0)
-        ]),
-        # the top-left corner of the fidelity block equals the channel output,
-        # Tr_k of (Q^dag (1 (x) B_u (x) 1) V_k)(...)^dag against h:
+        trace_terms.append(
+            (b, None if basis is None else ops.reshape(n_ops, -1).conj(), 1.0))
+        # the block's share of the channel output, Tr_k of
+        # (Q^dag (1 (x) B_u (x) 1) V_k)(...)^dag against h:
         # L[u, (k, p)] = conj((g V)[(u, p), k])
-        sdp.RowFamily(r, [
-            (0, gv.conj().transpose(0, 2, 1).reshape(n_ops, -1), -1.0),
-            (1, np.eye(y_dim, r), 1.0),
-        ]),
+        link_terms.append((b, gv.conj().transpose(0, 2, 1).reshape(n_ops, -1), -1.0))
+    y = len(bases)
+    rows = [
+        sdp.RowFamily(act_in, trace_terms),
+        # the top-left corner of the fidelity block equals the channel output
+        sdp.RowFamily(r, link_terms + [(y, np.eye(y_dim, r), 1.0)]),
         # the bottom-right corner is pinned to the fixed state
-        sdp.RowFamily(r, [(1, np.eye(y_dim, r, -r), 1.0)]),
+        sdp.RowFamily(r, [(y, np.eye(y_dim, r, -r), 1.0)]),
     ]
     rhs = np.concatenate([
         np.trace(linalg.hermitian_basis(act_in), axis1=1, axis2=2).real,
@@ -582,21 +607,70 @@ def _build_link_problem(eta, sigma, left_dim, act_in, act_out, ref_dim,
     c_y = np.zeros((y_dim, y_dim), dtype=complex)
     c_y[:r, r:] = np.eye(r) / 2.0
     c_y[r:, :r] = np.eye(r) / 2.0
-    problem = sdp.SdpProblem([n_ops, y_dim], [None, c_y], rows, rhs, sense="max")
+    dims = [act_out * act_in if ops is None else ops.shape[0] for ops in bases]
+    problem = sdp.SdpProblem(dims + [y_dim], [None] * y + [c_y], rows, rhs,
+                             sense="max")
     return _LinkPlan(
         problem=problem,
-        op_basis=None if op_basis is None else ops,
+        op_bases=bases,
         act_out=act_out,
         act_in=act_in,
         sigma_support=q_sigma,
     )
 
 
+def _parity_sectors(channel):
+    """Eigenvectors (V_+, V_-) of the channel's parity involution, or None.
+
+    The involution is U = P_+ - P_- for the two minimal central projectors
+    of the algebra the Kraus operators generate; it is kept only when
+    Ad_U . channel = channel, checked on Choi matrices within 1e-10, so
+    the answer depends on the channel and not on its Kraus form.
+    """
+    d = channel.out_dim
+    if channel.in_dim != d:
+        return None
+    projectors = algebra_mod.minimal_central_projectors(
+        algebra_mod.generate_algebra(channel.kraus, d))
+    if len(projectors) != 2:
+        return None
+    u = projectors[0] - projectors[1]
+    moved = Channel(u @ channel._stack, check=False)
+    if np.linalg.norm(moved.choi - channel.choi) > 1e-10:
+        return None
+    w, v = np.linalg.eigh(u)
+    return v[:, w > 0], v[:, w < 0]
+
+
+def _parity_bases(p, q):
+    """Even and odd operator bases for the recovery r of ``Physical(p, q)``.
+
+    With V_s the sector eigenvectors of the output involution (from ``p``)
+    and V_s' those of the input involution (from ``q``), the even basis is
+    every V_s e_ij V_s'^dag with s = s', the odd one with s != s'.  Returns
+    ``[None]``, one block of all operators, unless both channels have a
+    parity involution.
+    """
+    out = _parity_sectors(p)
+    inp = out if q is p else _parity_sectors(q)
+    if out is None or inp is None:
+        return [None]
+
+    def span(a, b):
+        return np.einsum("ai,bj->ijab", a, b.conj()).reshape(-1, a.shape[0], b.shape[0])
+
+    (op, om), (ip, im) = out, inp
+    return [np.concatenate([span(op, ip), span(om, im)]),
+            np.concatenate([span(op, im), span(om, ip)])]
+
+
 def _link_plan(n, m, rho, constraint, environment):
     """The fidelity SDP of one side of the duality at ``rho``.
 
     The recovery side links r . n to m over recoveries r whose Kraus
-    operators span all operators, or the commutant of a fixed algebra.
+    operators span all operators, or the commutant of a fixed algebra,
+    or (for :class:`Physical` with parity-invariant p and q) the even and
+    odd operators in two blocks.
     The environment side links the complement of m to that of n; under
     :class:`FixesAlgebra` these are the local complements, and the
     processing acts beyond their first factor, of the conditional
@@ -618,11 +692,13 @@ def _link_plan(n, m, rho, constraint, environment):
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise ValueError("rho must have unit trace")
     psi = _purification(rho)
-    src, dst, left, ops, finish = n, m, 1, None, None
+    src, dst, left, bases, finish = n, m, 1, [None], None
     if isinstance(constraint, Physical):
         p, q = constraint.p, constraint.q
         src, dst = channels_mod.compose(q, n), channels_mod.compose(p, m)
         finish = lambda r: channels_mod.compose(p, channels_mod.compose(r, q))  # noqa: E731
+        if not environment:
+            bases = _parity_bases(p, q)
     if isinstance(constraint, FixesAlgebra):
         b = constraint.algebra
         if n.out_dim != m.out_dim or b.ambient_dim != n.out_dim:
@@ -633,7 +709,7 @@ def _link_plan(n, m, rho, constraint, environment):
             dst = channels_mod._local_complement(n, p)
             left = p.n_kraus
         else:
-            ops = np.stack(algebra_mod.commutant(b).basis)
+            bases = [np.stack(algebra_mod.commutant(b).basis)]
     elif environment:
         src, dst = channels_mod.complementary(dst), channels_mod.complementary(src)
     if environment:
@@ -643,7 +719,7 @@ def _link_plan(n, m, rho, constraint, environment):
     plan = _build_link_problem(
         _state_after(src, psi), _state_after(dst, psi), left_dim=left,
         act_in=src.out_dim // left, act_out=dst.out_dim // left,
-        ref_dim=psi.shape[1], op_basis=ops,
+        ref_dim=psi.shape[1], op_bases=bases,
     )
     return plan, label, finish
 

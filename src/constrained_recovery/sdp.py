@@ -389,14 +389,18 @@ def _reduce_rows(a_svec, rhs, feas_tol=1e-8):
     """Select an independent subset of rows; detect inconsistency.
 
     Returns (kept_indices, reason); ``reason`` is None unless the
-    dropped rows contradict the kept ones.
+    dropped rows contradict the kept ones.  A dropped row of norm at most
+    1e-10 (never a candidate for keeping) implies a zero right-hand side
+    with no fit; the others are fitted by the kept rows.
     """
     kept = _independent_rows(a_svec, tol=1e-10)
     dropped = np.setdiff1d(np.arange(a_svec.shape[0]), kept)
     if dropped.size:
-        basis = a_svec[kept]
-        coef, *_ = np.linalg.lstsq(basis.T, a_svec[dropped].T, rcond=None)
-        implied = coef.T @ rhs[kept]
+        implied = np.zeros(dropped.size)
+        fit = np.linalg.norm(a_svec[dropped], axis=1) > 1e-10
+        if fit.any():
+            coef, *_ = np.linalg.lstsq(a_svec[kept].T, a_svec[dropped[fit]].T, rcond=None)
+            implied[fit] = coef.T @ rhs[kept]
         worst = float(np.max(np.abs(implied - rhs[dropped])))
         if worst > feas_tol * (1.0 + float(np.max(np.abs(rhs)))):
             return kept, (f"constraint rows are linearly dependent with "
@@ -588,7 +592,8 @@ def solve(problem, tol=1e-7, max_iter=200):
     relative gap and both feasibility residuals fall below ``tol``,
     "infeasible" when the constraint rows are inconsistent or the
     iterates diverge, and "max_iter" otherwise (with the reason in
-    ``diagnostics``).
+    ``diagnostics``).  ``diagnostics`` also records the problem's
+    ``block_dims`` and its row counts before and after the row reduction.
     """
     dims = problem.block_dims
     sign = 1.0 if problem.sense == "min" else -1.0
@@ -598,7 +603,8 @@ def solve(problem, tol=1e-7, max_iter=200):
 
     kept, reason = _reduce_rows(a_svec, rhs_full)
     in_family = int(np.count_nonzero(_family_mask(problem)[kept]))
-    diagnostics = {"rows": int(rhs_full.size), "rows_kept": int(kept.size),
+    diagnostics = {"block_dims": list(dims),
+                   "rows": int(rhs_full.size), "rows_kept": int(kept.size),
                    "family_rows": in_family, "dense_rows": int(kept.size) - in_family}
     if reason is not None:
         diagnostics["reason"] = reason

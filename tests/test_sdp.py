@@ -9,6 +9,7 @@ from constrained_recovery import channels as ch
 from constrained_recovery import fermion
 from constrained_recovery import linalg
 from constrained_recovery import recovery as rc
+from constrained_recovery import scenario
 from constrained_recovery import sdp
 from helpers import (
     random_density,
@@ -550,14 +551,15 @@ def first_link_plan(monkeypatch, run):
 
 
 def definition_rows(args, q):
-    """Constraint rows and rhs of a link problem, entry by entry."""
+    """Constraint rows and rhs of a one-block link problem, entry by entry."""
     left, act_in, act_out, ref = (
         args["left_dim"], args["act_in"], args["act_out"], args["ref_dim"]
     )
-    if args["op_basis"] is None:
+    (basis,) = args["op_bases"]
+    if basis is None:
         ops = np.eye(act_out * act_in, dtype=complex).reshape(-1, act_out, act_in)
     else:
-        ops = np.asarray(args["op_basis"], dtype=complex)
+        ops = np.asarray(basis, dtype=complex)
     eta = np.asarray(args["eta"], dtype=complex)
     sigma = np.asarray(args["sigma"], dtype=complex)
     r = q.shape[1]
@@ -589,8 +591,10 @@ def definition_rows(args, q):
 def assert_plan_matches_definition(args, plan):
     q = plan.sigma_support
     assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) < 1e-12
-    rows, rhs = definition_rows(args, q)
-    prob = plan.problem
+    assert_rows_match(plan.problem, *definition_rows(args, q))
+
+
+def assert_rows_match(prob, rows, rhs):
     assert prob.n_constraints == len(rows)
     assert np.max(np.abs(prob.rhs - np.array(rhs))) < 1e-12
     for got, want in zip(prob.constraints, rows):
@@ -622,7 +626,25 @@ def test_link_rows_match_definition_physical(monkeypatch):
         monkeypatch,
         lambda: rc.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint),
     )
-    assert_plan_matches_definition(args, plan)
+    q = plan.sigma_support
+    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) < 1e-12
+    # the even and odd operators, together an orthonormal basis of all 4 x 4
+    bases = args["op_bases"]
+    assert [len(b) for b in bases] == [8, 8]
+    for basis, sign in zip(bases, (1.0, -1.0)):
+        assert np.max(np.abs(PARITY2 @ basis @ PARITY2 - sign * basis)) < 1e-12
+    lifts = [b.reshape(len(b), -1).T for b in bases]
+    whole = np.concatenate(lifts, axis=1)
+    assert np.max(np.abs(whole.conj().T @ whole - np.eye(16))) < 1e-12
+    # each block's rows are Q_b^dag A Q_b of the one-block rows A over all
+    # operators, Q_b's columns vec of the block's basis
+    rows, rhs = definition_rows({**args, "op_bases": [None]}, q)
+    compressed = [
+        [None if row[0] is None else lift.conj().T @ row[0] @ lift for lift in lifts]
+        + [row[1]]
+        for row in rows
+    ]
+    assert_rows_match(plan.problem, compressed, rhs)
 
 
 def test_link_rows_match_definition_fixes_algebra(monkeypatch):
@@ -634,7 +656,7 @@ def test_link_rows_match_definition_fixes_algebra(monkeypatch):
         monkeypatch,
         lambda: rc.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint),
     )
-    assert args["op_basis"] is not None
+    assert args["op_bases"][0] is not None
     assert_plan_matches_definition(args, plan)
 
 
@@ -836,5 +858,124 @@ def test_loaded_fixes_algebra_problem_solves_densely_alike(tmp_path):
     assert dense.diagnostics["dense_rows"] == dense.diagnostics["rows_kept"]
     assert family.diagnostics["dense_rows"] == 0
     assert family.diagnostics["rows_kept"] == dense.diagnostics["rows_kept"]
+    assert dense.iterations == family.iterations
+    assert abs(dense.value - family.value) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Physical recovery SDPs in two parity blocks
+
+
+PARITY3 = np.asarray(fermion.parity_operator(fermion.FermionSystem(3), tuple(range(1, 7))).c)
+# what the one-block builder gives on the two cases below that have no split
+NO_SPLIT_FROZEN = {"non-invariant-q": (10, 0.9298841445928623),
+                   "three-sector-pinching": (9, 0.7634418273131987)}
+
+
+def dephasing(c):
+    d = c.shape[0]
+    return ch.Channel([np.eye(d) / np.sqrt(2), c / np.sqrt(2)])
+
+
+def physical_corpus(case):
+    """Noise, target, state, constraint and parity of a Physical solve."""
+    if case == "d4":
+        # the corpus of the frozen physical solve
+        rng = np.random.default_rng(73)
+        n = random_physical_channel(rng, PARITY2)
+        m = random_physical_channel(rng, PARITY2, 2)
+        return n, m, np.eye(4) / 4, rc.Physical(dephasing(PARITY2), dephasing(PARITY2)), PARITY2
+    rng = np.random.default_rng(139)
+    n = random_physical_channel(rng, PARITY3, 2)
+    m = random_physical_channel(rng, PARITY3, 2)
+    pq = dephasing(PARITY3)
+    return n, m, random_density(rng, 8), rc.Physical(pq, pq), PARITY3
+
+
+@pytest.mark.parametrize("case", ["d4", "d8"])
+def test_split_and_one_block_solves_agree(monkeypatch, case):
+    n, m, rho, constraint, parity = physical_corpus(case)
+    d = parity.shape[0]
+    build = rc._build_link_problem
+    args, split = first_link_plan(
+        monkeypatch, lambda: rc.build_recovery_fidelity_sdp(n, m, rho, constraint))
+    # the same eta and sigma in one block over all operators
+    one = build(**{**args, "op_bases": [None]})
+    r = split.sigma_support.shape[1]
+    assert split.problem.block_dims == [d * d // 2, d * d // 2, 2 * r]
+    assert one.problem.block_dims == [d * d, 2 * r]
+    for tol in (1e-7, 1e-10):
+        sol_split = sdp.solve(split.problem, tol=tol)
+        sol_one = sdp.solve(one.problem, tol=tol)
+        assert sol_split.status == sol_one.status == "optimal"
+        assert sol_split.iterations == sol_one.iterations
+        assert abs(sol_split.value - sol_one.value) < 1e-9
+    # the reassembled process matrix is parity covariant and trace preserving
+    choi = split.choi(sol_split)
+    sym = np.kron(parity, parity.conj())
+    assert np.linalg.norm(sym @ choi - choi @ sym) < 1e-10 * np.linalg.norm(choi)
+    out_traced = np.einsum("aiaj->ij", choi.reshape(d, d, d, d))
+    assert np.linalg.norm(out_traced - np.eye(d)) < 1e-8
+    # the fidelity of the extracted channel, without the SDP
+    rec = ch.channel_from_choi(choi, d, d, renormalize=True)
+    value = ch.entanglement_fidelity(ch.compose(rec, ch.compose(constraint.q, n)),
+                                     ch.compose(constraint.p, m), rho)
+    assert abs(value - sol_split.value) < 1e-7
+
+
+@pytest.mark.parametrize("kind", ["parity_dephasing", "parity_measurement"])
+def test_parity_blocks_come_from_the_channel(kind):
+    # the same channel from two Kraus forms, {1, P} / sqrt(2) and {P_+, P_-}
+    pq = scenario._build_channel("p", {"kind": kind}, 4, S2)
+    assert np.linalg.norm(pq.choi - dephasing(PARITY2).choi) < 1e-12
+    n, m, rho, _, _ = physical_corpus("d4")
+    sol = sdp.solve(rc.build_recovery_fidelity_sdp(n, m, rho, rc.Physical(pq, pq)))
+    r = sol.diagnostics["block_dims"][-1] // 2
+    assert sol.diagnostics["block_dims"] == [8, 8, 2 * r]
+    assert sol.iterations == 9
+    assert abs(sol.value - 0.8072288506274594) < 1e-9
+
+
+def no_split_case(case):
+    one = np.eye(4)
+    if case == "non-invariant-q":
+        # q = Ad_V with V = P_+ + i P_-: its Kraus operator generates the parity
+        # algebra, but Ad_P . q != q
+        rng = np.random.default_rng(131)
+        n = random_physical_channel(rng, PARITY2)
+        m = random_physical_channel(rng, PARITY2, 2)
+        v = (one + PARITY2) / 2 + 1j * (one - PARITY2) / 2
+        return n, m, rc.Physical(dephasing(PARITY2), ch.Channel([v]))
+    rng = np.random.default_rng(137)
+    n = ch.Channel(random_kraus(rng, 4, 4, 3))
+    m = ch.Channel(random_kraus(rng, 4, 4, 2))
+    pinch = ch.Channel([np.diag(x) for x in ([1.0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0])])
+    return n, m, rc.Physical(pinch, pinch)
+
+
+@pytest.mark.parametrize("case", sorted(NO_SPLIT_FROZEN))
+def test_no_split_without_a_parity_involution(case):
+    n, m, constraint = no_split_case(case)
+    prob = rc.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint)
+    assert len(prob.block_dims) == 2 and prob.block_dims[0] == 16
+    res = rc.optimal_recovery_fidelity(n, m, np.eye(4) / 4, constraint)
+    assert res.status == "optimal"
+    assert (res.iterations, res.value) == NO_SPLIT_FROZEN[case]
+
+
+def test_split_problem_reports_blocks_and_round_trips(tmp_path):
+    n, m, rho, constraint, _ = physical_corpus("d4")
+    prob = rc.build_recovery_fidelity_sdp(n, m, rho, constraint)
+    family = sdp.solve(prob)
+    r = prob.block_dims[-1] // 2
+    assert family.diagnostics["block_dims"] == [8, 8, 2 * r]
+    path = tmp_path / "physical.json"
+    sdp.dump_problem(prob, path)
+    loaded = sdp.load_problem(path)
+    assert loaded.families == [] and loaded.block_dims == prob.block_dims
+    dense = sdp.solve(loaded)
+    assert dense.status == family.status == "optimal"
+    assert dense.diagnostics["block_dims"] == [8, 8, 2 * r]
+    assert dense.diagnostics["dense_rows"] == dense.diagnostics["rows_kept"]
     assert dense.iterations == family.iterations
     assert abs(dense.value - family.value) < 1e-9

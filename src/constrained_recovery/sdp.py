@@ -64,8 +64,12 @@ where Hm_c stacks vec(h_j).  That is one GEMM of c_f c_g x a_f a_g x
 c_f c_g instead of c^2 products of block size, the partial-trace
 reduction of structured rows in Fujisawa, Kojima & Nakata, "Exploiting
 sparsity in primal-dual interior-point methods for semidefinite
-programming", Math. Prog. 79 (1997).  A problem stores the dense rows of
-its families as well, so every row reads the same in either form.
+programming", Math. Prog. 79 (1997).  A problem keeps its families as
+families: :func:`solve` writes its one real row matrix straight from them,
+and ``SdpProblem.constraints`` writes the dense rows only on request.  The
+rows 1_a (x) h_j of an identity lift are mutually orthogonal, so a problem
+that opens with such a family row-reduces with a QR of the later rows'
+residuals alone.
 
 The module knows nothing of channels: the fidelity problems are built in
 :mod:`.recovery`.  Problems can be written to and read from JSON files
@@ -93,7 +97,10 @@ __all__ = [
 ]
 
 _TRIU_CACHE = {}
+_IDENTITY_COLUMNS_CACHE = {}
 _ROOT2 = np.sqrt(2.0)
+# matrix entries per chunk of rows in :func:`_row_norms` (16 MB of float64)
+_NORM_CHUNK = 1 << 21
 
 
 def _triu(d):
@@ -146,7 +153,10 @@ def _contract_basis(basis, t):
     n, d = t.shape[:2]
     out = basis.reshape(d * d, d * d) @ t.transpose(1, 3, 0, 2).reshape(d * d, n * n)
     out = out.reshape(d * d, n, n)
-    return (out + out.conj().transpose(0, 2, 1)) / 2.0
+    # in place, so that one copy (the conjugate) exists besides the result
+    out += out.conj().transpose(0, 2, 1)
+    out /= 2.0
+    return out
 
 
 class RowFamily:
@@ -171,33 +181,48 @@ class RowFamily:
     def __len__(self):
         return self.dim * self.dim
 
-    def stacks(self, block_dims):
-        """Dense rows per touched block, ``{block: (c*c, n, n) stack}``."""
+    def check(self, block_dims):
+        """Raise ValueError unless every term fits blocks of ``block_dims``:
+        each block in range and touched once, each lift of shape
+        (block dim, a * dim), each identity-lift block a multiple of dim."""
         c = self.dim
-        basis = linalg.hermitian_basis(c)
-        out = {}
-        for b, lift, coef in self.terms:
-            if not 0 <= b < len(block_dims) or b in out:
+        seen = set()
+        for b, lift, _ in self.terms:
+            if not 0 <= b < len(block_dims) or b in seen:
                 raise ValueError(f"row family term on block {b} is out of "
                                  "range or repeated")
+            seen.add(b)
             n = block_dims[b]
             if lift is None:
                 if n % c:
                     raise ValueError(f"block {b} of dimension {n} is not "
                                      f"1_a (x) {c} x {c}")
-                a = n // c
-                stack = np.einsum("kl,jpq->jkplq", np.eye(a), basis)
-                stack = stack.reshape(c * c, n, n)
-            else:
-                if lift.ndim != 2 or lift.shape[0] != n or lift.shape[1] % c:
-                    raise ValueError(f"lift on block {b} must have shape "
-                                     f"({n}, a * {c}), got {lift.shape}")
-                # t[u, p, v, q] = sum_k L[u, (k, p)] conj(L[v, (k, q)])
-                lp = lift.reshape(n, -1, c).transpose(0, 2, 1).reshape(n * c, -1)
-                t = (lp @ lp.conj().T).reshape(n, c, n, c)
-                stack = _contract_basis(basis, t)
-            out[b] = stack if coef == 1.0 else coef * stack
-        return out
+            elif lift.ndim != 2 or lift.shape[0] != n or lift.shape[1] % c:
+                raise ValueError(f"lift on block {b} must have shape "
+                                 f"({n}, a * {c}), got {lift.shape}")
+
+    def _stack(self, lift, coef, n):
+        """Dense rows of one term on a block of dimension n, (c*c, n, n)."""
+        c = self.dim
+        basis = linalg.hermitian_basis(c)
+        if lift is None:
+            a = n // c
+            stack = np.einsum("kl,jpq->jkplq", np.eye(a), basis)
+            stack = stack.reshape(c * c, n, n)
+        else:
+            # t[u, p, v, q] = sum_k L[u, (k, p)] conj(L[v, (k, q)])
+            lp = lift.reshape(n, -1, c).transpose(0, 2, 1).reshape(n * c, -1)
+            t = (lp @ lp.conj().T).reshape(n, c, n, c)
+            stack = _contract_basis(basis, t)
+        if coef != 1.0:
+            stack *= coef
+        return stack
+
+    def stacks(self, block_dims):
+        """Dense rows per touched block, ``{block: (c*c, n, n) stack}``."""
+        self.check(block_dims)
+        return {b: self._stack(lift, coef, block_dims[b])
+                for b, lift, coef in self.terms}
 
 
 class SdpProblem:
@@ -218,9 +243,12 @@ class SdpProblem:
     sense:
         "min" or "max"; solutions report the value in this sense.
 
-    ``constraints`` holds every row in dense form; ``families`` lists
-    ``(first row, family, stacks)`` for the rows given as families,
-    which :func:`solve` assembles from their structure.
+    ``families`` lists ``(first row, family)`` for the rows given as
+    families, and ``dense_rows`` lists ``(row, per-block matrices)`` for
+    the others; :func:`solve` writes its real row matrix from both.  No
+    family row is stored densely: the ``constraints`` property writes
+    every row out anew on each access, for :func:`dump_problem` and for
+    inspection.
     """
 
     def __init__(self, block_dims, objective, constraints, rhs, sense="min"):
@@ -238,34 +266,46 @@ class SdpProblem:
             else linalg.as_hermitian(c, f"objective block {b}", d)
             for b, (c, d) in enumerate(zip(objective, self.block_dims))
         ]
-        self.constraints = []
         self.families = []
+        self.dense_rows = []
+        i = 0
         for row in constraints:
-            i = len(self.constraints)
             if isinstance(row, RowFamily):
                 # built Hermitian, so the rows skip the check below
-                stacks = row.stacks(self.block_dims)
-                self.families.append((i, row, stacks))
-                for j in range(len(row)):
-                    self.constraints.append(
-                        [stacks[b][j] if b in stacks else None for b in range(nb)]
-                    )
+                row.check(self.block_dims)
+                self.families.append((i, row))
+                i += len(row)
                 continue
             if len(row) != nb:
                 raise ValueError(f"constraint row {i} must cover every block")
-            self.constraints.append([
+            self.dense_rows.append((i, [
                 None if a is None
                 else linalg.as_hermitian(a, f"constraint {i}, block {b}", d)
                 for b, (a, d) in enumerate(zip(row, self.block_dims))
-            ])
+            ]))
+            i += 1
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if len(self.constraints) != rhs.size:
+        if i != rhs.size:
             raise ValueError("one rhs entry per constraint row required")
         self.rhs = rhs
 
     @property
     def n_constraints(self):
-        return len(self.constraints)
+        return self.rhs.size
+
+    @property
+    def constraints(self):
+        """Every row in dense form: per-block matrices, ``None`` for blocks
+        the row does not touch.  Family rows are written out on each access."""
+        nb = len(self.block_dims)
+        rows = [None] * self.n_constraints
+        for i, row in self.dense_rows:
+            rows[i] = row
+        for start, family in self.families:
+            stacks = family.stacks(self.block_dims)
+            for j in range(len(family)):
+                rows[start + j] = [stacks[b][j] if b in stacks else None for b in range(nb)]
+        return rows
 
     def __repr__(self):
         return (f"SdpProblem(blocks={self.block_dims}, "
@@ -338,39 +378,108 @@ class _SvecMap:
         return out
 
 
+def _identity_columns(c, a):
+    """Where svec of 1_a (x) h lands, for h of dimension c.
+
+    Entry [k, s] is the svec position, in a block of dimension a*c, of
+    svec coordinate s of the k-th diagonal copy of h.  Cached per (c, a)
+    and read-only.
+    """
+    if (c, a) not in _IDENTITY_COLUMNS_CACHE:
+        n = a * c
+        iu, ju = _triu(c)
+        k = c * np.arange(a)[:, None]
+        u, v = k + iu, k + ju
+        # position of (u, v), u < v, in the row-major strict upper triangle
+        tri = u * n - u * (u + 1) // 2 + v - u - 1
+        cols = np.concatenate([k + np.arange(c), n + tri, n + n * (n - 1) // 2 + tri],
+                              axis=1)
+        cols.setflags(write=False)
+        _IDENTITY_COLUMNS_CACHE[(c, a)] = cols
+    return _IDENTITY_COLUMNS_CACHE[(c, a)]
+
+
 def _svec_rows(problem):
-    """Every constraint row as one real svec matrix, (m, sum of n^2)."""
+    """Every constraint row as one real svec matrix, (m, sum of n^2).
+
+    Family rows are written term by term.  An identity lift's rows are
+    copies of svec(coef h_j) at :func:`_identity_columns`; an explicit
+    lift's complex rows are formed, written and freed before the next.
+    """
     dims = problem.block_dims
     a_svec = np.zeros((problem.n_constraints, sum(d * d for d in dims)))
-    for start, family, stacks in problem.families:
+    for start, family in problem.families:
         rows = slice(start, start + len(family))
-        for b, stack in stacks.items():
-            _svec_stack(stack, out=a_svec[rows, _block_slice(dims, b)])
-    dense = np.flatnonzero(~_family_mask(problem))
+        c = family.dim
+        for b, lift, coef in family.terms:
+            blk = _block_slice(dims, b)
+            if lift is None:
+                basis = linalg.hermitian_basis(c)
+                small = _svec_stack(basis if coef == 1.0 else coef * basis)
+                cols = _identity_columns(c, dims[b] // c)
+                a_svec[rows, blk.start + cols] = small[:, None, :]
+            else:
+                _svec_stack(family._stack(lift, coef, dims[b]), out=a_svec[rows, blk])
     for b in range(len(dims)):
-        on_b = [i for i in dense if problem.constraints[i][b] is not None]
+        on_b = [(i, row[b]) for i, row in problem.dense_rows if row[b] is not None]
         if on_b:
-            stack = np.stack([problem.constraints[i][b] for i in on_b])
-            a_svec[on_b, _block_slice(dims, b)] = _svec_stack(stack)
+            idx, mats = zip(*on_b)
+            a_svec[list(idx), _block_slice(dims, b)] = _svec_stack(np.stack(mats))
     return a_svec
 
 
-def _independent_rows(a, tol):
+def _row_norms(a):
+    """Euclidean norm of each row, over chunks of rows so that no temporary
+    of the matrix's size is made; each norm is that of the whole-matrix call."""
+    norms = np.empty(a.shape[0])
+    step = max(1, _NORM_CHUNK // max(a.shape[1], 1))
+    for i in range(0, a.shape[0], step):
+        norms[i:i + step] = np.linalg.norm(a[i:i + step], axis=1)
+    return norms
+
+
+def _orthogonal_lead(problem):
+    """Number of leading rows that are mutually orthogonal by structure.
+
+    That is the c*c rows 1_a (x) h_j of a family that opens the problem
+    with a single identity-lift term, each of norm |coef| sqrt(a); 0
+    otherwise.
+    """
+    if problem.families and problem.families[0][0] == 0:
+        family = problem.families[0][1]
+        if len(family.terms) == 1 and family.terms[0][1] is None:
+            return len(family)
+    return 0
+
+
+def _independent_rows(a, tol, norms, lead=0):
     """Rows of a real matrix that Gram-Schmidt in row order would keep.
 
-    A row is kept when its norm exceeds ``tol`` and its component
-    orthogonal to the rows kept before it exceeds ``tol`` times that
-    norm, the rule of :func:`linalg.orthonormal_rows`.  One QR of the
+    A row is kept when its norm (``norms``) exceeds ``tol`` and its
+    component orthogonal to the rows kept before it exceeds ``tol`` times
+    that norm, the rule of :func:`linalg.orthonormal_rows`.  One QR of the
     nonzero rows gives their coordinates R in an orthonormal basis, and
     |R_kk| is the residual of row k against every earlier row, exact up
     to the first dependent row.  That row is dropped, and the trailing
     block of R (the later rows' components orthogonal to the rows kept
     so far) is factored again; those factorizations are at most m x m.
+
+    The first ``lead`` rows may be declared mutually orthogonal
+    (:func:`_orthogonal_lead`).  When each is longer than ``tol``,
+    Gram-Schmidt keeps them all, and the QR runs only on the later rows'
+    components orthogonal to them, projected off with one GEMM.
     """
-    norms = np.linalg.norm(a, axis=1)
-    cand = np.flatnonzero(norms > tol)
-    kept = []
-    r = np.linalg.qr(a[cand].T, mode="r") if cand.size else None
+    if not (lead and np.all(norms[:lead] > tol)):
+        lead = 0
+    cand = lead + np.flatnonzero(norms[lead:] > tol)
+    kept = list(range(lead))
+    if cand.size:
+        rows = a if cand.size == a.shape[0] else a[cand]
+        if lead:
+            head = a[:lead]
+            proj = ((rows @ head.T) / norms[:lead] ** 2) @ head
+            rows = np.subtract(rows, proj, out=proj)
+        r = np.linalg.qr(rows.T, mode="r")
     while cand.size:
         ok = np.abs(np.diagonal(r)) > tol * norms[cand[:r.shape[0]]]
         if ok.all():
@@ -385,19 +494,21 @@ def _independent_rows(a, tol):
     return np.asarray(kept, dtype=int)
 
 
-def _reduce_rows(a_svec, rhs, feas_tol=1e-8):
+def _reduce_rows(a_svec, rhs, feas_tol=1e-8, lead=0):
     """Select an independent subset of rows; detect inconsistency.
 
     Returns (kept_indices, reason); ``reason`` is None unless the
     dropped rows contradict the kept ones.  A dropped row of norm at most
     1e-10 (never a candidate for keeping) implies a zero right-hand side
-    with no fit; the others are fitted by the kept rows.
+    with no fit; the others are fitted by the kept rows.  ``lead`` is as
+    in :func:`_independent_rows`.
     """
-    kept = _independent_rows(a_svec, tol=1e-10)
+    norms = _row_norms(a_svec)
+    kept = _independent_rows(a_svec, 1e-10, norms, lead)
     dropped = np.setdiff1d(np.arange(a_svec.shape[0]), kept)
     if dropped.size:
         implied = np.zeros(dropped.size)
-        fit = np.linalg.norm(a_svec[dropped], axis=1) > 1e-10
+        fit = norms[dropped] > 1e-10
         if fit.any():
             coef, *_ = np.linalg.lstsq(a_svec[kept].T, a_svec[dropped[fit]].T, rcond=None)
             implied[fit] = coef.T @ rhs[kept]
@@ -447,7 +558,7 @@ class _BlockRows:
 def _family_mask(problem):
     """Which rows of ``problem`` belong to a row family."""
     mask = np.zeros(problem.n_constraints, dtype=bool)
-    for start, family, _ in problem.families:
+    for start, family in problem.families:
         mask[start:start + len(family)] = True
     return mask
 
@@ -458,7 +569,7 @@ def _schur_layout(problem, kept):
     pos = np.full(problem.n_constraints, -1)
     pos[kept] = np.arange(kept.size)
     terms = [[] for _ in range(nb)]
-    for start, family, _ in problem.families:
+    for start, family in problem.families:
         c = family.dim
         sel = np.flatnonzero(pos[start:start + len(family)] >= 0)
         if sel.size == 0:
@@ -473,17 +584,16 @@ def _schur_layout(problem, kept):
                 a=(problem.block_dims[b] if lift is None else lift.shape[1]) // c,
                 c=c, coef=coef, hm=hm,
             ))
-    dense = np.flatnonzero(~_family_mask(problem) & (pos >= 0))
     layout = []
     for b in range(nb):
-        on_b = [i for i in dense if problem.constraints[i][b] is not None]
-        dense_pos = pos[on_b]
+        on_b = [(i, row[b]) for i, row in problem.dense_rows
+                if pos[i] >= 0 and row[b] is not None]
+        dense_pos = pos[[i for i, _ in on_b]]
         family_pos = np.array([i for t in terms[b] for i in range(t.rows.start, t.rows.stop)],
                               dtype=int)
         layout.append(_BlockRows(
             dense_pos=dense_pos,
-            dense_stack=(np.stack([problem.constraints[i][b] for i in on_b])
-                         if on_b else None),
+            dense_stack=np.stack([a for _, a in on_b]) if on_b else None,
             family_pos=family_pos,
             cross_ix=(np.ix_(dense_pos, family_pos)
                       if on_b and family_pos.size else None),
@@ -593,7 +703,9 @@ def solve(problem, tol=1e-7, max_iter=200):
     "infeasible" when the constraint rows are inconsistent or the
     iterates diverge, and "max_iter" otherwise (with the reason in
     ``diagnostics``).  ``diagnostics`` also records the problem's
-    ``block_dims`` and its row counts before and after the row reduction.
+    ``block_dims``, its row counts before and after the row reduction,
+    and ``row_matrix_bytes``, the size of the real matrix of kept rows
+    that the iterations read.
     """
     dims = problem.block_dims
     sign = 1.0 if problem.sense == "min" else -1.0
@@ -601,11 +713,12 @@ def solve(problem, tol=1e-7, max_iter=200):
     a_svec = _svec_rows(problem)
     rhs_full = problem.rhs
 
-    kept, reason = _reduce_rows(a_svec, rhs_full)
+    kept, reason = _reduce_rows(a_svec, rhs_full, lead=_orthogonal_lead(problem))
     in_family = int(np.count_nonzero(_family_mask(problem)[kept]))
     diagnostics = {"block_dims": list(dims),
                    "rows": int(rhs_full.size), "rows_kept": int(kept.size),
-                   "family_rows": in_family, "dense_rows": int(kept.size) - in_family}
+                   "family_rows": in_family, "dense_rows": int(kept.size) - in_family,
+                   "row_matrix_bytes": int(kept.size) * a_svec.shape[1] * a_svec.itemsize}
     if reason is not None:
         diagnostics["reason"] = reason
         return SdpSolution(
@@ -625,7 +738,7 @@ def solve(problem, tol=1e-7, max_iter=200):
     n_total = sum(dims)
 
     norm_c = np.sqrt(sum(np.linalg.norm(c) ** 2 for c in c_blocks))
-    row_norms = np.linalg.norm(a_svec, axis=1) if m else np.zeros(0)
+    row_norms = _row_norms(a_svec)
     if m:
         s_x = max(1.0, float(np.max((1.0 + np.abs(b_vec)) / (1.0 + row_norms))))
         s_z = max(1.0, norm_c, float(np.max(row_norms)))

@@ -1,5 +1,6 @@
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -693,7 +694,7 @@ def test_row_family_rows_match_definition():
     prob = sdp.SdpProblem([5, 6], [None, None], [family, [None, np.eye(6)]],
                           np.arange(10.0))
     assert prob.n_constraints == 10
-    assert [(start, len(f)) for start, f, _ in prob.families] == [(0, 9)]
+    assert [(start, len(f)) for start, f in prob.families] == [(0, 9)]
     for b, (lift_b, coef) in enumerate(((lift, -1.5), (None, 1.0))):
         want = family_definition_rows(3, lift_b, coef, prob.block_dims[b])
         for row, w in zip(prob.constraints, want):
@@ -794,7 +795,7 @@ def assert_family_schur_matches(prob, rng):
 def test_family_schur_matches_dense_schur(monkeypatch, case):
     args, plan = definition_corpus_plan(monkeypatch, case)
     prob = plan.problem
-    assert sum(len(f) for _, f, _ in prob.families) == prob.n_constraints
+    assert sum(len(f) for _, f in prob.families) == prob.n_constraints
     kept = assert_family_schur_matches(prob, np.random.default_rng(97))
     if case == "fixes_algebra":
         assert kept.size < prob.n_constraints
@@ -808,11 +809,12 @@ def test_family_and_dense_rows_mix(monkeypatch):
     # dense row's Schur entries against the families come from the cross term
     _, plan = definition_corpus_plan(monkeypatch, "rectangular")
     prob = plan.problem
-    first = [b[:2].sum(axis=0) for _, b in sorted(prob.families[0][2].items())]
+    stacks = prob.families[0][1].stacks(prob.block_dims)
+    first = [b[:2].sum(axis=0) for _, b in sorted(stacks.items())]
     dense_row = [first[0], None]
     mixed = sdp.SdpProblem(
         prob.block_dims, prob.objective,
-        [dense_row] + [family for _, family, _ in prob.families],
+        [dense_row] + [family for _, family in prob.families],
         np.concatenate([[prob.rhs[0] + prob.rhs[1]], prob.rhs]), sense="max",
     )
     kept = assert_family_schur_matches(mixed, np.random.default_rng(101))
@@ -860,6 +862,100 @@ def test_loaded_fixes_algebra_problem_solves_densely_alike(tmp_path):
     assert family.diagnostics["rows_kept"] == dense.diagnostics["rows_kept"]
     assert dense.iterations == family.iterations
     assert abs(dense.value - family.value) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the real row matrix written from the families, and the orthogonal lead
+
+
+@pytest.mark.parametrize("coef", [1.0, -1.0])
+@pytest.mark.parametrize("c, a", [(1, 3), (2, 1), (3, 4), (8, 8)])
+def test_identity_lift_rows_match_dense_svec(c, a, coef):
+    family = sdp.RowFamily(c, [(0, None, coef)])
+    prob = sdp.SdpProblem([a * c], [None], [family], np.zeros(c * c))
+    dense = sdp._svec_stack(family.stacks(prob.block_dims)[0])
+    assert np.array_equal(sdp._svec_rows(prob), dense)
+
+
+def full_qr_kept(a):
+    """Kept rows of the row reduction without the orthogonal-lead shortcut."""
+    return list(sdp._independent_rows(a, 1e-10, sdp._row_norms(a)))
+
+
+def lead_kept(prob):
+    a = sdp._svec_rows(prob)
+    lead = sdp._orthogonal_lead(prob)
+    return a, lead, list(sdp._independent_rows(a, 1e-10, sdp._row_norms(a), lead))
+
+
+@pytest.mark.parametrize("environment", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_orthogonal_lead_keeps_the_full_qr_rows(d, environment):
+    rng = np.random.default_rng(149 + d)
+    n = ch.Channel(random_kraus(rng, d, d, 2))
+    m = ch.Channel(random_kraus(rng, d, d, 2))
+    plan = rc._link_plan(n, m, random_density(rng, d), None, environment)[0]
+    a, lead, kept = lead_kept(plan.problem)
+    assert lead == plan.act_in ** 2
+    assert kept == full_qr_kept(a)
+
+
+def test_orthogonal_lead_drops_a_row_in_its_span():
+    # 1_6 = 1_2 (x) 1_3 lies in the span of the family's rows; a random
+    # row after it is kept
+    rng = np.random.default_rng(151)
+    family = sdp.RowFamily(3, [(0, None, 1.0)])
+    rows = [family, [np.eye(6)], [random_hermitian(rng, 6)]]
+    prob = sdp.SdpProblem([6], [None], rows, np.zeros(11))
+    a, lead, kept = lead_kept(prob)
+    assert lead == 9
+    assert kept == full_qr_kept(a) == gram_schmidt_kept(a) == list(range(9)) + [10]
+
+
+def test_no_orthogonal_lead_behind_a_dense_row():
+    rng = np.random.default_rng(157)
+    family = sdp.RowFamily(2, [(0, None, -1.0)])
+    rows = [[random_hermitian(rng, 4)], family, [np.eye(4)]]
+    prob = sdp.SdpProblem([4], [None], rows, np.zeros(6))
+    a, lead, kept = lead_kept(prob)
+    assert lead == 0
+    assert kept == full_qr_kept(a) == gram_schmidt_kept(a) == [0, 1, 2, 3, 4]
+
+
+def test_no_orthogonal_lead_for_an_explicit_lift():
+    # a rank-one lift u w^T makes every row a multiple of u u^dag
+    rng = np.random.default_rng(163)
+    u = rng.normal(size=3) + 1j * rng.normal(size=3)
+    w = rng.normal(size=2) + 1j * rng.normal(size=2)
+    family = sdp.RowFamily(2, [(0, np.outer(u, w), 1.0)])
+    prob = sdp.SdpProblem([3], [None], [family], np.zeros(4))
+    a, lead, kept = lead_kept(prob)
+    assert lead == 0
+    assert kept == full_qr_kept(a) == gram_schmidt_kept(a) == [0]
+
+
+def test_row_matrix_bytes_is_the_kept_row_matrix(monkeypatch):
+    _, plan = definition_corpus_plan(monkeypatch, "fixes_algebra")
+    sol = sdp.solve(plan.problem)
+    diag = sol.diagnostics
+    assert diag["rows_kept"] < diag["rows"]
+    width = sum(n * n for n in diag["block_dims"])
+    assert diag["row_matrix_bytes"] == diag["rows_kept"] * width * 8
+
+
+def test_recovery_build_keeps_no_dense_rows():
+    d = 12
+    rng = np.random.default_rng(d)
+    n = ch.Channel(random_kraus(rng, d, d, 2))
+    m = ch.Channel([np.eye(d)])
+    tracemalloc.start()
+    try:
+        prob = rc.build_recovery_fidelity_sdp(n, m, np.eye(d) / d)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prob.n_constraints == d * d + 2
+    assert retained < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

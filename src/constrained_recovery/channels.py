@@ -67,9 +67,11 @@ class Channel:
         shape = ops[0].shape
         if len(shape) != 2 or any(e.shape != shape for e in ops):
             raise ValueError("Kraus operators must share a single 2d shape")
-        self.kraus = ops
         self.out_dim, self.in_dim = int(shape[0]), int(shape[1])
+        # each operator is stored once: the Kraus matrices are views of _stack
         self._stack = np.stack(ops)
+        self._stack.flags.writeable = False
+        self.kraus = list(self._stack)
         # sum_k E_k^dag E_k as one product of the stacked operators
         f = self._stack.reshape(-1, self.in_dim)
         ksum = f.conj().T @ f
@@ -164,14 +166,10 @@ def kraus_from_choi(choi, out_dim, in_dim, cutoff=1e-12):
     A numerically zero Choi matrix yields a single zero operator.
     """
     choi = np.asarray(choi, dtype=complex)
-    w, u = np.linalg.eigh((choi + choi.conj().T) / 2)
-    keep = w > cutoff * max(1.0, float(w[-1]))
-    if not np.any(keep):
+    f, _ = linalg.psd_factor((choi + choi.conj().T) / 2, cutoff)
+    if not f.shape[1]:
         return [np.zeros((out_dim, in_dim), dtype=complex)]
-    ops = []
-    for i in reversed(np.nonzero(keep)[0]):
-        ops.append(np.sqrt(w[i]) * linalg.unvec(u[:, i], (out_dim, in_dim)))
-    return ops
+    return list(f.T.reshape(-1, out_dim, in_dim))
 
 
 def channel_from_choi(choi, out_dim, in_dim, cutoff=1e-12, renormalize=False):
@@ -294,10 +292,8 @@ def _defect(c, b, p, lc):
     k_p = p.n_kraus
     k_n = c.n_kraus
     d = c.out_dim
-    f_stack = p._stack
     # column m*k_p + n of ghat is vec(F_m^dag F_n)
-    prods = np.einsum("mba,nbc->mnac", f_stack.conj(), f_stack)
-    ghat = prods.reshape(k_p * k_p, d * d).T
+    ghat = linalg.gram_rows(p._stack).T
     ghat_pinv = np.linalg.pinv(ghat, rcond=1e-10)
 
     # both sides as (environment x input) square matrices: V^dag (B (x) 1) V
@@ -448,11 +444,22 @@ def is_local(n, a, b, tol=1e-8):
     return LocalityReport(bool(fx) and mi, fx, mi, strong, tol)
 
 
+def _output_fidelity(n, m, psi):
+    """Fidelity of the outputs of ``n (x) id`` and ``m (x) id`` on the
+    purification ``psi`` of psi psi^dag, as in :func:`entanglement_fidelity`."""
+    a = (n._stack @ psi).reshape(n.n_kraus, -1)
+    b = (m._stack @ psi).reshape(m.n_kraus, -1)
+    return min(1.0, float(np.sum(np.linalg.svd(a.conj() @ b.T, compute_uv=False))))
+
+
 def entanglement_fidelity(n, m, rho, tol=1e-8):
     """Fidelity of the outputs of two channels on a purification of ``rho``.
 
-    The reference factor is internally truncated to the rank of ``rho``
-    (the value does not depend on the purification).
+    With psi psi^dag = rho over the eigenvalues above 1e-14, the outputs
+    are A A^dag and B B^dag, the columns of A and B being vec(E_k psi) and
+    vec(F_j psi) for the Kraus operators of ``n`` and ``m``.  By Uhlmann's
+    theorem their fidelity is the trace norm of the k_n x k_m matrix
+    A^dag B, so no output state is formed and no square root is taken.
     """
     if n.in_dim != m.in_dim or n.out_dim != m.out_dim:
         raise ValueError("channels must share input and output dimensions")
@@ -463,17 +470,10 @@ def entanglement_fidelity(n, m, rho, tol=1e-8):
         raise ValueError("rho is not Hermitian")
     if abs(float(np.trace(rho).real) - 1.0) > tol:
         raise ValueError("rho does not have unit trace")
-    w, u = np.linalg.eigh(rho)
-    if float(w[0]) < -tol:
+    psi, lowest = linalg.psd_factor(rho, cutoff=1e-14)
+    if lowest < -tol:
         raise ValueError("rho is not positive semidefinite")
-    keep = w > 1e-14 * max(1.0, float(w[-1]))
-    root = u[:, keep] * np.sqrt(w[keep])
-
-    def lifted(c):
-        vecs = np.stack([linalg.vec(e @ root) for e in c.kraus])
-        return vecs.T @ vecs.conj()
-
-    return linalg.state_fidelity(lifted(n), lifted(m), tol=tol)
+    return _output_fidelity(n, m, psi)
 
 
 @dataclass

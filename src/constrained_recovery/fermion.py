@@ -284,7 +284,6 @@ class MajoranaRingScenario:
     code: Code
     logical_system: FermionSystem
     parity_sign: int
-    noise: Channel | None = None
 
 
 def _ring_intervals(unpaired, n_indices):
@@ -297,7 +296,7 @@ def _ring_intervals(unpaired, n_indices):
     return tuple(intervals)
 
 
-def majorana_ring(system, unpaired, pairing, noise=None):
+def majorana_ring(system, unpaired, pairing):
     """Build the stabilizer code of a pairing on the Majorana ring.
 
     Parameters
@@ -310,8 +309,6 @@ def majorana_ring(system, unpaired, pairing, noise=None):
     pairing:
         Disjoint pairs ``(p, q)`` covering the remaining indices; each
         contributes the stabilizer ``-i w_p w_q``.
-    noise:
-        Optional channel stored on the scenario for later analysis.
 
     The encoding isometry spans the joint +1 eigenspace of the
     stabilizers and is aligned so that ``w_unpaired[i] W = W wtilde_i``
@@ -389,7 +386,6 @@ def majorana_ring(system, unpaired, pairing, noise=None):
         code=code,
         logical_system=logical,
         parity_sign=sign,
-        noise=noise,
     )
 
 

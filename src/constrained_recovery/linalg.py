@@ -18,6 +18,8 @@ __all__ = [
     "as_hermitian",
     "herm_apply",
     "herm_sqrt",
+    "psd_factor",
+    "gram_rows",
     "null_space",
     "orthonormal_rows",
     "hermitian_basis",
@@ -117,6 +119,27 @@ def herm_sqrt(h, tol=1e-10):
         )
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T
+
+
+def psd_factor(h, cutoff=1e-12):
+    """Factor F of a Hermitian ``h`` with F F^dag = h on its eigenvalues above
+    ``cutoff`` times max(1, largest eigenvalue).
+
+    Returns ``(F, lowest)``: column i of F is u_i sqrt(w_i), largest
+    eigenvalue first, and ``lowest`` is the smallest eigenvalue, so that
+    each caller applies its own positivity guard.
+    """
+    w, u = np.linalg.eigh(h)
+    keep = w > cutoff * max(1.0, float(w[-1]))
+    return u[:, keep][:, ::-1] * np.sqrt(w[keep][::-1]), float(w[0])
+
+
+def gram_rows(v):
+    """Row (i, j) holds vec(V_i^dag V_j) for the stack ``v``, shape (n, a, m)."""
+    n, a, m = v.shape
+    flat = v.transpose(1, 0, 2).reshape(a, n * m)
+    gram = (flat.conj().T @ flat).reshape(n, m, n, m)
+    return gram.transpose(0, 2, 1, 3).reshape(n * n, m * m)
 
 
 def null_space(a, rtol=1e-10):

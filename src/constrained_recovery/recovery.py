@@ -12,6 +12,7 @@ channel dilations), so the two optimal values can be compared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -169,14 +170,6 @@ def _fit(fixed, targets):
     return coeff, float(np.linalg.norm(targets - coeff @ fixed))
 
 
-def _gram_rows(v):
-    """Row (i, j) holds vec(V_i^dag V_j) for the stack ``v``, shape (n, a, m)."""
-    n, a, m = v.shape
-    flat = v.transpose(1, 0, 2).reshape(a, n * m)
-    gram = (flat.conj().T @ flat).reshape(n, m, n, m)
-    return gram.transpose(0, 2, 1, 3).reshape(n * n, m * m)
-
-
 def kl_check(code, kraus, tol=1e-8):
     """Exact correctability of a Kraus set on a code subspace.
 
@@ -243,7 +236,7 @@ def superselection_kl_check(code, kraus, projectors, tol=1e-8):
     # vec(W^dag E_n^dag P_j E_m W), a Gram block of the stack P_j E W
     fixed = (w.conj().T @ mats @ w).reshape(n_sec, -1)
     lifted = ops @ w
-    coeff, residual = _fit(fixed, np.concatenate([_gram_rows(p @ lifted) for p in mats]))
+    coeff, residual = _fit(fixed, np.concatenate([linalg.gram_rows(p @ lifted) for p in mats]))
     # coeff[i, j]: the error density of input sector i into output sector j
     coeff = coeff.reshape(n_sec, n_ops, n_ops, n_sec).transpose(3, 0, 1, 2)
     coeff = (coeff + coeff.conj().swapaxes(2, 3)) / 2.0
@@ -290,7 +283,7 @@ def tensor_local_check(code, kraus, dims, tol=1e-8):
     if ops.shape[1:] != (d_a, d_a):
         raise ValueError("Kraus operators must act on the first factor")
     w = code.isometry.reshape(d_a, -1)
-    lam, residual = _fit((w.conj().T @ w).reshape(1, -1), _gram_rows(ops @ w))
+    lam, residual = _fit((w.conj().T @ w).reshape(1, -1), linalg.gram_rows(ops @ w))
     lam, lam_ok = _density_conditions(lam.reshape(len(ops), -1), tol)
     return CorrectabilityReport(
         verdict=_verdict(True, residual, tol, lam_ok),
@@ -428,6 +421,12 @@ class Physical:
     p: Channel
     q: Channel
 
+    @cached_property
+    def parity_bases(self):
+        """The recovery's operator blocks, found once per constraint; see
+        :func:`_parity_bases`."""
+        return _parity_bases(self.p, self.q)
+
 
 @dataclass(eq=False)
 class FixesAlgebra:
@@ -482,17 +481,6 @@ def build_state_fidelity_sdp(rho, sigma):
     c[:rp, rp:] = overlap.conj().T / 2.0
     c[rp:, :rp] = overlap / 2.0
     return sdp.SdpProblem([dim], [c], rows, rhs, sense="max")
-
-
-def _purification(rho, tol=1e-12):
-    """Matrix psi with rho = psi psi^dag and minimal reference dimension."""
-    w, u = np.linalg.eigh(rho)
-    if w[0] < -1e-9:
-        raise ValueError(f"state is not PSD (min eigenvalue {w[0]:.3e})")
-    keep = w > tol * max(float(w[-1]), 1.0)
-    w, u = w[keep], u[:, keep]
-    order = np.argsort(w)[::-1]
-    return u[:, order] * np.sqrt(w[order])
 
 
 def _state_after(channel, psi):
@@ -691,14 +679,17 @@ def _link_plan(n, m, rho, constraint, environment):
     rho = linalg.as_hermitian(rho, "rho", dim=n.in_dim)
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise ValueError("rho must have unit trace")
-    psi = _purification(rho)
+    # the purification psi psi^dag = rho of minimal reference dimension
+    psi, lowest = linalg.psd_factor(rho)
+    if lowest < -1e-9:
+        raise ValueError(f"state is not PSD (min eigenvalue {lowest:.3e})")
     src, dst, left, bases, finish = n, m, 1, [None], None
     if isinstance(constraint, Physical):
         p, q = constraint.p, constraint.q
         src, dst = channels_mod.compose(q, n), channels_mod.compose(p, m)
         finish = lambda r: channels_mod.compose(p, channels_mod.compose(r, q))  # noqa: E731
         if not environment:
-            bases = _parity_bases(p, q)
+            bases = constraint.parity_bases
     if isinstance(constraint, FixesAlgebra):
         b = constraint.algebra
         if n.out_dim != m.out_dim or b.ambient_dim != n.out_dim:
@@ -807,13 +798,6 @@ def verify_duality(n, m, rho, constraint=None, tol=1e-5, solver_tol=None):
     )
 
 
-def _pure_state_fidelity(a, b):
-    root = linalg.herm_sqrt(a, tol=1e-7)
-    return float(np.trace(linalg.herm_sqrt(
-        root @ b @ root, tol=1e-7
-    )).real)
-
-
 def worst_case_fidelity_seesaw(n, m, code, rounds=10, tol=1e-7, seed=None):
     """Heuristic worst-case (over code states) recovery fidelity.
 
@@ -843,9 +827,8 @@ def worst_case_fidelity_seesaw(n, m, code, rounds=10, tol=1e-7, seed=None):
         rn = channels_mod.compose(rec, n)
 
         def value(x):
-            phi = w @ x
-            state = np.outer(phi, phi.conj())
-            return _pure_state_fidelity(rn(state), m(state))
+            # a pure code state is its own purification
+            return channels_mod._output_fidelity(rn, m, (w @ x)[:, None])
 
         best_x = min(samples, key=value)
         best = value(best_x)

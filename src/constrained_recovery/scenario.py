@@ -174,7 +174,6 @@ class Scenario:
     source: str
     raw: dict
     dim: int
-    qudit_dims: list
     fermion_system: object
     algebras: dict
     channels: dict
@@ -208,13 +207,12 @@ def load_scenario(source):
             raise ScenarioError(f"{label}: not valid JSON ({exc})") from exc
 
     _validate(raw, label)
-    dim, qudit_dims, fsys = _build_system(raw["system"])
+    dim, fsys = _build_system(raw["system"])
     scenario = Scenario(
         name=raw.get("name", "unnamed"),
         source=label,
         raw=raw,
         dim=dim,
-        qudit_dims=qudit_dims,
         fermion_system=fsys,
         algebras=_build_all(_build_algebra, "algebra", raw.get("algebras", {}), dim, fsys),
         channels=_build_all(_build_channel, "channel", raw.get("channels", {}), dim, fsys),
@@ -258,9 +256,9 @@ def _build_system(spec):
                 f"system dimension {dim} exceeds the supported maximum "
                 f"{_MAX_SYSTEM_DIM}"
             )
-        return dim, dims, None
+        return dim, None
     modes = int(spec["modes"])
-    return 2**modes, None, fermion_mod.FermionSystem(modes)
+    return 2**modes, fermion_mod.FermionSystem(modes)
 
 
 def _build_all(build, kind, specs, dim, fsys):
@@ -286,15 +284,9 @@ def _require_fermion(fsys, what):
     return fsys
 
 
-def _parity_matrix(fsys):
-    whole = tuple(range(1, 2 * fsys.n_modes + 1))
-    return np.asarray(fermion_mod.parity_operator(fsys, whole).c)
-
-
-def _parity_projectors(fsys):
-    c = _parity_matrix(fsys)
-    one = np.eye(len(c))
-    return [(one + c) / 2.0, (one - c) / 2.0]
+def _parity(fsys):
+    """The parity operator of all modes, with its two eigenprojectors."""
+    return fermion_mod.parity_operator(fsys, range(1, 2 * fsys.n_modes + 1))
 
 
 def _full_algebra_generators(dim):
@@ -320,7 +312,7 @@ def _build_algebra(what, spec, dim, fsys):
         return algebra_mod.generate_algebra(_full_algebra_generators(dim), dim)
     if kind == "parity":
         fsys = _require_fermion(fsys, what)
-        return algebra_mod.generate_algebra([_parity_matrix(fsys)], dim)
+        return algebra_mod.generate_algebra([_parity(fsys).c], dim)
     fsys = _require_fermion(fsys, what)
     majoranas = tuple(int(i) for i in spec["majoranas"])
     _check_majorana_indices(majoranas, fsys, what)
@@ -375,10 +367,10 @@ def _build_channel(what, spec, dim, fsys):
             ops.append(coeff * fermion_mod.majorana_monomial(fsys, indices))
         return channel_mod.Channel(ops)
     fsys = _require_fermion(fsys, what)
+    parity = _parity(fsys)
     if kind == "parity_dephasing":
-        c = _parity_matrix(fsys)
-        return channel_mod.Channel([np.eye(dim) / np.sqrt(2), c / np.sqrt(2)])
-    return channel_mod.Channel(_parity_projectors(fsys))
+        return channel_mod.Channel([np.eye(dim) / np.sqrt(2), parity.c / np.sqrt(2)])
+    return channel_mod.Channel([parity.p_plus, parity.p_minus])
 
 
 def _build_code(what, spec, dim, fsys):
@@ -453,7 +445,8 @@ def _check_projectors(scenario, args, refs, index):
     _check_code_input(scenario, args, refs, index)
     if args["projectors"] == "parity":
         fsys = _require_fermion(scenario.fermion_system, f"task {index}: parity projectors")
-        projectors = _parity_projectors(fsys)
+        parity = _parity(fsys)
+        projectors = [parity.p_plus, parity.p_minus]
     else:
         projectors = [
             _as_matrix(rows, f"task {index} projector {i}")

@@ -555,14 +555,6 @@ class _BlockRows:
     terms: list
 
 
-def _family_mask(problem):
-    """Which rows of ``problem`` belong to a row family."""
-    mask = np.zeros(problem.n_constraints, dtype=bool)
-    for start, family in problem.families:
-        mask[start:start + len(family)] = True
-    return mask
-
-
 def _schur_layout(problem, kept):
     """Per-block Schur assembly plan for the rows ``kept``, made once per solve."""
     nb = len(problem.block_dims)
@@ -714,7 +706,8 @@ def solve(problem, tol=1e-7, max_iter=200):
     rhs_full = problem.rhs
 
     kept, reason = _reduce_rows(a_svec, rhs_full, lead=_orthogonal_lead(problem))
-    in_family = int(np.count_nonzero(_family_mask(problem)[kept]))
+    in_family = sum(int(np.count_nonzero((kept >= start) & (kept < start + len(family))))
+                    for start, family in problem.families)
     diagnostics = {"block_dims": list(dims),
                    "rows": int(rhs_full.size), "rows_kept": int(kept.size),
                    "family_rows": in_family, "dense_rows": int(kept.size) - in_family,
@@ -753,6 +746,23 @@ def solve(problem, tol=1e-7, max_iter=200):
 
     def adjoint(vec):
         return coords.unsvec(vec @ a_svec)
+
+    def direction(rhs, r):
+        """This iteration's Newton direction (dX, dy, dZ) for the Schur right
+        side ``rhs`` + A(W R_d W) and dX + W dZ W = r."""
+        dy = np.linalg.solve(schur_j, rhs + a_wrdw) if m else np.zeros(0)
+        aty_d = adjoint(dy)
+        dz = [r_d[b] - aty_d[b] for b in range(len(dims))]
+        dx = []
+        for b in range(len(dims)):
+            t = r[b] - w_scale[b] @ dz[b] @ w_scale[b]
+            dx.append((t + t.conj().T) / 2.0)
+        return dx, dy, dz
+
+    def steps(dx, dz, fraction):
+        """Primal and dual steps: ``fraction`` of the way to the boundary, at most 1."""
+        return (min(1.0, fraction * min(_max_step(x_frames[b], dx[b]) for b in range(len(dims)))),
+                min(1.0, fraction * min(_max_step(z_frames[b], dz[b]) for b in range(len(dims)))))
 
     status = "max_iter"
     it = 0
@@ -810,15 +820,8 @@ def solve(problem, tol=1e-7, max_iter=200):
         a_wrdw = operator(wrdw)
 
         # predictor: pure Newton step toward XZ = 0
-        dy_aff = np.linalg.solve(schur_j, b_vec + a_wrdw) if m else np.zeros(0)
-        aty_aff = adjoint(dy_aff)
-        dz_aff = [r_d[b] - aty_aff[b] for b in range(len(dims))]
-        dx_aff = []
-        for b in range(len(dims)):
-            t = -x[b] - w_scale[b] @ dz_aff[b] @ w_scale[b]
-            dx_aff.append((t + t.conj().T) / 2.0)
-        ap = min(1.0, min(_max_step(x_frames[b], dx_aff[b]) for b in range(len(dims))))
-        ad = min(1.0, min(_max_step(z_frames[b], dz_aff[b]) for b in range(len(dims))))
+        dx_aff, _, dz_aff = direction(b_vec, [-x[b] for b in range(len(dims))])
+        ap, ad = steps(dx_aff, dz_aff, 1.0)
         mu_aff = sum(
             np.vdot(x[b] + ap * dx_aff[b], z[b] + ad * dz_aff[b]).real
             for b in range(len(dims))
@@ -829,16 +832,8 @@ def solve(problem, tol=1e-7, max_iter=200):
         # corrector: recentered second-order step reusing the same factorization
         r_nt = [_corrector(x[b], zinv[b], x_frames[b], z_frames[b], dx_aff[b], dz_aff[b],
                            sigma * mu) for b in range(len(dims))]
-        dy = (np.linalg.solve(schur_j, r_p - operator(r_nt) + a_wrdw)
-              if m else np.zeros(0))
-        aty_c = adjoint(dy)
-        dz = [r_d[b] - aty_c[b] for b in range(len(dims))]
-        dx = []
-        for b in range(len(dims)):
-            t = r_nt[b] - w_scale[b] @ dz[b] @ w_scale[b]
-            dx.append((t + t.conj().T) / 2.0)
-        ap = min(1.0, tau * min(_max_step(x_frames[b], dx[b]) for b in range(len(dims))))
-        ad = min(1.0, tau * min(_max_step(z_frames[b], dz[b]) for b in range(len(dims))))
+        dx, dy, dz = direction(r_p - operator(r_nt), r_nt)
+        ap, ad = steps(dx, dz, tau)
         diagnostics.update(sigma=sigma, step_fraction=tau, alpha_primal=ap, alpha_dual=ad)
         if ap < 1e-10 and ad < 1e-10:
             stall += 1

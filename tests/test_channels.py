@@ -324,6 +324,20 @@ def test_entanglement_fidelity_overlap_oracle():
         assert abs(f - oracle) < 5e-8
 
 
+@pytest.mark.parametrize("d", [3, 4, 6, 8])
+def test_entanglement_fidelity_full_precision_on_low_rank_states(d):
+    # against the identity the square is sum_i |Tr(E_i rho)|^2; the trace
+    # norm of A^dag B takes no square root of a rank-deficient output state
+    rng = np.random.default_rng(100 + d)
+    for rank in (1, 2):
+        for _ in range(3):
+            c = ch.Channel(random_kraus(rng, d, d, 2))
+            rho = random_density(rng, d, rank=rank)
+            oracle = np.sqrt(sum(abs(np.trace(e @ rho)) ** 2 for e in c.kraus))
+            f = ch.entanglement_fidelity(c, ch.identity_channel(d), rho)
+            assert abs(f - oracle) < 1e-13
+
+
 def test_entanglement_fidelity_purification_independent():
     rng = np.random.default_rng(17)
     n = ch.Channel(random_kraus(rng, 2, 2, 2))

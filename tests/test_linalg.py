@@ -173,6 +173,39 @@ def test_purify_deterministic():
     assert np.array_equal(linalg.purify(rho), linalg.purify(rho.copy()))
 
 
+def test_psd_factor_reproduces_the_kept_spectrum_largest_first():
+    rng = np.random.default_rng(25)
+    u = random_unitary(rng, 5)
+    w = np.array([-2e-13, 1e-14, 0.1, 0.3, 0.6])
+    h = (u * w) @ u.conj().T
+    f, lowest = linalg.psd_factor(h)
+    assert f.shape == (5, 3)
+    # the columns are u_i sqrt(w_i), largest eigenvalue first
+    assert np.allclose(np.linalg.norm(f, axis=0) ** 2, [0.6, 0.3, 0.1], atol=1e-14)
+    kept = (u[:, 2:] * w[2:]) @ u[:, 2:].conj().T
+    assert np.linalg.norm(f @ f.conj().T - kept) <= 1e-14
+    assert lowest == pytest.approx(-2e-13, abs=1e-15)
+
+
+def test_psd_factor_cutoff_is_relative_to_max_one_and_the_top():
+    h = np.diag([3e-12, 0.5]).astype(complex)
+    # below the top eigenvalue 0.5 the scale is 1: 3e-12 > 1e-12 * 1 stays
+    assert linalg.psd_factor(h)[0].shape == (2, 2)
+    # a top eigenvalue of 1e4 scales the cutoff to 1e-8
+    big = np.diag([3e-12, 5e-9, 1e4]).astype(complex)
+    f, lowest = linalg.psd_factor(big)
+    assert f.shape == (3, 1)
+    assert lowest == 3e-12
+    assert linalg.psd_factor(big, cutoff=1e-13)[0].shape == (3, 2)
+
+
+def test_psd_factor_of_a_numerically_zero_matrix_has_no_columns():
+    h = np.diag([-1e-14, 1e-15, 5e-13]).astype(complex)
+    f, lowest = linalg.psd_factor(h)
+    assert f.shape == (3, 0)
+    assert lowest == -1e-14
+
+
 def test_hermitian_basis_orthonormal_and_complete():
     for d in (2, 3):
         basis = linalg.hermitian_basis(d)

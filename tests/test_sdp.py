@@ -1032,6 +1032,25 @@ def test_parity_blocks_come_from_the_channel(kind):
     assert abs(sol.value - 0.8072288506274594) < 1e-9
 
 
+def test_physical_finds_its_parity_blocks_once(monkeypatch):
+    # the two solves of a duality loop or a benchmark pass share one Physical
+    n, m, rho, _, _ = physical_corpus("d4")
+    pq = dephasing(PARITY2)
+    constraint = rc.Physical(pq, pq)
+    calls = []
+    generate = alg.generate_algebra
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(alg, "generate_algebra", counting)
+    first = rc.optimal_recovery_fidelity(n, m, rho, constraint)
+    second = rc.optimal_recovery_fidelity(n, m, rho, constraint)
+    assert len(calls) == 1
+    assert first.value == second.value
+
+
 def no_split_case(case):
     one = np.eye(4)
     if case == "non-invariant-q":

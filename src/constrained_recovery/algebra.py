@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1793
+# tolerances and sizes of the private helpers; each is named where it is used
+_DROP_TOL = 1e-10
+_EXTEND_CHUNK = 2048
+_UNLINKED = 1e-10
+_LINKED = 1e-6
+_CERTIFY_TOL = 1e-8
+_CLUSTER_GUARD = 10.0
 
 
 class DegenerateSplitError(RuntimeError):
@@ -78,10 +85,10 @@ class AlgebraBasis:
         return f"AlgebraBasis(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
 
-def _extend_rows(rows, candidates, tol=1e-10, chunk=2048):
-    for lo in range(0, candidates.shape[0], chunk):
-        stacked = np.vstack([rows, candidates[lo : lo + chunk]])
-        rows = linalg.orthonormal_rows(stacked, tol=tol)
+def _extend_rows(rows, candidates):
+    for lo in range(0, candidates.shape[0], _EXTEND_CHUNK):
+        stacked = np.vstack([rows, candidates[lo : lo + _EXTEND_CHUNK]])
+        rows = linalg.orthonormal_rows(stacked, tol=_DROP_TOL)
     return rows
 
 
@@ -193,14 +200,14 @@ def _modules(a, seed=DEFAULT_SEED):
     return _certify(a, v, blocks, clusters, sectors)
 
 
-def _group_sectors(yv, clusters, zero=1e-10, nonzero=1e-6):
+def _group_sectors(yv, clusters):
     """Group eigenspaces into sectors by the compressions of y between them.
 
     ``yv`` is y in the eigenbasis. Returns one (members, units) pair per
     sector: the indices of its clusters, and units[p, q] = B / ||B||_F for
     the compression B between distinct members p and q (1 / sqrt(n) for
     p = q). A compression whose norm relative to ||y||_F lies between
-    ``zero`` and ``nonzero`` cannot be classified and raises
+    ``_UNLINKED`` and ``_LINKED`` cannot be classified and raises
     :class:`DegenerateSplitError`.
     """
     scale = float(np.linalg.norm(yv))
@@ -214,11 +221,11 @@ def _group_sectors(yv, clusters, zero=1e-10, nonzero=1e-6):
         comp = yv[idx][:, :, idx].transpose(0, 2, 1, 3)
         norms = np.linalg.norm(comp, axis=(2, 3)) / scale
         np.fill_diagonal(norms, 1.0)
-        if np.any((norms > zero) & (norms < nonzero)):
+        if np.any((norms > _UNLINKED) & (norms < _LINKED)):
             raise DegenerateSplitError(
                 "a compression between eigenspaces is too small to classify"
             )
-        linked = norms >= nonzero
+        linked = norms >= _LINKED
         left = np.arange(len(members))
         while left.size:
             group = left[linked[left[0], left]]
@@ -235,17 +242,18 @@ def _group_sectors(yv, clusters, zero=1e-10, nonzero=1e-6):
     return sectors
 
 
-def _certify(a, v, blocks, clusters, sectors, tol=1e-8):
+def _certify(a, v, blocks, clusters, sectors):
     """Check the sector split of ``a`` and return it as (vs, units) pairs.
 
-    ``blocks`` holds V^dag b V for every basis element b of ``a``.
+    ``blocks`` holds V^dag b V for every basis element b of ``a``; the
+    checks hold to ``_CERTIFY_TOL``.
     """
     err = "; the input is not a dagger-algebra"
     label = np.empty(v.shape[0], dtype=int)
     for e, idx in enumerate(clusters):
         label[idx] = e
     leak = float(np.max(np.linalg.norm(blocks[:, label[:, None] != label], axis=1)))
-    if leak > tol:
+    if leak > _CERTIFY_TOL:
         raise ValueError(f"basis leaks between eigenspaces by {leak:.2e}{err}")
     if sum(clusters[members[0]].size ** 2 for members, _ in sectors) != a.dim:
         raise ValueError(f"sector dimensions do not add up to {a.dim}{err}")
@@ -253,13 +261,13 @@ def _certify(a, v, blocks, clusters, sectors, tol=1e-8):
     for members, units in sectors:
         n = units.shape[-1]
         gram = n * units @ units.conj().transpose(0, 1, 3, 2) - np.eye(n)
-        if float(np.max(np.linalg.norm(gram, axis=(2, 3)))) > tol:
+        if float(np.max(np.linalg.norm(gram, axis=(2, 3)))) > _CERTIFY_TOL:
             raise ValueError(f"a compression is not a scaled unitary{err}")
         diag = np.stack([blocks[:, clusters[e]][:, :, clusters[e]] for e in members])
         for p in range(len(members)):
             # units[p, q] must carry the blocks of member q to those of p
             gap = diag[p][None] @ units[p][:, None] - units[p][:, None] @ diag
-            if float(np.max(np.linalg.norm(gap, axis=(2, 3)))) > tol:
+            if float(np.max(np.linalg.norm(gap, axis=(2, 3)))) > _CERTIFY_TOL:
                 raise ValueError(f"a compression is not an intertwiner{err}")
         out.append((np.stack([v[:, clusters[e]] for e in members]), units))
     return out
@@ -329,18 +337,18 @@ def relative_commutant(b, ambient, tol=1e-8):
     return intersect(commutant(b), ambient)
 
 
-def _cluster_eigenvalues(w, tol, guard=10.0):
+def _cluster_eigenvalues(w, tol):
     """Group a sorted eigenvalue array into clusters separated by > tol.
 
     Raises :class:`DegenerateSplitError` when two adjacent clusters are
-    closer than ``guard`` times the clustering tolerance, since the grouping
-    would then depend on the tolerance itself.
+    closer than ``_CLUSTER_GUARD`` times the clustering tolerance, since the
+    grouping would then depend on the tolerance itself.
     """
     gaps = np.diff(w)
     splits = np.nonzero(gaps > tol)[0]
     clusters = np.split(np.arange(w.size), splits + 1)
     for left, right in zip(clusters[:-1], clusters[1:]):
-        if w[right[0]] - w[left[-1]] < guard * tol:
+        if w[right[0]] - w[left[-1]] < _CLUSTER_GUARD * tol:
             raise DegenerateSplitError(
                 f"eigenvalue clusters separated by only "
                 f"{w[right[0]] - w[left[-1]]:.2e} (tolerance {tol:.0e})"

@@ -196,23 +196,25 @@ def physical_algebra(system, majoranas=None, *, modes=None):
         if not 1 <= k <= 2 * system.n_modes:
             raise IndexError(f"Majorana index {k} out of range")
     scale = 1.0 / np.sqrt(system.dim)
-    gens = [majorana(system, k) for k in region]
-    basis = []
+    return AlgebraBasis(system.dim, [scale * m for m in _even_monomials(system, region)])
+
+
+def _even_monomials(system, indices):
+    """The even :func:`majorana_monomial` of ``indices`` (ascending), by size
+    and then in the order of ``itertools.combinations``.  Each is one product
+    from its prefix, the same left-to-right products, so the matrices agree."""
+    gens = [majorana(system, k) for k in indices]
 
     def extend(prefix, start, left, phase):
-        # depth-first in the order of itertools.combinations; each monomial
-        # is one product from its prefix, the same left-to-right products
-        # that majorana_monomial forms, so the basis is unchanged
         if left == 0:
-            basis.append(scale * (phase * prefix))
+            yield phase * prefix
             return
         for j in range(start, len(gens) - left + 1):
-            extend(prefix @ gens[j], j + 1, left - 1, phase)
+            yield from extend(prefix @ gens[j], j + 1, left - 1, phase)
 
     eye = np.eye(system.dim, dtype=complex)
-    for size in range(0, len(region) + 1, 2):
-        extend(eye, 0, size, 1j ** ((size * (size - 1) // 2) % 4))
-    return AlgebraBasis(system.dim, basis)
+    for size in range(0, len(gens) + 1, 2):
+        yield from extend(eye, 0, size, 1j ** ((size * (size - 1) // 2) % 4))
 
 
 @dataclass

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -125,6 +124,8 @@ class DualityReport:
 
 # a row of fixed data with at most this norm carries no information
 _NULL_ROW = 1e-10
+# eigenvalues up to this fraction of max(1, largest) lie outside a state's support
+_SUPPORT_CUTOFF = 1e-12
 
 
 def _as_channel(kraus):
@@ -356,10 +357,9 @@ def fermion_local_check(code, kraus, region, tol=1e-8):
     # products with the region parity
     pw = np.concatenate([parity.p_plus @ w, parity.p_minus @ w], axis=1)
     right = []
-    for size in range(0, len(outside) + 1, 2):
-        for subset in combinations(outside, size):
-            bpw = fermion_mod.majorana_monomial(system, subset) @ pw
-            right += [bpw, parity.c @ bpw]
+    for monomial in fermion_mod._even_monomials(system, outside):
+        bpw = monomial @ pw
+        right += [bpw, parity.c @ bpw]
     right = np.stack(right, axis=1).reshape(d, len(right), 2, -1)
 
     lam = {}
@@ -441,9 +441,9 @@ class FixesAlgebra:
     algebra: object
 
 
-def _support_isometry(sigma, cutoff=1e-12):
+def _support_isometry(sigma):
     w, u = np.linalg.eigh(sigma)
-    keep = w > cutoff * max(float(w[-1]), 1.0)
+    keep = w > _SUPPORT_CUTOFF * max(float(w[-1]), 1.0)
     if not np.any(keep):
         raise ValueError("state has numerically empty support")
     return u[:, keep]
@@ -695,7 +695,7 @@ def _link_plan(n, m, rho, constraint, environment):
         if n.out_dim != m.out_dim or b.ambient_dim != n.out_dim:
             raise ValueError("fixed-algebra constraints need matching dimensions")
         if environment:
-            p = algebra_mod.conditional_expectation(algebra_mod.commutant(b))
+            p = channels_mod._commutant_expectation(b)
             src = channels_mod._local_complement(m, p)
             dst = channels_mod._local_complement(n, p)
             left = p.n_kraus

@@ -949,13 +949,12 @@ def ring_demo_scenario(modes, unpaired, pairing=None, max_support=2):
     ups = sorted(ups)
     if pairing is None:
         pairing = []
-        for here, nxt in zip(ups, ups[1:] + [ups[0] + n_maj]):
-            arc = [(x - 1) % n_maj + 1 for x in range(here + 1, nxt)]
+        for here, nxt, arc in zip(ups, ups[1:] + ups[:1],
+                                  fermion_mod._ring_intervals(ups, n_maj)):
             if len(arc) % 2 != 0:
                 raise ScenarioError(
-                    f"arc between unpaired positions {here} and "
-                    f"{(nxt - 1) % n_maj + 1} has odd length; give an "
-                    "explicit pairing"
+                    f"arc between unpaired positions {here} and {nxt} has odd "
+                    "length; give an explicit pairing"
                 )
             pairing.extend([arc[i], arc[i + 1]] for i in range(0, len(arc), 2))
     else:

@@ -71,9 +71,11 @@ rows 1_a (x) h_j of an identity lift are mutually orthogonal, so a problem
 that opens with such a family row-reduces with a QR of the later rows'
 residuals alone.
 
-The module knows nothing of channels: the fidelity problems are built in
-:mod:`.recovery`.  Problems can be written to and read from JSON files
-(:func:`dump_problem`, :func:`load_problem`).
+The svec layout, where each Hermitian entry lands in the solver's real
+coordinates, lives in :class:`_SvecMap` alone.  The module knows nothing
+of channels: the fidelity problems are built in :mod:`.recovery`.
+Problems can be written to and read from JSON files (:func:`dump_problem`,
+:func:`load_problem`).
 """
 
 from __future__ import annotations
@@ -96,17 +98,13 @@ __all__ = [
     "load_problem",
 ]
 
-_TRIU_CACHE = {}
-_IDENTITY_COLUMNS_CACHE = {}
 _ROOT2 = np.sqrt(2.0)
+# misfit of a dropped row, relative to 1 + max |rhs|, that makes the rows inconsistent
+_FEAS_TOL = 1e-8
+# eigenvalue floor of :func:`_clipped_eigh`, relative to the largest eigenvalue
+_EIG_FLOOR = 1e-15
 # matrix entries per chunk of rows in :func:`_row_norms` (16 MB of float64)
 _NORM_CHUNK = 1 << 21
-
-
-def _triu(d):
-    if d not in _TRIU_CACHE:
-        _TRIU_CACHE[d] = np.triu_indices(d, 1)
-    return _TRIU_CACHE[d]
 
 
 def svec(h):
@@ -116,7 +114,9 @@ def svec(h):
     strict upper triangle, then sqrt(2) times its imaginary parts.
     """
     h = np.asarray(h)
-    return _SvecMap([h.shape[0]]).svec([h])
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    return _SvecMap.of(h.shape[0]).svec(h.ravel())
 
 
 def unsvec(v, d):
@@ -124,24 +124,7 @@ def unsvec(v, d):
     v = np.asarray(v, dtype=float)
     if v.shape != (d * d,):
         raise ValueError(f"expected length {d * d}, got {v.shape}")
-    return _SvecMap([d]).unsvec(v)[0]
-
-
-def _svec_stack(stack, out=None):
-    """Apply :func:`svec` to a stack of matrices, shape (m, d, d) -> (m, d*d).
-
-    ``out``, when given, receives the result in place.
-    """
-    m, d, _ = stack.shape
-    iu, ju = _triu(d)
-    k = iu.size
-    if out is None:
-        out = np.empty((m, d * d))
-    out[:, :d] = stack.real[:, np.arange(d), np.arange(d)]
-    out[:, d:d + k] = stack.real[:, iu, ju]
-    out[:, d + k:] = stack.imag[:, iu, ju]
-    out[:, d:] *= _ROOT2
-    return out
+    return _SvecMap.of(d).unsvec(v)[0]
 
 
 def _contract_basis(basis, t):
@@ -328,103 +311,116 @@ class SdpSolution:
 
 
 class _SvecMap:
-    """:func:`svec` and :func:`unsvec` of every block at once.
+    """The svec layout of Hermitian blocks of ``dims``: the only code that
+    knows where an entry lands in the solver's real coordinates.  Blocks run
+    in order, as in the columns of the constraint matrix, each with the
+    coordinates of :func:`svec` starting where its raveled entries do
+    (``slices``).  Index arrays and one-block maps are cached per dimension;
+    a map of several blocks is made where it is used and not kept."""
 
-    The svec coordinates of the blocks are concatenated in block order,
-    as in the columns of the constraint matrix; index arrays into the
-    concatenated raveled blocks are computed once.
-    """
+    _BLOCKS = {}
+    _MAPS = {}
+
+    @classmethod
+    def of(cls, d):
+        """The map of one block of dimension ``d``, made once per dimension."""
+        if d not in cls._MAPS:
+            cls._MAPS[d] = cls([d])
+        return cls._MAPS[d]
+
+    @classmethod
+    def _block(cls, d):
+        """Raveled positions of the diagonal and of the strict upper and lower
+        triangles (the lower as mirrors of the upper), then svec positions of
+        the diagonal, real and imaginary parts, of one block of dimension ``d``.
+        Made once per dimension and never written."""
+        if d not in cls._BLOCKS:
+            iu, ju = np.triu_indices(d, 1)
+            k = iu.size
+            cls._BLOCKS[d] = (np.arange(d) * (d + 1), iu * d + ju, ju * d + iu,
+                              np.arange(d), d + np.arange(k), d + k + np.arange(k))
+        return cls._BLOCKS[d]
 
     def __init__(self, dims):
-        self.dims = dims
-        self.size = sum(d * d for d in dims)
-        # raveled positions of the diagonal and of the strict upper and
-        # lower triangles; svec positions of the diagonal, real and
-        # imaginary parts; a block's svec and raveled entries start alike
+        self.dims = list(dims)
+        self.slices = []
         parts = [[] for _ in range(6)]
         start = 0
-        for d in dims:
-            iu, ju = _triu(d)
-            k = iu.size
-            for part, idx in zip(parts, (
-                np.arange(d) * (d + 1), iu * d + ju, ju * d + iu,
-                np.arange(d), d + np.arange(k), d + k + np.arange(k),
-            )):
+        for d in self.dims:
+            for part, idx in zip(parts, self._block(d)):
                 part.append(start + idx)
+            self.slices.append(slice(start, start + d * d))
             start += d * d
+        self.size = start
         (self.diag, self.upper, self.lower,
          self.diag_pos, self.re, self.im) = (np.concatenate(p) for p in parts)
+        # the float of the raveled complex blocks each coordinate reads, and its factor
+        self.reads = np.empty(self.size, dtype=int)
+        self.reads[self.diag_pos] = 2 * self.diag
+        self.reads[self.re] = 2 * self.upper
+        self.reads[self.im] = 2 * self.upper + 1
+        self.factor = np.full(self.size, _ROOT2)
+        self.factor[self.diag_pos] = 1.0
 
-    def svec(self, mats):
-        flat = np.concatenate([t.ravel() for t in mats])
-        out = np.empty(self.size)
-        out[self.diag_pos] = flat[self.diag].real
-        off = flat[self.upper]
-        out[self.re] = off.real * _ROOT2
-        out[self.im] = off.imag * _ROOT2
+    def svec(self, flat, out=None):
+        """svec of raveled blocks along the last axis, (..., size) -> (..., size),
+        into ``out`` when given.  Only diagonals and upper triangles are read."""
+        floats = np.ascontiguousarray(flat, dtype=complex).view(float)
+        out = np.take(floats, self.reads, axis=-1, out=out)
+        out *= self.factor
         return out
 
     def unsvec(self, v):
+        """The Hermitian blocks, (d, d) each, whose svec is ``v``."""
         flat = np.empty(self.size, dtype=complex)
         flat[self.diag] = v[self.diag_pos]
         off = (v[self.re] + 1j * v[self.im]) / _ROOT2
         flat[self.upper] = off
         flat[self.lower] = off.conj()
-        out = []
-        start = 0
-        for d in self.dims:
-            out.append(flat[start:start + d * d].reshape(d, d))
-            start += d * d
-        return out
+        return [flat[s].reshape(d, d) for s, d in zip(self.slices, self.dims)]
 
-
-def _identity_columns(c, a):
-    """Where svec of 1_a (x) h lands, for h of dimension c.
-
-    Entry [k, s] is the svec position, in a block of dimension a*c, of
-    svec coordinate s of the k-th diagonal copy of h.  Cached per (c, a)
-    and read-only.
-    """
-    if (c, a) not in _IDENTITY_COLUMNS_CACHE:
-        n = a * c
-        iu, ju = _triu(c)
-        k = c * np.arange(a)[:, None]
-        u, v = k + iu, k + ju
-        # position of (u, v), u < v, in the row-major strict upper triangle
-        tri = u * n - u * (u + 1) // 2 + v - u - 1
-        cols = np.concatenate([k + np.arange(c), n + tri, n + n * (n - 1) // 2 + tri],
-                              axis=1)
-        cols.setflags(write=False)
-        _IDENTITY_COLUMNS_CACHE[(c, a)] = cols
-    return _IDENTITY_COLUMNS_CACHE[(c, a)]
+    def lift_columns(self, b, c):
+        """Where svec of 1_a (x) h lands on block ``b``, for h of dimension c:
+        entry [k, s] is the position of coordinate s of the k-th diagonal copy
+        of h.  Coordinate s of h belongs to its entry (i, j), the mirror (j, i)
+        for an imaginary part, and the copy's to (kc + i, kc + j)."""
+        n = self.dims[b]
+        big, small = self._block(n), self._block(c)
+        # the coordinate that belongs to each raveled entry of the block
+        slot = np.empty(n * n, dtype=int)
+        slot[np.concatenate(big[:3])] = np.concatenate(big[3:])
+        i, j = np.divmod(np.concatenate(small[:3]), c)  # small[3:] is 0, 1, ..., c*c - 1
+        k = c * np.arange(n // c)[:, None]
+        return self.slices[b].start + slot[(k + i) * n + k + j]
 
 
 def _svec_rows(problem):
     """Every constraint row as one real svec matrix, (m, sum of n^2).
 
     Family rows are written term by term.  An identity lift's rows are
-    copies of svec(coef h_j) at :func:`_identity_columns`; an explicit
+    copies of svec(coef h_j) at :meth:`_SvecMap.lift_columns`; an explicit
     lift's complex rows are formed, written and freed before the next.
     """
     dims = problem.block_dims
-    a_svec = np.zeros((problem.n_constraints, sum(d * d for d in dims)))
+    coords = _SvecMap(dims)
+    a_svec = np.zeros((problem.n_constraints, coords.size))
     for start, family in problem.families:
         rows = slice(start, start + len(family))
         c = family.dim
         for b, lift, coef in family.terms:
-            blk = _block_slice(dims, b)
+            n = dims[b]
             if lift is None:
-                basis = linalg.hermitian_basis(c)
-                small = _svec_stack(basis if coef == 1.0 else coef * basis)
-                cols = _identity_columns(c, dims[b] // c)
-                a_svec[rows, blk.start + cols] = small[:, None, :]
+                small = _SvecMap.of(c).svec(coef * linalg.hermitian_basis(c).reshape(c * c, -1))
+                a_svec[rows, coords.lift_columns(b, c)] = small[:, None, :]
             else:
-                _svec_stack(family._stack(lift, coef, dims[b]), out=a_svec[rows, blk])
-    for b in range(len(dims)):
+                _SvecMap.of(n).svec(family._stack(lift, coef, n).reshape(c * c, n * n),
+                                    out=a_svec[rows, coords.slices[b]])
+    for b, n in enumerate(dims):
         on_b = [(i, row[b]) for i, row in problem.dense_rows if row[b] is not None]
         if on_b:
             idx, mats = zip(*on_b)
-            a_svec[list(idx), _block_slice(dims, b)] = _svec_stack(np.stack(mats))
+            a_svec[list(idx), coords.slices[b]] = _SvecMap.of(n).svec(
+                np.stack(mats).reshape(len(mats), n * n))
     return a_svec
 
 
@@ -494,7 +490,7 @@ def _independent_rows(a, tol, norms, lead=0):
     return np.asarray(kept, dtype=int)
 
 
-def _reduce_rows(a_svec, rhs, feas_tol=1e-8, lead=0):
+def _reduce_rows(a_svec, rhs, lead=0):
     """Select an independent subset of rows; detect inconsistency.
 
     Returns (kept_indices, reason); ``reason`` is None unless the
@@ -513,7 +509,7 @@ def _reduce_rows(a_svec, rhs, feas_tol=1e-8, lead=0):
             coef, *_ = np.linalg.lstsq(a_svec[kept].T, a_svec[dropped[fit]].T, rcond=None)
             implied[fit] = coef.T @ rhs[kept]
         worst = float(np.max(np.abs(implied - rhs[dropped])))
-        if worst > feas_tol * (1.0 + float(np.max(np.abs(rhs)))):
+        if worst > _FEAS_TOL * (1.0 + float(np.max(np.abs(rhs)))):
             return kept, (f"constraint rows are linearly dependent with "
                           f"inconsistent right-hand sides (misfit {worst:.2e})")
     return kept, None
@@ -616,7 +612,7 @@ def _schur(layout, w_scale, a_svec, blocks, m):
     for lay, w, blk in zip(layout, w_scale, blocks):
         if lay.dense_stack is not None:
             waw = np.matmul(np.matmul(w, lay.dense_stack), w)
-            cross = a_svec[:, blk] @ _svec_stack(waw).T
+            cross = a_svec[:, blk] @ _SvecMap.of(len(w)).svec(waw.reshape(len(waw), -1)).T
             schur[:, lay.dense_pos] += cross
             if lay.cross_ix is not None:
                 schur[lay.cross_ix] += cross[lay.family_pos].T
@@ -631,10 +627,10 @@ def _schur(layout, w_scale, a_svec, blocks, m):
     return (schur + schur.T) / 2.0
 
 
-def _clipped_eigh(h, floor_rel=1e-15):
+def _clipped_eigh(h):
     w, u = np.linalg.eigh(h)
     top = max(float(w[-1]), 0.0)
-    w = np.clip(w, max(top * floor_rel, 1e-290), None)
+    w = np.clip(w, max(top * _EIG_FLOOR, 1e-290), None)
     return w, u
 
 
@@ -724,7 +720,6 @@ def solve(problem, tol=1e-7, max_iter=200):
     if kept.size < rhs_full.size:
         a_svec = a_svec[kept]
     layout = _schur_layout(problem, kept)
-    blocks = [_block_slice(dims, b) for b in range(len(dims))]
     coords = _SvecMap(dims)
     b_vec = rhs_full[kept]
     m = b_vec.size
@@ -742,7 +737,7 @@ def solve(problem, tol=1e-7, max_iter=200):
     y = np.zeros(m)
 
     def operator(mats):
-        return a_svec @ coords.svec(mats) if m else np.zeros(0)
+        return a_svec @ coords.svec(np.concatenate([t.ravel() for t in mats]))
 
     def adjoint(vec):
         return coords.unsvec(vec @ a_svec)
@@ -800,7 +795,7 @@ def solve(problem, tol=1e-7, max_iter=200):
             break
 
         # Schur complement and its factorization
-        schur = _schur(layout, w_scale, a_svec, blocks, m)
+        schur = _schur(layout, w_scale, a_svec, coords.slices, m)
         scale = max(float(np.mean(np.diagonal(schur))), 1e-30) if m else 1.0
         factor_ok = False
         for jitter in (0.0, 1e-14, 1e-11, 1e-8):
@@ -867,11 +862,6 @@ def solve(problem, tol=1e-7, max_iter=200):
         iterations=it,
         diagnostics=diagnostics,
     )
-
-
-def _block_slice(dims, b):
-    start = sum(d * d for d in dims[:b])
-    return slice(start, start + dims[b] * dims[b])
 
 
 def _encode_matrix(a):

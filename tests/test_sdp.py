@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,12 @@ def test_svec_round_trip_and_isometry():
 def test_unsvec_length_check():
     with pytest.raises(ValueError):
         sdp.unsvec(np.zeros(5), 2)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_svec_rejects_a_non_square_matrix(shape):
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        sdp.svec(np.arange(float(np.prod(shape))).reshape(shape))
 
 
 def test_max_trace_on_unit_trace_set():
@@ -761,7 +768,7 @@ def schur_at(prob, w_scale):
     a_svec = sdp._svec_rows(prob)
     kept, reason = sdp._reduce_rows(a_svec, prob.rhs)
     assert reason is None
-    blocks = [sdp._block_slice(prob.block_dims, b) for b in range(len(prob.block_dims))]
+    blocks = sdp._SvecMap(prob.block_dims).slices
     layout = sdp._schur_layout(prob, kept)
     return kept, sdp._schur(layout, w_scale, a_svec[kept], blocks, kept.size)
 
@@ -873,8 +880,41 @@ def test_loaded_fixes_algebra_problem_solves_densely_alike(tmp_path):
 def test_identity_lift_rows_match_dense_svec(c, a, coef):
     family = sdp.RowFamily(c, [(0, None, coef)])
     prob = sdp.SdpProblem([a * c], [None], [family], np.zeros(c * c))
-    dense = sdp._svec_stack(family.stacks(prob.block_dims)[0])
+    dense = np.stack([sdp.svec(h) for h in family.stacks(prob.block_dims)[0]])
     assert np.array_equal(sdp._svec_rows(prob), dense)
+
+
+def row_corpus(monkeypatch, case):
+    """A problem of the four definition corpora, the d=8 Physical split, or
+    the rectangular corpus with dense rows before, among and after its families."""
+    if case == "physical-d8":
+        n, m, rho, constraint, _ = physical_corpus("d8")
+        return first_link_plan(
+            monkeypatch, lambda: rc.build_recovery_fidelity_sdp(n, m, rho, constraint))[1].problem
+    prob = definition_corpus_plan(monkeypatch, case.removeprefix("mixed-"))[1].problem
+    if case.startswith("mixed-"):
+        rng = np.random.default_rng(113)
+        dims = prob.block_dims
+        families = [family for _, family in prob.families]
+        rows = ([[random_hermitian(rng, dims[0]), None]] + families[:1]
+                + [[random_hermitian(rng, d) for d in dims]] + families[1:]
+                + [[None, random_hermitian(rng, dims[1])]])
+        prob = sdp.SdpProblem(dims, prob.objective, rows,
+                              np.ones(prob.n_constraints + 3), sense=prob.sense)
+    return prob
+
+
+@pytest.mark.parametrize("case", ["rectangular", "physical", "fixes_algebra", "environment",
+                                  "physical-d8", "mixed-rectangular"])
+def test_svec_rows_are_the_public_svec_of_each_row(monkeypatch, case):
+    # the solver's row matrix and the public svec share one layout, bit for bit
+    prob = row_corpus(monkeypatch, case)
+    want = np.stack([
+        np.concatenate([np.zeros(d * d) if a is None else sdp.svec(a)
+                        for a, d in zip(row, prob.block_dims)])
+        for row in prob.constraints
+    ])
+    assert np.array_equal(sdp._svec_rows(prob), want)
 
 
 def full_qr_kept(a):

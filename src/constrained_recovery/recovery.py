@@ -11,7 +11,7 @@ channel dilations), so the two optimal values can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -91,6 +91,27 @@ class CorrectabilityReport:
         return self.verdict == "correctable"
 
 
+class _FormedWhenRead:
+    """A dataclass field that may be given a zero-argument function in place
+    of its value; the function forms the value on the first read, which is
+    kept.  A read on the class raises AttributeError, so the field has no
+    default."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot[1:])
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass
 class FidelityResult:
     """An optimal (or heuristic) channel fidelity with its optimizer.
@@ -98,16 +119,26 @@ class FidelityResult:
     ``optimizer`` is the process matrix of the optimizing map, on
     ``out_dim (x) in_dim``; ``status`` mirrors the solver ("optimal",
     "max_iter", "infeasible") or reads "heuristic" for see-saw output.
+    A solve passes a function in place of the matrix, and the matrix is
+    formed when first read: for a problem built on the supports of its
+    states it is the extension of the solved map to the full dimensions
+    (see :func:`_link_plan`), which for a code of a few dimensions in a
+    large register may not fit in memory.  The repr leaves it out.
     """
 
     value: float
-    optimizer: np.ndarray
+    optimizer: np.ndarray = _FormedWhenRead()
     duality_gap: float
     iterations: int
     constraint_set: str
     status: str
     out_dim: int = 0
     in_dim: int = 0
+
+    def __repr__(self):
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
+                          for f in fields(self) if f.name != "optimizer")
+        return f"FidelityResult({shown})"
 
 
 @dataclass
@@ -495,25 +526,48 @@ def _state_after(channel, psi):
 
 @dataclass
 class _LinkPlan:
-    """A fidelity SDP plus the data needed to read the optimizer back."""
+    """A fidelity SDP plus the data needed to read the optimizer back.
+
+    The optimized channel maps act_in to act_out, beside a ``left_dim``
+    factor it leaves alone.  ``supports`` holds the isometries
+    (V_out, V_in) onto the subspaces the problem was built on (see
+    :func:`_link_plan`), ``None`` for a side kept at its full dimension.
+    """
 
     problem: sdp.SdpProblem
     op_bases: list
     act_out: int
     act_in: int
     sigma_support: np.ndarray
+    left_dim: int = 1
+    supports: tuple = (None, None)
 
     def choi(self, solution):
         """Process matrix of the optimized channel, on out (x) in: the sum
         of Q_b J_b Q_b^dag over the operator blocks, where Q_b's columns
-        are vec(B_u) of block b's basis (the identity for ``None``)."""
+        are vec(B_u) of block b's basis (the identity for ``None``).
+
+        On supports, the solved map R_s extends to
+        R(x) = V_out R_s(V_in^dag x V_in) V_out^dag + Tr((1 - P_in) x) tau,
+        tau = t t^dag for the leading column t of V_out.  Its Kraus
+        operators V_out K V_in^dag have vec (V_out (x) conj V_in) vec K.
+        """
         out = 0
         for basis, j in zip(self.op_bases, solution.block_values):
             if basis is not None:
                 qv = basis.reshape(basis.shape[0], -1).T
                 j = qv @ j @ qv.conj().T
             out = out + j
-        return out
+        v_out, v_in = self.supports
+        if v_out is None and v_in is None:
+            return out
+        v_out = np.eye(self.act_out) if v_out is None else v_out
+        v_in = np.eye(self.act_in) if v_in is None else v_in
+        lift = np.kron(v_out, v_in.conj())
+        out = lift @ out @ lift.conj().T
+        t = v_out[:, :1]
+        outside = np.eye(self.act_in) - v_in @ v_in.conj().T
+        return out + np.kron(t @ t.conj().T, outside.conj())
 
 
 def _checked_basis(ops, act_out, act_in):
@@ -604,6 +658,7 @@ def _build_link_problem(eta, sigma, left_dim, act_in, act_out, ref_dim,
         act_out=act_out,
         act_in=act_in,
         sigma_support=q_sigma,
+        left_dim=left_dim,
     )
 
 
@@ -652,6 +707,26 @@ def _parity_bases(p, q):
             np.concatenate([span(op, im), span(om, ip)])]
 
 
+def _act_support(state, left, act, ref):
+    """Isometry onto the support of the act marginal of ``state`` on
+    left (x) act (x) ref, found with :func:`linalg.psd_factor`; ``None``
+    when that support is all of act."""
+    marginal = np.einsum("iajibj->ab", state.reshape(left, act, ref, left, act, ref))
+    f, _ = linalg.psd_factor(marginal)
+    if f.shape[1] == act:
+        return None
+    return f / np.linalg.norm(f, axis=0)
+
+
+def _compress(state, left, v, ref):
+    """(1 (x) V^dag (x) 1) state (1 (x) V (x) 1) on left (x) act (x) ref, or
+    ``state`` itself for ``v`` None."""
+    if v is None:
+        return state
+    lift = np.kron(np.kron(np.eye(left), v), np.eye(ref))
+    return lift.conj().T @ state @ lift
+
+
 def _link_plan(n, m, rho, constraint, environment):
     """The fidelity SDP of one side of the duality at ``rho``.
 
@@ -665,6 +740,22 @@ def _link_plan(n, m, rho, constraint, environment):
     expectation's Kraus rank.  Returns the plan, the constraint label and
     the map that turns the optimized channel into the reported one (None
     when it is reported as is).
+
+    The unconstrained recovery side and every environment side optimize
+    over all operators, and they are solved on the supports of the
+    linked states: S_in of the act marginal of eta, the state the
+    optimized channel acts on, and S_out of that of the fixed state
+    sigma (each traced over left and ref).  eta lives on
+    left (x) S_in (x) ref, so the fidelity sees the channel R only on
+    B(S_in).  It sees only the compression of R's output to S_out, and
+    it does not fall when a positive term is added to that output, so
+    C . R with C(x) = P_out x P_out + Tr((1 - P_out) x) tau (tau a state
+    on S_out) is as good as R: some optimum maps B(S_in) into B(S_out).
+    The problem is built on s_in x s_out, and the reported optimizer is
+    the solved map's extension to the full dimensions (see
+    :meth:`_LinkPlan.choi`), formed only when read.  A side whose
+    supports are full solves the full problem, unchanged.  The Physical
+    and FixesAlgebra recovery sides keep their full dimensions.
     """
     if constraint is None:
         constraint = Unconstrained()
@@ -707,11 +798,20 @@ def _link_plan(n, m, rho, constraint, environment):
         label = f"environment({label})"
         finish = None if left == 1 else lambda r: channels_mod.tensor_channels(  # noqa: E731
             channels_mod.identity_channel(left), r)
+    eta, sigma = _state_after(src, psi), _state_after(dst, psi)
+    act_in, act_out, ref = src.out_dim // left, dst.out_dim // left, psi.shape[1]
+    v_in = v_out = None
+    if environment or isinstance(constraint, Unconstrained):
+        v_in = _act_support(eta, left, act_in, ref)
+        v_out = _act_support(sigma, left, act_out, ref)
     plan = _build_link_problem(
-        _state_after(src, psi), _state_after(dst, psi), left_dim=left,
-        act_in=src.out_dim // left, act_out=dst.out_dim // left,
-        ref_dim=psi.shape[1], op_bases=bases,
+        _compress(eta, left, v_in, ref), _compress(sigma, left, v_out, ref), left_dim=left,
+        act_in=act_in if v_in is None else v_in.shape[1],
+        act_out=act_out if v_out is None else v_out.shape[1],
+        ref_dim=ref, op_bases=bases,
     )
+    if v_in is not None or v_out is not None:
+        plan = replace(plan, act_out=act_out, act_in=act_in, supports=(v_out, v_in))
     return plan, label, finish
 
 
@@ -722,7 +822,9 @@ def build_recovery_fidelity_sdp(n, m, rho, constraints=None):
     state ``rho`` over trace-preserving completely positive ``r``,
     subject to ``constraints`` (an :class:`Unconstrained`,
     :class:`Physical`, or :class:`FixesAlgebra` instance).  The optimal
-    value of the returned problem is the fidelity.
+    value of the returned problem is the fidelity.  An unconstrained
+    problem lives on the supports of the linked states (see
+    :func:`_link_plan`).
     """
     return _link_plan(n, m, rho, constraints, environment=False)[0].problem
 
@@ -731,22 +833,26 @@ def _fidelity(n, m, rho, constraint, tol, environment):
     """Build and solve one side of the duality; see :func:`_link_plan`."""
     plan, label, finish = _link_plan(n, m, rho, constraint, environment)
     sol = sdp.solve(plan.problem, tol=tol)
-    choi = plan.choi(sol)
-    out_dim, in_dim = plan.act_out, plan.act_in
-    if finish is not None:
-        full = finish(channels_mod.channel_from_choi(
-            choi, out_dim, in_dim, renormalize=True
-        ))
-        choi, out_dim, in_dim = full.choi, full.out_dim, full.in_dim
+
+    def optimizer():
+        choi = plan.choi(sol)
+        if finish is None:
+            return choi
+        return finish(channels_mod.channel_from_choi(
+            choi, plan.act_out, plan.act_in, renormalize=True
+        )).choi
+
+    # the reported map acts on the left factor too (as the identity), and
+    # a Physical sandwich keeps the dimensions of r
     return FidelityResult(
         value=float(np.clip(sol.value, 0.0, 1.0)),
-        optimizer=choi,
+        optimizer=optimizer,
         duality_gap=abs(sol.value - sol.dual_value),
         iterations=sol.iterations,
         constraint_set=label,
         status=sol.status,
-        out_dim=out_dim,
-        in_dim=in_dim,
+        out_dim=plan.left_dim * plan.act_out,
+        in_dim=plan.left_dim * plan.act_in,
     )
 
 
@@ -875,15 +981,12 @@ def worst_case_fidelity_seesaw(n, m, code, rounds=10, tol=1e-7, seed=None):
         if previous is not None and abs(value - previous) < tol:
             break
         previous = value
-    return FidelityResult(
+    return replace(
+        best_result,
         value=float(np.clip(best_value, 0.0, 1.0)),
-        optimizer=best_result.optimizer,
-        duality_gap=best_result.duality_gap,
         iterations=used,
         constraint_set="worst_case_seesaw(heuristic)",
         status="heuristic",
-        out_dim=best_result.out_dim,
-        in_dim=best_result.in_dim,
     )
 
 

@@ -133,9 +133,14 @@ def encode(value):
 
     Complex scalars become ``[real, imag]`` pairs; complex arrays become
     row-major nested lists of such pairs; real arrays become nested
-    floats; dicts and sequences are encoded entrywise.
+    floats; dicts and sequences are encoded entrywise.  Numeric arrays
+    are converted whole by ``tolist``; object arrays entry by entry.
     """
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "c":
+            return np.stack((value.real, value.imag), -1).tolist()
+        if value.dtype.kind in "fiub":
+            return value.tolist()
         if value.ndim == 0:
             return encode(value[()])
         return [encode(v) for v in value]

@@ -316,9 +316,10 @@ class _SvecMap:
     in order, as in the columns of the constraint matrix, each with the
     coordinates of :func:`svec` starting where its raveled entries do
     (``slices``).  Index arrays and one-block maps are cached per dimension;
-    a map of several blocks is made where it is used and not kept."""
+    a map of several blocks is made once per solve and not kept."""
 
     _BLOCKS = {}
+    _SLOTS = {}
     _MAPS = {}
 
     @classmethod
@@ -340,6 +341,19 @@ class _SvecMap:
             cls._BLOCKS[d] = (np.arange(d) * (d + 1), iu * d + ju, ju * d + iu,
                               np.arange(d), d + np.arange(k), d + k + np.arange(k))
         return cls._BLOCKS[d]
+
+    @classmethod
+    def _slot(cls, d):
+        """The svec position of each raveled entry of a block of dimension
+        ``d``, a mirror entry taking its upper twin's.  Made once per
+        dimension and never written."""
+        if d not in cls._SLOTS:
+            block = cls._block(d)
+            slot = np.empty(d * d, dtype=int)
+            slot[np.concatenate(block[:3])] = np.concatenate(block[3:])
+            slot.setflags(write=False)
+            cls._SLOTS[d] = slot
+        return cls._SLOTS[d]
 
     def __init__(self, dims):
         self.dims = list(dims)
@@ -385,24 +399,23 @@ class _SvecMap:
         of h.  Coordinate s of h belongs to its entry (i, j), the mirror (j, i)
         for an imaginary part, and the copy's to (kc + i, kc + j)."""
         n = self.dims[b]
-        big, small = self._block(n), self._block(c)
-        # the coordinate that belongs to each raveled entry of the block
-        slot = np.empty(n * n, dtype=int)
-        slot[np.concatenate(big[:3])] = np.concatenate(big[3:])
+        small = self._block(c)
         i, j = np.divmod(np.concatenate(small[:3]), c)  # small[3:] is 0, 1, ..., c*c - 1
         k = c * np.arange(n // c)[:, None]
-        return self.slices[b].start + slot[(k + i) * n + k + j]
+        return self.slices[b].start + self._slot(n)[(k + i) * n + k + j]
 
 
-def _svec_rows(problem):
+def _svec_rows(problem, coords=None):
     """Every constraint row as one real svec matrix, (m, sum of n^2).
 
     Family rows are written term by term.  An identity lift's rows are
     copies of svec(coef h_j) at :meth:`_SvecMap.lift_columns`; an explicit
     lift's complex rows are formed, written and freed before the next.
+    ``coords`` is the problem's :class:`_SvecMap` when the caller has one.
     """
     dims = problem.block_dims
-    coords = _SvecMap(dims)
+    if coords is None:
+        coords = _SvecMap(dims)
     a_svec = np.zeros((problem.n_constraints, coords.size))
     for start, family in problem.families:
         rows = slice(start, start + len(family))
@@ -698,7 +711,8 @@ def solve(problem, tol=1e-7, max_iter=200):
     dims = problem.block_dims
     sign = 1.0 if problem.sense == "min" else -1.0
     c_blocks = [sign * c for c in problem.objective]
-    a_svec = _svec_rows(problem)
+    coords = _SvecMap(dims)
+    a_svec = _svec_rows(problem, coords)
     rhs_full = problem.rhs
 
     kept, reason = _reduce_rows(a_svec, rhs_full, lead=_orthogonal_lead(problem))
@@ -720,7 +734,6 @@ def solve(problem, tol=1e-7, max_iter=200):
     if kept.size < rhs_full.size:
         a_svec = a_svec[kept]
     layout = _schur_layout(problem, kept)
-    coords = _SvecMap(dims)
     b_vec = rhs_full[kept]
     m = b_vec.size
     n_total = sum(dims)

@@ -188,9 +188,41 @@ def test_bundled_poisoning_scenario_verdicts(capsys):
 # report format
 
 
+def leaf_types(encoded):
+    if isinstance(encoded, list):
+        return set().union(*(leaf_types(v) for v in encoded)) if encoded else set()
+    return {type(encoded)}
+
+
+def entrywise(value):
+    """The encoding of an array entry by entry, through its numpy scalars."""
+    value = np.asarray(value)
+    if value.ndim:
+        return [entrywise(v) for v in value]
+    return sc.encode(value[()])
+
+
 def test_encode_complex_pairs_row_major():
     encoded = sc.encode(np.array([[1.0, 2.0j], [3.0, 4.0]], dtype=complex))
     assert encoded == [[[1.0, 0.0], [0.0, 2.0]], [[3.0, 0.0], [4.0, 0.0]]]
+    assert leaf_types(encoded) == {float}
+
+
+@pytest.mark.parametrize("value, want, leaf", [
+    (np.array([[1.5, -2.0], [0.0, 3.25]]), [[1.5, -2.0], [0.0, 3.25]], float),
+    (np.array([[1, -2], [0, 3]]), [[1, -2], [0, 3]], int),
+    (np.array([True, False]), [True, False], bool),
+    (np.array(2.5), 2.5, float),
+    (np.array(7), 7, int),
+    (np.array(True), True, bool),
+    (np.array(1.0 - 2.0j), [1.0, -2.0], float),
+    (np.array([1.0 + 1.0j], dtype=np.complex64), [[1.0, 1.0]], float),
+])
+def test_encode_numeric_arrays_to_python_leaves(value, want, leaf):
+    encoded = sc.encode(value)
+    assert encoded == want
+    assert leaf_types(encoded) == {leaf}
+    assert encoded == entrywise(value)
 
 
 def test_report_matrices_are_complex_pair_leaves(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import itertools
+import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -768,3 +770,145 @@ def test_seesaw_never_beats_any_particular_state():
     worst = rc.worst_case_fidelity_seesaw(n, ID2, code)
     at_mixed = rc.optimal_recovery_fidelity(n, ID2, np.eye(2) / 2)
     assert worst.value <= at_mixed.value + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# link problems on the supports of their states
+
+
+def code_state(rng, d, k=2):
+    w = random_unitary(rng, d)[:, :k]
+    return w @ w.conj().T / k
+
+
+def support_corpus(case):
+    """Noise, target, state and constraint of a rank-deficient link problem."""
+    rng = np.random.default_rng({"code": 211, "rectangular": 223, "fixes_algebra": 227,
+                                 "physical": 229, "code-d12": 233}[case])
+    if case in ("code", "code-d12"):
+        d = 8 if case == "code" else 12
+        return ch.Channel(random_kraus(rng, d, d, 3)), ch.identity_channel(d), \
+            code_state(rng, d), rc.Unconstrained()
+    if case == "rectangular":
+        # n(rho) has rank at most k * d = 4 on 5 output dimensions
+        return ch.Channel(random_kraus(rng, 5, 2, 2)), ch.Channel(random_kraus(rng, 3, 2, 2)), \
+            np.eye(2) / 2, rc.Unconstrained()
+    c = np.asarray(fermion.parity_operator(S2, (1, 2, 3, 4)).c)
+    rho = code_state(rng, 4, 1)
+    if case == "fixes_algebra":
+        # six Kraus operators on a pure state span at most four environment dimensions
+        b = alg.generate_algebra([c], 4)
+        return ch.Channel(random_kraus(rng, 4, 4, 6)), ch.Channel(random_kraus(rng, 4, 4, 2)), \
+            rho, rc.FixesAlgebra(b)
+    pq = parity_dephasing(c)
+    return random_physical_channel(rng, c, k=3), random_physical_channel(rng, c, k=2), \
+        rho, rc.Physical(pq, pq)
+
+
+def linked_channels(n, m, constraint, environment):
+    """The channels whose fidelity a side's reported optimizer r maximizes,
+    as (source, fixed): r . source against fixed."""
+    if not environment:
+        return n, m
+    if isinstance(constraint, rc.FixesAlgebra):
+        return (ch.local_complementary(m, constraint.algebra),
+                ch.local_complementary(n, constraint.algebra))
+    if isinstance(constraint, rc.Physical):
+        n, m = ch.compose(constraint.q, n), ch.compose(constraint.p, m)
+    return ch.complementary(m), ch.complementary(n)
+
+
+SUPPORT_SIDES = [("code", False), ("code-d12", False), ("rectangular", False),
+                 ("fixes_algebra", True), ("physical", True)]
+
+
+@pytest.mark.parametrize("case, environment", SUPPORT_SIDES)
+def test_support_reduced_side_matches_the_full_problem(monkeypatch, case, environment):
+    n, m, rho, constraint = support_corpus(case)
+    plan, _, _ = rc._link_plan(n, m, rho, constraint, environment)
+    assert any(v is not None for v in plan.supports)
+    if case == "fixes_algebra":
+        assert plan.left_dim > 1
+    reduced = rc._fidelity(n, m, rho, constraint, 1e-9, environment)
+    with monkeypatch.context() as patch:
+        patch.setattr(rc, "_act_support", lambda *args: None)
+        full_plan, _, _ = rc._link_plan(n, m, rho, constraint, environment)
+        full = rc._fidelity(n, m, rho, constraint, 1e-9, environment)
+    assert full_plan.problem.block_dims[0] > plan.problem.block_dims[0]
+    assert reduced.status == full.status == "optimal"
+    assert abs(reduced.value - full.value) < 1e-8
+    assert (reduced.out_dim, reduced.in_dim) == (full.out_dim, full.in_dim)
+
+    # the reported optimizer is the extension to the full dimensions: a
+    # channel that reaches the SDP value
+    d_out, d_in = reduced.out_dim, reduced.in_dim
+    choi = reduced.optimizer
+    assert choi.shape == (d_out * d_in, d_out * d_in)
+    assert np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0] >= -1e-8
+    traced = np.einsum("aiaj->ij", choi.reshape(d_out, d_in, d_out, d_in))
+    assert np.linalg.norm(traced - np.eye(d_in)) <= 1e-8
+    source, fixed = linked_channels(n, m, constraint, environment)
+    reached = ch.entanglement_fidelity(ch.compose(rc.extract_recovery(reduced), source),
+                                       fixed, rho)
+    assert abs(reached - reduced.value) <= 1e-7
+
+
+@pytest.mark.parametrize("environment", [False, True])
+def test_full_support_keeps_the_full_problem(monkeypatch, environment):
+    rng = np.random.default_rng(239)
+    n = ch.Channel(random_kraus(rng, 3, 3, 2))
+    m = ch.Channel(random_kraus(rng, 3, 3, 2))
+    rho = code_state(rng, 3, 3)
+    plan, _, _ = rc._link_plan(n, m, rho, None, environment)
+    monkeypatch.setattr(rc, "_act_support", lambda *args: None)
+    want, _, _ = rc._link_plan(n, m, rho, None, environment)
+    assert plan.supports == (None, None)
+    assert plan.problem.block_dims == want.problem.block_dims
+    assert np.array_equal(plan.problem.rhs, want.problem.rhs)
+    for got_row, want_row in zip(plan.problem.constraints, want.problem.constraints):
+        for g, w in zip(got_row, want_row):
+            assert (g is None and w is None) or np.array_equal(g, w)
+
+
+def test_optimizer_is_formed_once_and_only_when_read(monkeypatch):
+    n, m, rho, _ = support_corpus("code")
+    calls = []
+    choi = rc._LinkPlan.choi
+
+    def counting(plan, solution):
+        calls.append(plan)
+        return choi(plan, solution)
+
+    monkeypatch.setattr(rc._LinkPlan, "choi", counting)
+    res = rc.optimal_recovery_fidelity(n, m, rho)
+    assert "optimizer" not in repr(res)
+    assert calls == []
+    first = res.optimizer
+    assert res.optimizer is first and len(calls) == 1
+    copy = replace(res, status="heuristic")
+    assert copy.optimizer is first and len(calls) == 1
+
+
+def padded_poisoning(modes):
+    """The bundled poisoning scenario with its ring code padded by the
+    pairs [7, 8], [9, 10], ... up to ``modes`` modes, duality task only."""
+    doc = json.loads(sc.bundled_scenario_text("poisoning"))
+    doc["system"]["modes"] = modes
+    doc["codes"]["ring"]["pairing"] += [[2 * k + 1, 2 * k + 2] for k in range(3, modes)]
+    doc["tasks"] = [t for t in doc["tasks"] if t["variant"] == "duality"]
+    return doc
+
+
+def test_padded_poisoning_duality_at_five_modes(monkeypatch):
+    # d = 32: the full recovery problem needs an 8 GiB row matrix, the
+    # problem on the code's supports links 4 to 4 dimensions
+    calls = []
+    choi = rc._LinkPlan.choi
+    monkeypatch.setattr(rc._LinkPlan, "choi",
+                        lambda plan, solution: calls.append(plan) or choi(plan, solution))
+    report = sc.run_scenario(sc.load_scenario(padded_poisoning(5)))
+    out = report["tasks"][0]["output"]
+    assert report["all_tasks_completed"] and out["passed"]
+    for side in ("recovery", "environment"):
+        assert abs(out[f"{side}_value"] - 1 / np.sqrt(2)) <= 1e-7
+    assert calls == []

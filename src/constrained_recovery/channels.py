@@ -240,7 +240,16 @@ def local_complementary(c, b):
     product Kraus family, so the output space factors as the expectation's
     environment tensor the environment of ``c`` (in that order).
     """
+    _check_output_algebra(c, b)
     return _local_complement(c, _commutant_expectation(b))
+
+
+def _check_output_algebra(c, b):
+    """Refuse an algebra ``b`` that is not on the output of ``c``, where a
+    local complement looks; the scenario loader runs this on a
+    local-complement task."""
+    if b.ambient_dim != c.out_dim:
+        raise ValueError(f"algebra ambient dim {b.ambient_dim} != channel output dim {c.out_dim}")
 
 
 def _commutant_expectation(b):
@@ -253,10 +262,6 @@ def _commutant_expectation(b):
 def _local_complement(c, p):
     """:func:`local_complementary` of ``c`` given ``p``, the conditional
     expectation onto the commutant of the fixed algebra."""
-    if c.out_dim != p.in_dim:
-        raise ValueError(
-            f"algebra ambient dim {p.in_dim} != channel output dim {c.out_dim}"
-        )
     return complementary(compose(p, c, reduce=False))
 
 
@@ -274,6 +279,7 @@ def local_complement_defect(c, b, lc=None):
     residual is part of the defect. Returns the largest Frobenius residual
     over an orthonormal basis of ``b`` and all environment matrix units.
     """
+    _check_output_algebra(c, b)
     p = _commutant_expectation(b)
     return _defect(c, b, p, _local_complement(c, p) if lc is None else lc)
 
@@ -281,6 +287,7 @@ def local_complement_defect(c, b, lc=None):
 def _checked_local_complement(c, b):
     """:func:`local_complementary` of ``c`` for ``b`` and its
     :func:`local_complement_defect`, from one conditional expectation."""
+    _check_output_algebra(c, b)
     p = _commutant_expectation(b)
     lc = _local_complement(c, p)
     return lc, _defect(c, b, p, lc)
@@ -343,6 +350,34 @@ class PhysicalityReport:
         return self.physical
 
 
+def _check_square(dim, **channels):
+    """Refuse each named channel unless it maps dimension ``dim`` to itself."""
+    for name, c in channels.items():
+        if (c.in_dim, c.out_dim) != (dim, dim):
+            raise ValueError(
+                f"{name} maps dimension {c.in_dim} to {c.out_dim}, not {dim} to itself"
+            )
+
+
+def _check_physical(n, p, q):
+    """Refuse ``p`` unless it acts on the input of ``n`` and ``q`` unless it
+    acts on the output; :func:`is_physical` runs this, and the scenario
+    loader runs it on an is-physical task."""
+    _check_square(n.in_dim, p=p)
+    _check_square(n.out_dim, q=q)
+
+
+def _check_square_with(n, *algebras):
+    """Refuse ``n`` unless it maps a space to itself and every algebra lives
+    on that space; :func:`fixes_algebra`, :func:`maps_into` and
+    :func:`is_local` run this, and the scenario loader runs it on an
+    is-local task."""
+    _check_square(n.in_dim, channel=n)
+    for a in algebras:
+        if a.ambient_dim != n.in_dim:
+            raise ValueError(f"algebra ambient dim {a.ambient_dim} != channel dim {n.in_dim}")
+
+
 def is_physical(n, p, q, tol=1e-8):
     """Whether ``n`` acts on restricted observables only through restricted
     states: q n p = q n as superoperators.
@@ -351,6 +386,7 @@ def is_physical(n, p, q, tol=1e-8):
     idempotence is verified before the comparison. The residual is the
     Choi-Frobenius distance between the two sides.
     """
+    _check_physical(n, p, q)
     for name, e in (("p", p), ("q", q)):
         if distance(compose(e, e), e).choi_frobenius > 1e-8:
             raise ValueError(f"{name} is not idempotent")
@@ -380,12 +416,7 @@ def fixes_algebra(n, b, tol=1e-8):
     operators (in any representation) commute with the algebra, so both
     residuals must pass.
     """
-    if n.in_dim != n.out_dim:
-        raise ValueError("fixing an algebra needs a square channel")
-    if n.in_dim != b.ambient_dim:
-        raise ValueError(
-            f"algebra ambient dim {b.ambient_dim} != channel dim {n.in_dim}"
-        )
+    _check_square_with(n, b)
     adj = 0.0
     comm = 0.0
     for bop in b.basis:
@@ -397,8 +428,7 @@ def fixes_algebra(n, b, tol=1e-8):
 
 def maps_into(n, a, tol=1e-8):
     """Whether the adjoint of ``n`` maps the algebra ``a`` into itself."""
-    if n.in_dim != n.out_dim or n.in_dim != a.ambient_dim:
-        raise ValueError("dimension mismatch between channel and algebra")
+    _check_square_with(n, a)
     from . import algebra as algebra_mod
 
     if not a.dim:
@@ -427,6 +457,7 @@ def is_local(n, a, b, tol=1e-8):
     otherwise); the ``strong`` flag marks the case where ``b`` equals the
     full commutant of ``a`` as a span.
     """
+    _check_square_with(n, a, b)
     pre = 0.0
     for aop in a.basis:
         for bop in b.basis:

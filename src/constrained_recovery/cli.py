@@ -113,8 +113,8 @@ _FLAGS = {
     "channel": ("--channel", "channel name (default: the only one)", {}),
     "algebra": ("--algebra", "algebra name (default: the only one)", {}),
     "second_algebra": ("--second-algebra", "containing algebra (default: the only one)", {}),
-    "p": ("--p", "output-side idempotent channel of a physicality test", {}),
-    "q": ("--q", "input-side idempotent channel of a physicality test", {}),
+    "p": ("--p", "input-side idempotent channel of a physicality test", {}),
+    "q": ("--q", "output-side idempotent channel of a physicality test", {}),
     "noise": ("--noise", "noise channel name", {}),
     "target": ("--target", "ideal channel name", {}),
     "state": ("--state-code", "the maximally mixed state of this code", {"type": _state_arg}),

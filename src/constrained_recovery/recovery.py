@@ -112,7 +112,7 @@ class _FormedWhenRead:
         obj.__dict__[self.slot] = value
 
 
-@dataclass
+@dataclass(eq=False)
 class FidelityResult:
     """An optimal (or heuristic) channel fidelity with its optimizer.
 
@@ -123,7 +123,8 @@ class FidelityResult:
     formed when first read: for a problem built on the supports of its
     states it is the extension of the solved map to the full dimensions
     (see :func:`_link_plan`), which for a code of a few dimensions in a
-    large register may not fit in memory.  The repr leaves it out.
+    large register may not fit in memory.  The repr leaves it out, and
+    results compare by identity, so no comparison forms it.
     """
 
     value: float
@@ -211,15 +212,34 @@ def kl_check(code, kraus, tol=1e-8):
     matrix.  This is :func:`tensor_local_check` with a trivial second
     factor, whose ``lambda`` is the transpose of ``sigma``.
     """
-    kraus = _as_channel(kraus)
-    d = code.physical_dim
-    if (kraus.out_dim, kraus.in_dim) != (d, d):
-        raise ValueError("Kraus operators must act on the physical space")
-    rep = tensor_local_check(code, kraus, (d, 1), tol)
+    rep = tensor_local_check(code, kraus, (code.physical_dim, 1), tol)
     return replace(rep, coefficients={"sigma": rep.coefficients["lambda"].T})
 
 
-def _validate_projector_family(projectors, dim, tol=1e-8):
+def _check_noise(code, kraus, dims=None):
+    """The Kraus operators of a correctability check, as one stack.
+
+    ``dims`` = (d_A, d_B), by default (d, 1), must factor the code's
+    physical dimension d, and the operators must act on the first factor.
+    Every check runs this first, and the scenario loader runs it on the
+    code and channel of a check task.
+    """
+    d = code.physical_dim
+    d_a, d_b = (d, 1) if dims is None else (int(x) for x in dims)
+    if d_a * d_b != d:
+        raise ValueError(f"dims {d_a}x{d_b} do not factor the code's physical dimension {d}")
+    ops = _as_channel(kraus)._stack
+    if ops.shape[1:] != (d_a, d_a):
+        raise ValueError(f"Kraus operators have shape {ops.shape[1:]}, expected ({d_a}, {d_a})")
+    return ops
+
+
+def _check_projectors(code, kraus, projectors, tol=1e-8):
+    """The Kraus stack (see :func:`_check_noise`) and the projectors as one
+    stack, after checking that they are a complete family of mutually
+    orthogonal projectors on the physical space; the scenario loader runs
+    this on a superselection task."""
+    ops, dim = _check_noise(code, kraus), code.physical_dim
     mats = [np.asarray(p, dtype=complex) for p in projectors]
     if not mats:
         raise ValueError("need at least one projector")
@@ -235,7 +255,7 @@ def _validate_projector_family(projectors, dim, tol=1e-8):
                 raise ValueError(f"projectors {j} and {i} overlap")
     if np.linalg.norm(sum(mats) - np.eye(dim)) > tol:
         raise ValueError("projectors do not sum to the identity")
-    return np.stack(mats)
+    return ops, np.stack(mats)
 
 
 def superselection_kl_check(code, kraus, projectors, tol=1e-8):
@@ -250,11 +270,7 @@ def superselection_kl_check(code, kraus, projectors, tol=1e-8):
     projector) is a structural precondition; when it fails the verdict
     is indeterminate.
     """
-    ops = _as_channel(kraus)._stack
-    d = code.physical_dim
-    if ops.shape[1:] != (d, d):
-        raise ValueError("Kraus operators must act on the physical space")
-    mats = _validate_projector_family(projectors, d)
+    ops, mats = _check_projectors(code, kraus, projectors)
     w = code.isometry
     n_ops = len(ops)
     n_sec = len(mats)
@@ -305,16 +321,8 @@ def tensor_local_check(code, kraus, dims, tol=1e-8):
     W turns the left sides over all B into the Gram blocks
     ``(E_i W)^dag (E_j W)``, and the right side into ``W^dag W``.
     """
-    d_a, d_b = (int(x) for x in dims)
-    if d_a * d_b != code.physical_dim:
-        raise ValueError(
-            f"bipartition {d_a} x {d_b} does not match physical dimension "
-            f"{code.physical_dim}"
-        )
-    ops = _as_channel(kraus)._stack
-    if ops.shape[1:] != (d_a, d_a):
-        raise ValueError("Kraus operators must act on the first factor")
-    w = code.isometry.reshape(d_a, -1)
+    ops = _check_noise(code, kraus, dims)
+    w = code.isometry.reshape(ops.shape[1], -1)
     lam, residual = _fit((w.conj().T @ w).reshape(1, -1), linalg.gram_rows(ops @ w))
     lam, lam_ok = _density_conditions(lam.reshape(len(ops), -1), tol)
     return CorrectabilityReport(
@@ -342,12 +350,34 @@ def _even_residuals(system, c, outside, x):
     return np.linalg.norm(x - p, axis=(1, 2))
 
 
+def _check_region(code, kraus, region):
+    """The Kraus stack of :func:`_check_noise`, the mode count of the code's
+    register (its dimension a power of two) and ``region`` sorted, which
+    must be an even number of distinct Majorana indices of that register.
+    :func:`fermion_local_check` runs this first, and the scenario loader
+    runs it on a fermion-local task.
+    """
+    ops = _check_noise(code, kraus)
+    d = code.physical_dim
+    n_modes = int(round(np.log2(d)))
+    if n_modes < 1 or 2 ** n_modes != d:
+        raise ValueError(f"physical dimension {d} is not a power of two")
+    region = tuple(sorted(int(i) for i in region))
+    top, distinct = 2 * n_modes, set(region)
+    if len(distinct) != len(region) or len(region) % 2 or not distinct <= set(range(1, top + 1)):
+        raise ValueError(
+            f"region {region} is not an even number of distinct Majorana indices in 1..{top}"
+        )
+    return ops, n_modes, region
+
+
 def fermion_local_check(code, kraus, region, tol=1e-8):
     """Correctability of even noise on a Majorana region by recoveries
     confined to the same region.
 
     The physical space must be a register of fermionic modes (dimension
-    a power of two) and every Kraus operator must lie in the even
+    a power of two), ``region`` an even set of its Majorana indices (see
+    :func:`_check_region`), and every Kraus operator must lie in the even
     algebra of ``region`` (a ValueError otherwise).  Membership is
     tested with parity projections, with no basis of the algebra built
     (see :func:`_even_residuals`).  The condition compares
@@ -357,16 +387,10 @@ def fermion_local_check(code, kraus, region, tol=1e-8):
     """
     from . import fermion as fermion_mod
 
+    ops, n_modes, region = _check_region(code, kraus, region)
     d = code.physical_dim
-    n_modes = int(round(np.log2(d)))
-    if n_modes < 1 or 2 ** n_modes != d:
-        raise ValueError(f"physical dimension {d} is not a power of two")
     system = fermion_mod.FermionSystem(n_modes)
-    region = tuple(sorted(set(int(i) for i in region)))
     parity = fermion_mod.parity_operator(system, region)
-    ops = _as_channel(kraus)._stack
-    if ops.shape[1:] != (d, d):
-        raise ValueError("Kraus operators must act on the physical space")
     outside = [i for i in range(1, 2 * n_modes + 1) if i not in region]
     inside = _even_residuals(system, parity.c, outside, ops) <= 1e-8
     if not inside.all():
@@ -727,6 +751,44 @@ def _compress(state, left, v, ref):
     return lift.conj().T @ state @ lift
 
 
+def _link_inputs(n, m, rho, constraint):
+    """The constraint (``None`` read as :class:`Unconstrained`), its label
+    and a purification of ``rho``, after the rules of both fidelity sides.
+
+    ``n`` and ``m`` share an input dimension and ``rho`` is a state on it:
+    Hermitian, of unit trace within 1e-8 and with no eigenvalue below
+    -1e-9.  :class:`Physical` needs ``q`` to act on the output of ``n`` and
+    ``p`` on that of ``m``; :class:`FixesAlgebra` needs both outputs on its
+    algebra's ambient space.  :func:`_link_plan` runs this first, and the
+    scenario loader runs it on a fidelity task.
+    """
+    if constraint is None:
+        constraint = Unconstrained()
+    if isinstance(constraint, FixesAlgebra):
+        b = constraint.algebra
+        if n.out_dim != m.out_dim or b.ambient_dim != n.out_dim:
+            raise ValueError("fixed-algebra constraints need matching dimensions")
+        label = f"fixes_algebra(dim={b.dim})"
+    elif isinstance(constraint, Physical):
+        channels_mod._check_square(n.out_dim, q=constraint.q)
+        channels_mod._check_square(m.out_dim, p=constraint.p)
+        label = "physical"
+    elif isinstance(constraint, Unconstrained):
+        label = "unconstrained"
+    else:
+        raise TypeError(f"unsupported constraint {constraint!r}")
+    if n.in_dim != m.in_dim:
+        raise ValueError("channels must share the input dimension")
+    rho = linalg.as_hermitian(rho, "rho", dim=n.in_dim)
+    if abs(np.trace(rho).real - 1.0) > 1e-8:
+        raise ValueError("rho must have unit trace")
+    # the purification psi psi^dag = rho of minimal reference dimension
+    psi, lowest = linalg.psd_factor(rho)
+    if lowest < -1e-9:
+        raise ValueError(f"state is not PSD (min eigenvalue {lowest:.3e})")
+    return constraint, label, psi
+
+
 def _link_plan(n, m, rho, constraint, environment):
     """The fidelity SDP of one side of the duality at ``rho``.
 
@@ -757,23 +819,7 @@ def _link_plan(n, m, rho, constraint, environment):
     supports are full solves the full problem, unchanged.  The Physical
     and FixesAlgebra recovery sides keep their full dimensions.
     """
-    if constraint is None:
-        constraint = Unconstrained()
-    if isinstance(constraint, FixesAlgebra):
-        label = f"fixes_algebra(dim={constraint.algebra.dim})"
-    elif isinstance(constraint, (Unconstrained, Physical)):
-        label = type(constraint).__name__.lower()
-    else:
-        raise TypeError(f"unsupported constraint {constraint!r}")
-    if n.in_dim != m.in_dim:
-        raise ValueError("channels must share the input dimension")
-    rho = linalg.as_hermitian(rho, "rho", dim=n.in_dim)
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ValueError("rho must have unit trace")
-    # the purification psi psi^dag = rho of minimal reference dimension
-    psi, lowest = linalg.psd_factor(rho)
-    if lowest < -1e-9:
-        raise ValueError(f"state is not PSD (min eigenvalue {lowest:.3e})")
+    constraint, label, psi = _link_inputs(n, m, rho, constraint)
     src, dst, left, bases, finish = n, m, 1, [None], None
     if isinstance(constraint, Physical):
         p, q = constraint.p, constraint.q
@@ -783,8 +829,6 @@ def _link_plan(n, m, rho, constraint, environment):
             bases = constraint.parity_bases
     if isinstance(constraint, FixesAlgebra):
         b = constraint.algebra
-        if n.out_dim != m.out_dim or b.ambient_dim != n.out_dim:
-            raise ValueError("fixed-algebra constraints need matching dimensions")
         if environment:
             p = channels_mod._commutant_expectation(b)
             src = channels_mod._local_complement(m, p)
@@ -904,6 +948,13 @@ def verify_duality(n, m, rho, constraint=None, tol=1e-5, solver_tol=None):
     )
 
 
+def _check_seesaw(n, m, code):
+    """Refuse channels ``n`` and ``m`` that do not both act on the code's
+    physical space; the scenario loader runs this on a seesaw task."""
+    if n.in_dim != code.physical_dim or m.in_dim != code.physical_dim:
+        raise ValueError("channels must act on the physical space")
+
+
 def worst_case_fidelity_seesaw(n, m, code, rounds=10, tol=1e-7, seed=None):
     """Heuristic worst-case (over code states) recovery fidelity.
 
@@ -914,10 +965,9 @@ def worst_case_fidelity_seesaw(n, m, code, rounds=10, tol=1e-7, seed=None):
     fidelity; ``status`` is always "heuristic".  ``seed`` draws the
     random starting code states (``None``: :data:`SEESAW_DEFAULT_SEED`).
     """
+    _check_seesaw(n, m, code)
     w = code.isometry
     k = code.logical_dim
-    if n.in_dim != code.physical_dim or m.in_dim != code.physical_dim:
-        raise ValueError("channels must act on the physical space")
     rng = np.random.default_rng(SEESAW_DEFAULT_SEED if seed is None else seed)
     samples = [np.eye(k, dtype=complex)[:, i] for i in range(k)]
     for i in range(k):

@@ -3,9 +3,10 @@
 A scenario is a JSON document describing one finite-dimensional system,
 named algebras, channels, and codes on it, and a list of tasks that
 reference those objects by name.  Validation happens in two stages
-before any numerics start: structural validation against the schema
-shipped at ``data/scenario.schema.json``, then a consistency pass that
-resolves names and checks dimensional compatibility.  Both stages raise
+before any task runs: structural validation against the schema shipped
+at ``data/scenario.schema.json``, then a consistency pass that resolves
+names and runs, on each task's arguments, the validators that the
+library function of the task runs first.  Both stages raise
 :class:`ScenarioError`, so callers can tell a malformed scenario
 (rejected up front) apart from a numerical failure inside a task.
 
@@ -119,10 +120,12 @@ def _as_complex(pair):
     return complex(float(pair[0]), float(pair[1]))
 
 
-def _as_matrix(rows, what):
+def _as_matrix(rows):
+    """A JSON matrix as a complex array; the loader names the object or task
+    of a ValueError."""
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise ScenarioError(f"{what}: matrix rows have unequal lengths")
+        raise ValueError("matrix rows have unequal lengths")
     return np.array(
         [[_as_complex(entry) for entry in row] for row in rows], dtype=complex
     )
@@ -192,8 +195,8 @@ def load_scenario(source):
 
     ``source`` may be a filesystem path, the name of a bundled scenario,
     or an already-parsed dict.  Raises :class:`ScenarioError` on any
-    schema violation or inconsistency; no numerics run before this
-    function returns.
+    schema violation or inconsistency; no task runs before this function
+    returns.
     """
     if isinstance(source, dict):
         raw = source
@@ -266,20 +269,24 @@ def _build_system(spec):
     return 2**modes, fermion_mod.FermionSystem(modes)
 
 
-def _build_all(build, kind, specs, dim, fsys):
-    """Every named object of one kind, built by ``build(what, spec, dim, fsys)``.
+def _named(what, call, *args):
+    """``call(*args)``, with a ValueError, or the library's IndexError of a
+    Majorana index out of range, turned into a ScenarioError that names
+    ``what``, the object or task at fault."""
+    try:
+        return call(*args)
+    except ScenarioError:
+        raise
+    except (ValueError, IndexError) as exc:
+        raise ScenarioError(f"{what}: {exc}") from exc
 
-    A ValueError from the numerics becomes a ScenarioError naming the object.
-    """
+
+def _build_all(build, kind, specs, dim, fsys):
+    """Every named object of one kind, built by ``build(what, spec, dim, fsys)``."""
     built = {}
     for name, spec in specs.items():
         what = f"{kind} {name!r}"
-        try:
-            built[name] = build(what, spec, dim, fsys)
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"{what}: {exc}") from exc
+        built[name] = _named(what, build, what, spec, dim, fsys)
     return built
 
 
@@ -303,15 +310,7 @@ def _full_algebra_generators(dim):
 def _build_algebra(what, spec, dim, fsys):
     kind = spec["kind"]
     if kind == "generated":
-        gens = []
-        for i, rows in enumerate(spec["generators"]):
-            g = _as_matrix(rows, f"{what} generator {i}")
-            if g.shape != (dim, dim):
-                raise ScenarioError(
-                    f"{what} generator {i} has shape {g.shape}, "
-                    f"expected ({dim}, {dim})"
-                )
-            gens.append(g)
+        gens = [_as_matrix(rows) for rows in spec["generators"]]
         return algebra_mod.generate_algebra(gens, dim)
     if kind == "full":
         return algebra_mod.generate_algebra(_full_algebra_generators(dim), dim)
@@ -319,31 +318,16 @@ def _build_algebra(what, spec, dim, fsys):
         fsys = _require_fermion(fsys, what)
         return algebra_mod.generate_algebra([_parity(fsys).c], dim)
     fsys = _require_fermion(fsys, what)
-    majoranas = tuple(int(i) for i in spec["majoranas"])
-    _check_majorana_indices(majoranas, fsys, what)
-    return fermion_mod.physical_algebra(fsys, majoranas)
-
-
-def _check_majorana_indices(indices, fsys, what):
-    top = 2 * fsys.n_modes
-    bad = [i for i in indices if not 1 <= i <= top]
-    if bad:
-        raise ScenarioError(f"{what}: Majorana indices {bad} outside 1..{top}")
-    if len(set(indices)) != len(indices):
+    majoranas = [int(i) for i in spec["majoranas"]]
+    if len(set(majoranas)) != len(majoranas):
         raise ScenarioError(f"{what}: repeated Majorana indices")
+    return fermion_mod.physical_algebra(fsys, majoranas)
 
 
 def _build_channel(what, spec, dim, fsys):
     kind = spec["kind"]
     if kind == "kraus":
-        ops = [
-            _as_matrix(rows, f"{what} operator {i}")
-            for i, rows in enumerate(spec["operators"])
-        ]
-        shapes = {op.shape for op in ops}
-        if len(shapes) != 1:
-            raise ScenarioError(f"{what}: operators have mixed shapes {shapes}")
-        return channel_mod.Channel(ops)
+        return channel_mod.Channel([_as_matrix(rows) for rows in spec["operators"]])
     if kind == "identity":
         return channel_mod.identity_channel(int(spec.get("dim", dim)))
     if kind == "geometric_noise":
@@ -351,19 +335,13 @@ def _build_channel(what, spec, dim, fsys):
         weights = spec.get("weights")
         if weights is not None:
             weights = [float(w) for w in weights]
-        return fermion_mod.geometric_noise(
-            fsys,
-            int(spec["max_support"]),
-            weights,
-            allow_odd=bool(spec.get("allow_odd", False)),
-        )
+        return fermion_mod.geometric_noise(fsys, int(spec["max_support"]), weights)
     if kind == "monomials":
         fsys = _require_fermion(fsys, what)
         ops = []
         for i, term in enumerate(spec["terms"]):
             indices = tuple(int(x) for x in term["indices"])
-            _check_majorana_indices(indices, fsys, f"{what} term {i}")
-            if list(indices) != sorted(indices):
+            if list(indices) != sorted(set(indices)):
                 raise ScenarioError(
                     f"{what} term {i}: indices must be strictly increasing "
                     "(reordering flips the sign convention)"
@@ -380,16 +358,10 @@ def _build_channel(what, spec, dim, fsys):
 
 def _build_code(what, spec, dim, fsys):
     if spec["kind"] == "isometry":
-        w = _as_matrix(spec["isometry"], what)
+        w = _as_matrix(spec["isometry"])
         return recovery_mod.Code(w.shape[1], w.shape[0], w)
     fsys = _require_fermion(fsys, what)
-    unpaired = tuple(int(i) for i in spec["unpaired"])
-    pairing = tuple((int(a), int(b)) for a, b in spec["pairing"])
-    _check_majorana_indices(
-        unpaired + tuple(i for pair in pairing for i in pair), fsys, what
-    )
-    ring = fermion_mod.majorana_ring(fsys, unpaired, pairing)
-    return ring.code
+    return fermion_mod.majorana_ring(fsys, spec["unpaired"], spec["pairing"]).code
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +387,8 @@ def _resolve_task(scenario, task, index):
 
     ``refs`` keeps the names of the references in the order of the
     variant's needs; the check may add more and turns raw task values in
-    ``args`` into the runner's arguments.
+    ``args`` into the runner's arguments; a ValueError of the library's
+    validators that it runs becomes a ScenarioError naming the task.
     """
     variant = task["variant"]
     spec = TASKS[task["task"]][variant]
@@ -431,64 +404,32 @@ def _resolve_task(scenario, task, index):
             refs[key] = task[key]
     args.update((key, task[key]) for key in spec.reads if key in task)
     if spec.check is not None:
-        spec.check(scenario, args, refs, index)
+        _named(f"task {index}", spec.check, scenario, args, refs, index)
     tol = float(task.get("tol", spec.tol))
     return {"index": index, "task": task["task"], "variant": variant, "tol": tol,
             "refs": refs, "args": args}
 
 
-def _check_code_input(scenario, args, refs, index):
-    code, chan = args["code"], args["channel"]
-    if chan.in_dim != code.physical_dim:
-        raise ScenarioError(
-            f"task {index}: channel input dimension {chan.in_dim} does not "
-            f"match the code's physical dimension {code.physical_dim}"
-        )
+def _validated(validator):
+    """Check that runs a library validator on the task's arguments in the
+    order of its needs, as the runner passes them."""
+    return lambda scenario, args, refs, index: validator(*args.values())
 
 
 def _check_projectors(scenario, args, refs, index):
-    _check_code_input(scenario, args, refs, index)
     if args["projectors"] == "parity":
         fsys = _require_fermion(scenario.fermion_system, f"task {index}: parity projectors")
         parity = _parity(fsys)
         projectors = [parity.p_plus, parity.p_minus]
     else:
-        projectors = [
-            _as_matrix(rows, f"task {index} projector {i}")
-            for i, rows in enumerate(args["projectors"])
-        ]
-    d = args["channel"].out_dim
-    for i, p in enumerate(projectors):
-        if p.shape != (d, d):
-            raise ScenarioError(
-                f"task {index}: projector {i} has shape {p.shape}, "
-                f"expected ({d}, {d})"
-            )
+        projectors = [_as_matrix(rows) for rows in args["projectors"]]
+    recovery_mod._check_projectors(args["code"], args["channel"], projectors)
     args["projectors"] = projectors
 
 
-def _check_dims(scenario, args, refs, index):
-    code, chan = args["code"], args["channel"]
-    da, db = (int(x) for x in args["dims"])
-    if da * db != code.physical_dim:
-        raise ScenarioError(
-            f"task {index}: dims {da}x{db} do not factor the code's "
-            f"physical dimension {code.physical_dim}"
-        )
-    if (chan.in_dim, chan.out_dim) != (da, da):
-        raise ScenarioError(
-            f"task {index}: tensor-local noise must act on the first "
-            f"factor (dimension {da})"
-        )
-    args["dims"] = (da, db)
-
-
 def _check_region(scenario, args, refs, index):
-    _check_code_input(scenario, args, refs, index)
-    fsys = _require_fermion(scenario.fermion_system, f"task {index}: fermion-local")
-    region = tuple(int(i) for i in args["region"])
-    _check_majorana_indices(region, fsys, f"task {index}")
-    args["region"] = region
+    _require_fermion(scenario.fermion_system, f"task {index}: fermion-local")
+    recovery_mod._check_region(*args.values())
 
 
 def _resolve_state(scenario, spec, dim, index):
@@ -496,100 +437,36 @@ def _resolve_state(scenario, spec, dim, index):
         return np.eye(dim, dtype=complex) / dim
     if spec["kind"] == "code_mixed":
         code = _lookup(scenario.codes, spec["code"], "code", index)
-        if code.physical_dim != dim:
-            raise ScenarioError(
-                f"task {index}: state code lives on dimension "
-                f"{code.physical_dim}, expected {dim}"
-            )
         return (code.projector / code.logical_dim).astype(complex)
-    rho = _as_matrix(spec["matrix"], f"task {index} state")
-    if rho.shape != (dim, dim):
-        raise ScenarioError(
-            f"task {index}: state has shape {rho.shape}, expected ({dim}, {dim})"
-        )
-    if np.linalg.norm(rho - rho.conj().T) > 1e-8:
-        raise ScenarioError(f"task {index}: state is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ScenarioError(f"task {index}: state trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-8:
-        raise ScenarioError(f"task {index}: state is not positive semidefinite")
-    return rho
+    return _as_matrix(spec["matrix"])
 
 
-def _resolve_constraint(scenario, spec, n, m, index):
+def _resolve_constraint(scenario, spec, index):
     if spec is None or spec["kind"] == "unconstrained":
         return None, {}
     if spec["kind"] == "physical":
         p = _lookup(scenario.channels, spec["p"], "channel", index)
         q = _lookup(scenario.channels, spec["q"], "channel", index)
-        if (q.in_dim, q.out_dim) != (n.out_dim, n.out_dim):
-            raise ScenarioError(
-                f"task {index}: constraint channel q must act on dimension "
-                f"{n.out_dim}"
-            )
-        if (p.in_dim, p.out_dim) != (m.out_dim, m.out_dim):
-            raise ScenarioError(
-                f"task {index}: constraint channel p must act on dimension "
-                f"{m.out_dim}"
-            )
         return recovery_mod.Physical(p, q), {"p": spec["p"], "q": spec["q"]}
     b = _lookup(scenario.algebras, spec["algebra"], "algebra", index)
-    if n.out_dim != m.out_dim or b.ambient_dim != n.out_dim:
-        raise ScenarioError(
-            f"task {index}: a fixed algebra needs matching channel output "
-            f"dimensions equal to its ambient dimension {b.ambient_dim}"
-        )
     return recovery_mod.FixesAlgebra(b), {"algebra": spec["algebra"]}
-
-
-def _check_noise_target(index, n, m):
-    if n.in_dim != m.in_dim:
-        raise ScenarioError(
-            f"task {index}: noise and target must share an input dimension "
-            f"({n.in_dim} vs {m.in_dim})"
-        )
 
 
 def _check_fidelity(scenario, args, refs, index):
     n, m = args["noise"], args["target"]
-    _check_noise_target(index, n, m)
     state, constraint = args.get("state"), args.get("constraint")
     args["state"] = _resolve_state(scenario, state, n.in_dim, index)
     if state is not None:
         refs["state"] = state["kind"]
-    args["constraint"], cref = _resolve_constraint(scenario, constraint, n, m, index)
+    args["constraint"], cref = _resolve_constraint(scenario, constraint, index)
     if constraint is not None:
         refs["constraint"] = dict(cref, kind=constraint["kind"])
+    recovery_mod._link_inputs(n, m, args["state"], args["constraint"])
 
 
 def _check_seesaw(scenario, args, refs, index):
-    n, code = args["noise"], args["code"]
-    _check_noise_target(index, n, args["target"])
-    if code.physical_dim != n.in_dim:
-        raise ScenarioError(
-            f"task {index}: seesaw code lives on dimension "
-            f"{code.physical_dim}, expected {n.in_dim}"
-        )
+    recovery_mod._check_seesaw(args["noise"], args["target"], args["code"])
     args["rounds"] = int(args.get("rounds", 10))
-
-
-def _check_ambient(scenario, args, refs, index):
-    chan = args["channel"]
-    for key in ("algebra", "second_algebra"):
-        a = args.get(key)
-        if a is not None and a.ambient_dim != chan.in_dim:
-            raise ScenarioError(
-                f"task {index}: {key.replace('_', ' ')} ambient dimension "
-                f"{a.ambient_dim} does not match the channel input {chan.in_dim}"
-            )
-
-
-def _check_idempotents(scenario, args, refs, index):
-    chan, p, q = args["channel"], args["p"], args["q"]
-    if (p.in_dim, p.out_dim) != (chan.in_dim, chan.in_dim):
-        raise ScenarioError(f"task {index}: p must act on dimension {chan.in_dim}")
-    if (q.in_dim, q.out_dim) != (chan.out_dim, chan.out_dim):
-        raise ScenarioError(f"task {index}: q must act on dimension {chan.out_dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +635,10 @@ class _Variant:
 
     ``needs`` are the task keys it requires, named references first, in
     the order a report lists them; ``reads`` are keys it uses when given.
-    ``check(scenario, args, refs, index)`` runs at load time and raises
-    :class:`ScenarioError`; ``run(args, tol, seed)`` returns the output.
+    ``check(scenario, args, refs, index)`` runs at load time: it decodes
+    the task's values and runs the library's validators of the function
+    the task runs, which raise ValueError.  ``run(args, tol, seed)``
+    returns the output.
     """
 
     needs: tuple
@@ -776,11 +655,14 @@ _STATE = ("state", "constraint")
 # task kind -> variant -> what the variant needs, how it is checked and run
 TASKS = {
     "check": {
-        "kl": _Variant(_CHECK, _checked("kl_check"), _check_code_input),
+        "kl": _Variant(_CHECK, _checked("kl_check"), _validated(recovery_mod._check_noise)),
         "superselection-kl": _Variant(
             _CHECK + ("projectors",), _checked("superselection_kl_check"), _check_projectors
         ),
-        "tensor-local": _Variant(_CHECK + ("dims",), _checked("tensor_local_check"), _check_dims),
+        "tensor-local": _Variant(
+            _CHECK + ("dims",), _checked("tensor_local_check"),
+            _validated(recovery_mod._check_noise),
+        ),
         "fermion-local": _Variant(
             _CHECK + ("region",), _checked("fermion_local_check"), _check_region
         ),
@@ -810,11 +692,15 @@ TASKS = {
     "channel": {
         "complement": _Variant(("channel",), _run_complement),
         "local-complement": _Variant(
-            ("channel", "algebra"), _run_local_complement, _check_ambient
+            ("channel", "algebra"), _run_local_complement,
+            _validated(channel_mod._check_output_algebra),
         ),
-        "is-physical": _Variant(("channel", "p", "q"), _run_is_physical, _check_idempotents),
+        "is-physical": _Variant(
+            ("channel", "p", "q"), _run_is_physical, _validated(channel_mod._check_physical)
+        ),
         "is-local": _Variant(
-            ("channel", "algebra", "second_algebra"), _run_is_local, _check_ambient
+            ("channel", "algebra", "second_algebra"), _run_is_local,
+            _validated(channel_mod._check_square_with),
         ),
     },
 }

@@ -807,3 +807,202 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "index,task,variant,metric,value,tol"
+
+
+# ---------------------------------------------------------------------------
+# load-time refusals: each rule of a task's arguments is the library's, and
+# the loader runs it before any task does
+
+from constrained_recovery import channels as ch  # noqa: E402
+
+Z4 = np.diag([1.0, 1.0, -1.0, -1.0])  # Z on the first of two qubits
+EMBED = np.eye(4)[:, :2]  # the isometry of C^2 into C^4
+
+
+def ququart_scenario(tasks):
+    """Two qubits, with channels of every shape the refusals need: 4 -> 4,
+    2 -> 2, 3 -> 3, 2 -> 4 and 4 -> 2 (the trace over the second qubit)."""
+    root2 = np.sqrt(2.0)
+    return {
+        "schema_version": 1,
+        "name": "two-qubits",
+        "system": {"kind": "qudit", "dims": [2, 2]},
+        "algebras": {"z": {"kind": "generated", "generators": [jmat(Z4)]}, "full": {"kind": "full"}},
+        "channels": {
+            "dephase": {"kind": "kraus", "operators": [jmat(np.eye(4) / root2), jmat(Z4 / root2)]},
+            "ideal": {"kind": "identity"},
+            "qubit_ideal": {"kind": "identity", "dim": 2},
+            "wide": {"kind": "identity", "dim": 3},
+            "embed": {"kind": "kraus", "operators": [jmat(EMBED)]},
+            "discard": {
+                "kind": "kraus",
+                "operators": [jmat(np.kron(np.eye(2), np.eye(2)[j:j + 1])) for j in range(2)],
+            },
+        },
+        "codes": {
+            "pair": {"kind": "isometry", "isometry": jmat(EMBED)},
+            "qubit": {"kind": "isometry", "isometry": jmat(np.eye(2))},
+        },
+        "tasks": tasks,
+    }
+
+
+def ring_scenario(tasks):
+    return {
+        "schema_version": 1,
+        "name": "two-mode-ring",
+        "system": {"kind": "fermion", "modes": 2},
+        "channels": {"window": {"kind": "geometric_noise", "max_support": 2}},
+        "codes": {"ring": {"kind": "majorana_ring", "unpaired": [1, 2], "pairing": [[3, 4]]}},
+        "tasks": tasks,
+    }
+
+
+def kl(code, channel):
+    return {"task": "check", "variant": "kl", "code": code, "channel": channel}
+
+
+def fidelity(noise="dephase", target="ideal", **extra):
+    return {"task": "fidelity", "variant": "optimal", "noise": noise, "target": target, **extra}
+
+
+def state(matrix):
+    return {"kind": "matrix", "matrix": jmat(matrix)}
+
+
+def channel_task(variant, channel, **extra):
+    return {"task": "channel", "variant": variant, "channel": channel, **extra}
+
+
+def ring_region(region):
+    return {"task": "check", "variant": "fermion-local", "code": "ring", "channel": "window",
+            "region": region}
+
+
+TWO_BLOCKS = [np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])]
+
+# (scenario builder, task, the library function the task runs); the cases
+# marked "drift" loaded at one time and then failed when they ran (exit 3)
+REFUSED = {
+    "kl noise input": (ququart_scenario, kl("pair", "wide"), (rc, "kl_check")),
+    "kl noise output (drift)": (ququart_scenario, kl("qubit", "embed"), (rc, "kl_check")),
+    "tensor-local dims": (
+        ququart_scenario, dict(kl("pair", "dephase"), variant="tensor-local", dims=[2, 3]),
+        (rc, "tensor_local_check"),
+    ),
+    "tensor-local noise off the first factor": (
+        ququart_scenario, dict(kl("pair", "dephase"), variant="tensor-local", dims=[2, 2]),
+        (rc, "tensor_local_check"),
+    ),
+    "superselection projector shape": (
+        ququart_scenario,
+        dict(kl("pair", "dephase"), variant="superselection-kl",
+             projectors=[jmat(np.eye(2)), jmat(np.zeros((2, 2)))]),
+        (rc, "superselection_kl_check"),
+    ),
+    "superselection noise output (drift)": (
+        ququart_scenario,
+        dict(kl("qubit", "embed"), variant="superselection-kl",
+             projectors=[jmat(p) for p in TWO_BLOCKS]),
+        (rc, "superselection_kl_check"),
+    ),
+    "fermion-local odd region (drift)": (ring_scenario, ring_region([1, 2, 3]),
+                                         (rc, "fermion_local_check")),
+    "fermion-local region out of range": (ring_scenario, ring_region([1, 9]),
+                                          (rc, "fermion_local_check")),
+    "fermion-local repeated region": (ring_scenario, ring_region([1, 1, 2, 3]),
+                                      (rc, "fermion_local_check")),
+    "fermion-local on qudits": (
+        ququart_scenario, dict(kl("pair", "dephase"), variant="fermion-local", region=[1, 2]),
+        (rc, "fermion_local_check"),
+    ),
+    "fidelity input dimensions": (ququart_scenario, fidelity(target="qubit_ideal"),
+                                  (rc, "optimal_recovery_fidelity")),
+    "state shape": (ququart_scenario, fidelity(state=state(np.eye(2) / 2)),
+                    (rc, "optimal_recovery_fidelity")),
+    "state not Hermitian": (
+        ququart_scenario, fidelity(state=state(np.eye(4) / 4 + np.triu(np.ones((4, 4)), 1) / 4)),
+        (rc, "optimal_recovery_fidelity"),
+    ),
+    "state trace": (ququart_scenario, fidelity(state=state(np.eye(4) / 2)),
+                    (rc, "optimal_recovery_fidelity")),
+    "state not PSD": (ququart_scenario, fidelity(state=state(np.diag([1.5, -0.5, 0.0, 0.0]))),
+                      (rc, "optimal_recovery_fidelity")),
+    "state barely not PSD (drift)": (
+        ququart_scenario, fidelity(state=state(np.diag([1.0 + 5e-9, -5e-9, 0.0, 0.0]))),
+        (rc, "optimal_recovery_fidelity"),
+    ),
+    "state code": (ququart_scenario, fidelity(state={"kind": "code_mixed", "code": "qubit"}),
+                   (rc, "optimal_recovery_fidelity")),
+    "physical q": (
+        ququart_scenario,
+        fidelity(constraint={"kind": "physical", "p": "ideal", "q": "qubit_ideal"}),
+        (rc, "optimal_recovery_fidelity"),
+    ),
+    "physical p": (
+        ququart_scenario,
+        fidelity(constraint={"kind": "physical", "p": "qubit_ideal", "q": "ideal"}),
+        (rc, "optimal_recovery_fidelity"),
+    ),
+    "fixes outputs": (
+        ququart_scenario, fidelity(target="discard", constraint={"kind": "fixes", "algebra": "z"}),
+        (rc, "optimal_recovery_fidelity"),
+    ),
+    "seesaw code": (
+        ququart_scenario, dict(fidelity(), variant="seesaw", code="qubit"),
+        (rc, "worst_case_fidelity_seesaw"),
+    ),
+    "local-complement algebra on the input (drift)": (
+        ququart_scenario, channel_task("local-complement", "discard", algebra="z"),
+        (ch, "_checked_local_complement"),
+    ),
+    "local-complement 3 -> 3": (
+        ququart_scenario, channel_task("local-complement", "wide", algebra="z"),
+        (ch, "_checked_local_complement"),
+    ),
+    "is-local algebra dimension": (
+        ququart_scenario, channel_task("is-local", "qubit_ideal", algebra="z", second_algebra="z"),
+        (ch, "is_local"),
+    ),
+    "is-local non-square channel (drift)": (
+        ququart_scenario, channel_task("is-local", "discard", algebra="z", second_algebra="z"),
+        (ch, "is_local"),
+    ),
+    "is-physical p": (
+        ququart_scenario, channel_task("is-physical", "dephase", p="qubit_ideal", q="ideal"),
+        (ch, "is_physical"),
+    ),
+    "is-physical q": (
+        ququart_scenario, channel_task("is-physical", "discard", p="ideal", q="ideal"),
+        (ch, "is_physical"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_load_refuses_what_the_library_refuses(case, monkeypatch):
+    build, task, (module, name) = REFUSED[case]
+    calls = []
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
+    with pytest.raises(sc.ScenarioError, match="task 1"):
+        sc.load_scenario(build([kl("pair", "dephase") if build is ququart_scenario
+                                else ring_region([1, 2, 3, 4]), task]))
+    assert calls == []
+
+
+def test_local_complement_of_a_channel_into_a_larger_space():
+    """The algebra of a local complement lives on the channel's output."""
+    scenario = sc.load_scenario(
+        ququart_scenario([channel_task("local-complement", "embed", algebra="z")])
+    )
+    (entry,) = sc.run_scenario(scenario)["tasks"]
+    assert entry["completed"], entry["output"]
+    assert entry["output"]["in_dim"] == 2
+    assert entry["output"]["within_tol"]
+
+
+def test_geometric_noise_refuses_allow_odd():
+    spec = ring_scenario([ring_region([1, 2, 3, 4])])
+    spec["channels"]["window"]["allow_odd"] = True
+    with pytest.raises(sc.ScenarioError, match="schema violation"):
+        sc.load_scenario(spec)

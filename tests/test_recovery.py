@@ -306,6 +306,14 @@ def test_fermion_local_rejects_kraus_outside_region():
         rc.fermion_local_check(two_dim_code(0, 3), [m34], (1, 2))
 
 
+@pytest.mark.parametrize("region", [(1, 2, 3), (1, 1, 2, 3), (1, 2, 3, 9), (0, 1)])
+def test_fermion_local_refuses_a_region_that_is_not_an_even_set(region):
+    # an odd, repeated or out-of-range region; a repeat used to be dropped
+    m12 = np.asarray(fermion.majorana_monomial(S2, (1, 2)))
+    with pytest.raises(ValueError, match="distinct Majorana indices in 1..4"):
+        rc.fermion_local_check(two_dim_code(0, 3), [m12], region)
+
+
 def test_fermion_local_names_the_first_kraus_outside_region():
     m12 = np.asarray(fermion.majorana_monomial(S2, (1, 2)))
     m34 = np.asarray(fermion.majorana_monomial(S2, (3, 4)))
@@ -887,6 +895,16 @@ def test_optimizer_is_formed_once_and_only_when_read(monkeypatch):
     assert res.optimizer is first and len(calls) == 1
     copy = replace(res, status="heuristic")
     assert copy.optimizer is first and len(calls) == 1
+
+
+def test_results_compare_without_forming_the_optimizer(monkeypatch):
+    calls = []
+    choi = rc._LinkPlan.choi
+    monkeypatch.setattr(rc._LinkPlan, "choi",
+                        lambda plan, solution: calls.append(plan) or choi(plan, solution))
+    a, b = (rc.optimal_recovery_fidelity(ID2, ID2, np.eye(2) / 2) for _ in range(2))
+    assert a == a and a != b
+    assert calls == []
 
 
 def padded_poisoning(modes):

@@ -1,15 +1,18 @@
 """
-Physical recovery in two parity blocks
-======================================
+Physical recovery in four parity blocks
+=======================================
 
 A recovery restricted to the form p . r . q, with p and q the parity
-dephasing of four fermionic modes (d = 16).  Both dephasings are
-invariant under the parity P, so twirling r over {1, P} keeps the
-fidelity and some optimal r has Kraus operators of definite parity.  The
-recovery SDP is therefore solved in an even and an odd block of
-d^2 / 2 = 128 rows each instead of one of d^2 = 256, which about halves
-its memory and time.  CI also runs this script under a 768 MiB
-address-space cap.
+dephasing of four fermionic modes (d = 16).  Every output of either
+dephasing commutes with both parity projectors P_+ and P_-, so the
+fidelity does not change when r is conjugated by independent phases on
+the two sectors of its output and on the two of its input, and some
+optimal r maps each input sector into one output sector.  The recovery
+SDP is therefore solved in four blocks of dimension d^2 / 4 = 64, even
+to even, odd to odd, even to odd and odd to even, instead of one of
+d^2 = 256.  That takes about half the memory and time of an even and an
+odd block of 128, the split by the parity of r's Kraus operators alone.
+CI also runs this script under a 384 MiB address-space cap.
 """
 
 import time

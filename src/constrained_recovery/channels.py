@@ -483,28 +483,19 @@ def _output_fidelity(n, m, psi):
     return min(1.0, float(np.sum(np.linalg.svd(a.conj() @ b.T, compute_uv=False))))
 
 
-def entanglement_fidelity(n, m, rho, tol=1e-8):
+def entanglement_fidelity(n, m, rho):
     """Fidelity of the outputs of two channels on a purification of ``rho``.
 
-    With psi psi^dag = rho over the eigenvalues above 1e-14, the outputs
-    are A A^dag and B B^dag, the columns of A and B being vec(E_k psi) and
-    vec(F_j psi) for the Kraus operators of ``n`` and ``m``.  By Uhlmann's
-    theorem their fidelity is the trace norm of the k_n x k_m matrix
-    A^dag B, so no output state is formed and no square root is taken.
+    With psi psi^dag = rho (:func:`linalg.density_purification`, which
+    also checks ``rho``), the outputs are A A^dag and B B^dag, the columns
+    of A and B being vec(E_k psi) and vec(F_j psi) for the Kraus operators
+    of ``n`` and ``m``.  By Uhlmann's theorem their fidelity is the trace
+    norm of the k_n x k_m matrix A^dag B, so no output state is formed and
+    no square root is taken.
     """
     if n.in_dim != m.in_dim or n.out_dim != m.out_dim:
         raise ValueError("channels must share input and output dimensions")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (n.in_dim, n.in_dim):
-        raise ValueError("state dimension does not match channel input")
-    if not linalg.is_hermitian(rho, tol=tol):
-        raise ValueError("rho is not Hermitian")
-    if abs(float(np.trace(rho).real) - 1.0) > tol:
-        raise ValueError("rho does not have unit trace")
-    psi, lowest = linalg.psd_factor(rho, cutoff=1e-14)
-    if lowest < -tol:
-        raise ValueError("rho is not positive semidefinite")
-    return _output_fidelity(n, m, psi)
+    return _output_fidelity(n, m, linalg.density_purification(rho, dim=n.in_dim))
 
 
 @dataclass

@@ -28,6 +28,7 @@ from .recovery import Code
 
 __all__ = [
     "FermionSystem",
+    "MajoranaIndexError",
     "ParityData",
     "ParitySplit",
     "MajoranaRingScenario",
@@ -112,12 +113,29 @@ class FermionSystem:
         return f"FermionSystem(n_modes={self.n_modes})"
 
 
+class MajoranaIndexError(ValueError, IndexError):
+    """A Majorana index set refused by :func:`_majorana_set`: a ValueError,
+    and an IndexError for an index out of range."""
+
+
+def _majorana_set(n_modes, indices, even=False):
+    """``indices`` as a sorted tuple, after checking that they are distinct
+    Majorana indices of a register of ``n_modes`` modes (1..2 n_modes), and
+    an even number of them when ``even``."""
+    region = tuple(sorted(int(k) for k in indices))
+    top = 2 * n_modes
+    if (len(set(region)) != len(region) or not all(1 <= k <= top for k in region)
+            or (even and len(region) % 2)):
+        count = "an even number of " if even else ""
+        raise MajoranaIndexError(
+            f"indices {region} are not {count}distinct Majorana indices in 1..{top}"
+        )
+    return region
+
+
 def majorana(system, index):
     """Return the Majorana generator ``w_index`` (1-based index)."""
-    if not 1 <= index <= 2 * system.n_modes:
-        raise IndexError(
-            f"Majorana index {index} out of range 1..{2 * system.n_modes}"
-        )
+    (index,) = _majorana_set(system.n_modes, (index,))
     return system.majoranas[index - 1]
 
 
@@ -128,13 +146,10 @@ def majorana_monomial(system, indices):
     ascending order, which is Hermitian and squares to the identity.  The
     empty monomial is the identity.
     """
-    indices = tuple(indices)
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"repeated Majorana index in {indices}")
-    order = sorted(indices)
+    order = _majorana_set(system.n_modes, indices)
     mat = np.eye(system.dim, dtype=complex)
     for k in order:
-        mat = mat @ majorana(system, k)
+        mat = mat @ system.majoranas[k - 1]
     s = len(order)
     return (1j ** ((s * (s - 1) // 2) % 4)) * mat
 
@@ -157,9 +172,7 @@ def parity_operator(system, region):
     result is the product of the corresponding ``Z_j``, hence +1 on the
     Fock vacuum.
     """
-    region = tuple(sorted(set(region)))
-    if len(region) % 2 != 0:
-        raise ValueError("parity operator needs an even number of indices")
+    region = _majorana_set(system.n_modes, region, even=True)
     c = majorana_monomial(system, region)
     eye = np.eye(system.dim)
     return ParityData(
@@ -168,13 +181,6 @@ def parity_operator(system, region):
         p_plus=(eye + c) / 2.0,
         p_minus=(eye - c) / 2.0,
     )
-
-
-def _mode_indices(modes):
-    out = []
-    for m in modes:
-        out.extend((2 * m - 1, 2 * m))
-    return out
 
 
 def physical_algebra(system, majoranas=None, *, modes=None):
@@ -190,11 +196,8 @@ def physical_algebra(system, majoranas=None, *, modes=None):
     if (majoranas is None) == (modes is None):
         raise ValueError("give exactly one of majoranas= or modes=")
     if modes is not None:
-        majoranas = _mode_indices(modes)
-    region = tuple(sorted(set(majoranas)))
-    for k in region:
-        if not 1 <= k <= 2 * system.n_modes:
-            raise IndexError(f"Majorana index {k} out of range")
+        majoranas = [k for m in modes for k in (2 * m - 1, 2 * m)]
+    region = _majorana_set(system.n_modes, majoranas)
     scale = 1.0 / np.sqrt(system.dim)
     return AlgebraBasis(system.dim, [scale * m for m in _even_monomials(system, region)])
 
@@ -425,20 +428,13 @@ def geometric_noise(system, max_support, weights=None, *, monomials=None,
             n_indices, min(max_support, n_indices)
         )
     else:
-        supports = []
-        for indices in monomials:
-            indices = tuple(sorted(int(k) for k in indices))
-            if len(set(indices)) != len(indices):
-                raise ValueError(f"repeated index in monomial {indices}")
-            for k in indices:
-                if not 1 <= k <= n_indices:
-                    raise IndexError(f"Majorana index {k} out of range")
+        supports = [_majorana_set(system.n_modes, s) for s in monomials]
+        for indices in supports:
             if len(indices) % 2 != 0 and not allow_odd:
                 raise ValueError(
                     f"odd monomial {indices} breaks the parity rule; "
                     "pass allow_odd=True to force it"
                 )
-            supports.append(indices)
         if not supports:
             raise ValueError("monomial list is empty")
     if weights is None:

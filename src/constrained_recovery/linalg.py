@@ -19,6 +19,7 @@ __all__ = [
     "herm_apply",
     "herm_sqrt",
     "psd_factor",
+    "density_purification",
     "gram_rows",
     "null_space",
     "orthonormal_rows",
@@ -132,6 +133,20 @@ def psd_factor(h, cutoff=1e-12):
     w, u = np.linalg.eigh(h)
     keep = w > cutoff * max(1.0, float(w[-1]))
     return u[:, keep][:, ::-1] * np.sqrt(w[keep][::-1]), float(w[0])
+
+
+def density_purification(rho, dim):
+    """The :func:`psd_factor` of a density matrix ``rho``, its purification
+    of fewest columns.  ``rho`` must be Hermitian of dimension ``dim`` as
+    :func:`as_hermitian` asks, of unit trace within 1e-8 and with no
+    eigenvalue below -1e-9."""
+    rho = as_hermitian(rho, "rho", dim=dim)
+    if abs(np.trace(rho).real - 1.0) > 1e-8:
+        raise ValueError("rho must have unit trace")
+    psi, lowest = psd_factor(rho)
+    if lowest < -1e-9:
+        raise ValueError(f"state is not PSD (min eigenvalue {lowest:.3e})")
+    return psi
 
 
 def gram_rows(v):

@@ -156,8 +156,6 @@ class DualityReport:
 
 # a row of fixed data with at most this norm carries no information
 _NULL_ROW = 1e-10
-# eigenvalues up to this fraction of max(1, largest) lie outside a state's support
-_SUPPORT_CUTOFF = 1e-12
 
 
 def _as_channel(kraus):
@@ -357,18 +355,14 @@ def _check_region(code, kraus, region):
     :func:`fermion_local_check` runs this first, and the scenario loader
     runs it on a fermion-local task.
     """
+    from . import fermion as fermion_mod
+
     ops = _check_noise(code, kraus)
     d = code.physical_dim
     n_modes = int(round(np.log2(d)))
     if n_modes < 1 or 2 ** n_modes != d:
         raise ValueError(f"physical dimension {d} is not a power of two")
-    region = tuple(sorted(int(i) for i in region))
-    top, distinct = 2 * n_modes, set(region)
-    if len(distinct) != len(region) or len(region) % 2 or not distinct <= set(range(1, top + 1)):
-        raise ValueError(
-            f"region {region} is not an even number of distinct Majorana indices in 1..{top}"
-        )
-    return ops, n_modes, region
+    return ops, n_modes, fermion_mod._majorana_set(n_modes, region, even=True)
 
 
 def fermion_local_check(code, kraus, region, tol=1e-8):
@@ -462,25 +456,30 @@ class Physical:
     the optimum over such maps equals an unconstrained optimum over the
     channels composed with them, which is how the builder encodes it.
 
-    When each of ``q`` and ``p`` has a parity involution U (from the two
-    minimal central projectors of the algebra its Kraus operators
-    generate, U = P_+ - P_-) with Ad_U . q = q and Ad_U . p = p, the
-    states that r links are invariant under Ad_U.  Twirling r over
-    {1, U} then does not lower the fidelity, which is concave in r, so
-    some optimal r has Kraus operators of definite parity.  The recovery
-    SDP is solved in two PSD blocks, even and odd operators (d^2/2 each
-    for balanced sectors), instead of one of d^2 (Gatermann & Parrilo,
-    JPAA 192 (2004)).  The environment side keeps one block.
+    The recovery side is solved in one PSD block per pair of sectors
+    (Gatermann & Parrilo, JPAA 192 (2004)).  Let Pi_1 .. Pi_K be the
+    sectors of p (see :func:`_sectors`): Ad_U . p = p for every
+    U_k = 1 - 2 Pi_k, so every output of p commutes with every Pi_k, and
+    Ad_U . p = p holds on the whole torus U_theta = sum_k e^{i theta_k}
+    Pi_k; likewise for the sectors Pi'_l of q with phases phi.  The
+    fidelity of r . q . n with p . m is then unchanged when r becomes
+    Ad_{U_theta} . r . Ad_{U'_phi}^dag, and it is concave in r, so some
+    optimal r is covariant under both tori: each of its Kraus operators
+    maps one q-sector l into one p-sector k, a block of d_k d'_l per pair.
+    Parity on both sides gives four blocks of d^2/4, a K-sector pinching
+    on both sides K^2.  A channel that fails the check of
+    :func:`_sectors` counts as one sector, so a split on one side alone
+    gives K blocks.  The environment side keeps one block.
     """
 
     p: Channel
     q: Channel
 
     @cached_property
-    def parity_bases(self):
+    def sector_bases(self):
         """The recovery's operator blocks, found once per constraint; see
-        :func:`_parity_bases`."""
-        return _parity_bases(self.p, self.q)
+        :func:`_sector_bases`."""
+        return _sector_bases(self.p, self.q)
 
 
 @dataclass(eq=False)
@@ -496,12 +495,13 @@ class FixesAlgebra:
     algebra: object
 
 
-def _support_isometry(sigma):
-    w, u = np.linalg.eigh(sigma)
-    keep = w > _SUPPORT_CUTOFF * max(float(w[-1]), 1.0)
-    if not np.any(keep):
+def _support(h):
+    """Isometry onto the support of a positive ``h``: the columns of its
+    :func:`linalg.psd_factor`, normalized."""
+    f, _ = linalg.psd_factor(h)
+    if not f.shape[1]:
         raise ValueError("state has numerically empty support")
-    return u[:, keep]
+    return f / np.linalg.norm(f, axis=0)
 
 
 def build_state_fidelity_sdp(rho, sigma):
@@ -517,8 +517,8 @@ def build_state_fidelity_sdp(rho, sigma):
     """
     rho = linalg.as_hermitian(rho, "rho")
     sigma = linalg.as_hermitian(sigma, "sigma", dim=rho.shape[0])
-    p = _support_isometry(rho)
-    q = _support_isometry(sigma)
+    p = _support(rho)
+    q = _support(sigma)
     rp = p.shape[1]
     rq = q.shape[1]
     rho_c = p.conj().T @ rho @ p
@@ -627,16 +627,16 @@ def _build_link_problem(eta, sigma, left_dim, act_in, act_out, ref_dim,
     bases = [None if ops is None else _checked_basis(ops, act_out, act_in)
              for ops in op_bases]
 
-    q_sigma = _support_isometry(sigma)
+    q_sigma = _support(sigma)
     r = q_sigma.shape[1]
     sigma_c = q_sigma.conj().T @ sigma @ q_sigma
     y_dim = 2 * r
     q_dag = q_sigma.conj().T.reshape(r, left_dim, act_out, ref_dim)
     q_dag = q_dag.transpose(0, 1, 3, 2).reshape(-1, act_out)
-    # eta = V V^dag over its eigenvalues above rounding
-    w, v = np.linalg.eigh(eta)
-    keep = w > w.size * np.finfo(float).eps * max(float(w[-1]), 0.0)
-    root = v[:, keep] * np.sqrt(w[keep])
+    # eta = V V^dag, V's columns smallest eigenvalue first.  The order moves
+    # only rounding, but the tests' tol=1e-10 solves stop within a few
+    # percent of tol, so their iteration counts depend on it
+    root = linalg.psd_factor(eta)[0][:, ::-1]
 
     trace_terms, link_terms = [], []
     for b, basis in enumerate(bases):
@@ -686,60 +686,48 @@ def _build_link_problem(eta, sigma, left_dim, act_in, act_out, ref_dim,
     )
 
 
-def _parity_sectors(channel):
-    """Eigenvectors (V_+, V_-) of the channel's parity involution, or None.
+def _sectors(channel):
+    """Isometries V_k onto the sectors of a square ``channel``, d x d_k each.
 
-    The involution is U = P_+ - P_- for the two minimal central projectors
-    of the algebra the Kraus operators generate; it is kept only when
-    Ad_U . channel = channel, checked on Choi matrices within 1e-10, so
-    the answer depends on the channel and not on its Kraus form.
+    The sectors are the minimal central projectors Pi_k = V_k V_k^dag of
+    the algebra the Kraus operators generate, with V_k read off
+    :func:`algebra.block_structure`.  They are kept only when
+    Ad_U . channel = channel for every U_k = 1 - 2 Pi_k, checked on Choi
+    matrices within 1e-10, so the answer depends on the channel and not on
+    its Kraus form; otherwise the one sector is the whole space.
     """
     d = channel.out_dim
-    if channel.in_dim != d:
-        return None
-    projectors = algebra_mod.minimal_central_projectors(
-        algebra_mod.generate_algebra(channel.kraus, d))
-    if len(projectors) != 2:
-        return None
-    u = projectors[0] - projectors[1]
-    moved = Channel(u @ channel._stack, check=False)
-    if np.linalg.norm(moved.choi - channel.choi) > 1e-10:
-        return None
-    w, v = np.linalg.eigh(u)
-    return v[:, w > 0], v[:, w < 0]
+    sectors = algebra_mod.block_structure(
+        algebra_mod.generate_algebra(channel.kraus, d)).sectors
+    moved = (Channel((np.eye(d) - 2 * s.projector) @ channel._stack, check=False)
+             for s in sectors)
+    if len(sectors) == 1 or any(np.linalg.norm(c.choi - channel.choi) > 1e-10 for c in moved):
+        return [np.eye(d)]
+    return [s.isometry.conj().T for s in sectors]
 
 
-def _parity_bases(p, q):
-    """Even and odd operator bases for the recovery r of ``Physical(p, q)``.
+def _sector_bases(p, q):
+    """The operator blocks of the recovery r of ``Physical(p, q)``.
 
-    With V_s the sector eigenvectors of the output involution (from ``p``)
-    and V_s' those of the input involution (from ``q``), the even basis is
-    every V_s e_ij V_s'^dag with s = s', the odd one with s != s'.  Returns
-    ``[None]``, one block of all operators, unless both channels have a
-    parity involution.
+    For each sector V_k of ``p`` and W_l of ``q`` (see :func:`_sectors`),
+    the block's basis is every V_k e_ij W_l^dag, the operators from
+    sector l into sector k.  Returns ``[None]``, one block of all
+    operators, when both channels have one sector.
     """
-    out = _parity_sectors(p)
-    inp = out if q is p else _parity_sectors(q)
-    if out is None or inp is None:
+    out = _sectors(p)
+    inp = out if q is p else _sectors(q)
+    if len(out) == len(inp) == 1:
         return [None]
-
-    def span(a, b):
-        return np.einsum("ai,bj->ijab", a, b.conj()).reshape(-1, a.shape[0], b.shape[0])
-
-    (op, om), (ip, im) = out, inp
-    return [np.concatenate([span(op, ip), span(om, im)]),
-            np.concatenate([span(op, im), span(om, ip)])]
+    return [np.einsum("ai,bj->ijab", v, w.conj()).reshape(-1, v.shape[0], w.shape[0])
+            for v in out for w in inp]
 
 
 def _act_support(state, left, act, ref):
     """Isometry onto the support of the act marginal of ``state`` on
-    left (x) act (x) ref, found with :func:`linalg.psd_factor`; ``None``
-    when that support is all of act."""
-    marginal = np.einsum("iajibj->ab", state.reshape(left, act, ref, left, act, ref))
-    f, _ = linalg.psd_factor(marginal)
-    if f.shape[1] == act:
-        return None
-    return f / np.linalg.norm(f, axis=0)
+    left (x) act (x) ref (see :func:`_support`); ``None`` when that support
+    is all of act."""
+    v = _support(np.einsum("iajibj->ab", state.reshape(left, act, ref, left, act, ref)))
+    return None if v.shape[1] == act else v
 
 
 def _compress(state, left, v, ref):
@@ -755,12 +743,12 @@ def _link_inputs(n, m, rho, constraint):
     """The constraint (``None`` read as :class:`Unconstrained`), its label
     and a purification of ``rho``, after the rules of both fidelity sides.
 
-    ``n`` and ``m`` share an input dimension and ``rho`` is a state on it:
-    Hermitian, of unit trace within 1e-8 and with no eigenvalue below
-    -1e-9.  :class:`Physical` needs ``q`` to act on the output of ``n`` and
-    ``p`` on that of ``m``; :class:`FixesAlgebra` needs both outputs on its
-    algebra's ambient space.  :func:`_link_plan` runs this first, and the
-    scenario loader runs it on a fidelity task.
+    ``n`` and ``m`` share an input dimension and ``rho`` is a state on it
+    (see :func:`linalg.density_purification`).  :class:`Physical` needs
+    ``q`` to act on the output of ``n`` and ``p`` on that of ``m``;
+    :class:`FixesAlgebra` needs both outputs on its algebra's ambient
+    space.  :func:`_link_plan` runs this first, and the scenario loader
+    runs it on a fidelity task.
     """
     if constraint is None:
         constraint = Unconstrained()
@@ -779,14 +767,7 @@ def _link_inputs(n, m, rho, constraint):
         raise TypeError(f"unsupported constraint {constraint!r}")
     if n.in_dim != m.in_dim:
         raise ValueError("channels must share the input dimension")
-    rho = linalg.as_hermitian(rho, "rho", dim=n.in_dim)
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ValueError("rho must have unit trace")
-    # the purification psi psi^dag = rho of minimal reference dimension
-    psi, lowest = linalg.psd_factor(rho)
-    if lowest < -1e-9:
-        raise ValueError(f"state is not PSD (min eigenvalue {lowest:.3e})")
-    return constraint, label, psi
+    return constraint, label, linalg.density_purification(rho, dim=n.in_dim)
 
 
 def _link_plan(n, m, rho, constraint, environment):
@@ -794,8 +775,8 @@ def _link_plan(n, m, rho, constraint, environment):
 
     The recovery side links r . n to m over recoveries r whose Kraus
     operators span all operators, or the commutant of a fixed algebra,
-    or (for :class:`Physical` with parity-invariant p and q) the even and
-    odd operators in two blocks.
+    or (for :class:`Physical`) the operators between a sector of q and
+    one of p, one block per pair (see :func:`_sector_bases`).
     The environment side links the complement of m to that of n; under
     :class:`FixesAlgebra` these are the local complements, and the
     processing acts beyond their first factor, of the conditional
@@ -826,7 +807,7 @@ def _link_plan(n, m, rho, constraint, environment):
         src, dst = channels_mod.compose(q, n), channels_mod.compose(p, m)
         finish = lambda r: channels_mod.compose(p, channels_mod.compose(r, q))  # noqa: E731
         if not environment:
-            bases = constraint.parity_bases
+            bases = constraint.sector_bases
     if isinstance(constraint, FixesAlgebra):
         b = constraint.algebra
         if environment:

@@ -270,14 +270,13 @@ def _build_system(spec):
 
 
 def _named(what, call, *args):
-    """``call(*args)``, with a ValueError, or the library's IndexError of a
-    Majorana index out of range, turned into a ScenarioError that names
-    ``what``, the object or task at fault."""
+    """``call(*args)``, with a ValueError turned into a ScenarioError that
+    names ``what``, the object or task at fault."""
     try:
         return call(*args)
     except ScenarioError:
         raise
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"{what}: {exc}") from exc
 
 
@@ -318,10 +317,7 @@ def _build_algebra(what, spec, dim, fsys):
         fsys = _require_fermion(fsys, what)
         return algebra_mod.generate_algebra([_parity(fsys).c], dim)
     fsys = _require_fermion(fsys, what)
-    majoranas = [int(i) for i in spec["majoranas"]]
-    if len(set(majoranas)) != len(majoranas):
-        raise ScenarioError(f"{what}: repeated Majorana indices")
-    return fermion_mod.physical_algebra(fsys, majoranas)
+    return fermion_mod.physical_algebra(fsys, spec["majoranas"])
 
 
 def _build_channel(what, spec, dim, fsys):

@@ -4,6 +4,7 @@ import pytest
 from constrained_recovery import algebra as alg
 from constrained_recovery import channels as ch
 from constrained_recovery import linalg
+from constrained_recovery import recovery as rc
 from helpers import (
     planted_algebra,
     random_density,
@@ -362,6 +363,19 @@ def test_entanglement_fidelity_rank_deficient_input():
     v = np.linalg.eigh(rho)[1][:, -1]
     pure_oracle = np.sqrt(sum(abs(v.conj() @ e @ v) ** 2 for e in n.kraus))
     assert abs(f - pure_oracle) < 5e-8
+
+
+def test_entanglement_fidelity_and_the_recovery_share_one_density_rule():
+    # an eigenvalue of -5e-9 lies below the -1e-9 floor of both
+    rho = np.diag([1.0 + 5e-9, -5e-9])
+    ident = ch.identity_channel(2)
+    messages = []
+    for run in (lambda: ch.entanglement_fidelity(ident, ident, rho),
+                lambda: rc.optimal_recovery_fidelity(ident, ident, rho)):
+        with pytest.raises(ValueError) as err:
+            run()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "state is not PSD (min eigenvalue -5.000e-09)"
 
 
 def test_entanglement_fidelity_guards():

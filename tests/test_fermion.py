@@ -149,6 +149,33 @@ def test_physical_algebra_argument_validation():
         fermion.physical_algebra(S2, (1, 7))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: fermion.physical_algebra(S2, (1, 1, 2)),
+    lambda: fermion.physical_algebra(S2, modes=[1, 1]),
+    lambda: fermion.parity_operator(S2, (1, 1, 2, 2)),
+], ids=["physical-algebra", "physical-algebra-modes", "parity-operator"])
+def test_repeated_majorana_indices_are_refused(build):
+    # each used to drop the repeat and build the algebra or parity of the set
+    with pytest.raises(fermion.MajoranaIndexError, match="distinct Majorana indices in 1..4"):
+        build()
+
+
+def test_one_majorana_index_rule():
+    # one exception for every index set: a ValueError, and an IndexError for
+    # the callers that expect one for an index out of range
+    assert issubclass(fermion.MajoranaIndexError, ValueError)
+    assert issubclass(fermion.MajoranaIndexError, IndexError)
+    refusals = [
+        lambda: fermion.majorana(S2, 5),
+        lambda: fermion.majorana_monomial(S2, (2, 2)),
+        lambda: fermion.parity_operator(S2, (1, 2, 3)),
+        lambda: fermion.geometric_noise(S2, 2, monomials=[(1, 9)]),
+    ]
+    for refuse in refusals:
+        with pytest.raises(fermion.MajoranaIndexError, match="distinct Majorana indices in 1..4"):
+            refuse()
+
+
 def test_physical_algebra_is_closed():
     a = fermion.physical_algebra(S2, modes=[1])
     assert algebra.contains(a, np.kron(Z, np.eye(2)))

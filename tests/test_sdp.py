@@ -636,11 +636,12 @@ def test_link_rows_match_definition_physical(monkeypatch):
     )
     q = plan.sigma_support
     assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) < 1e-12
-    # the even and odd operators, together an orthonormal basis of all 4 x 4
+    # the operators between each pair of parity sectors, together an
+    # orthonormal basis of all 4 x 4
     bases = args["op_bases"]
-    assert [len(b) for b in bases] == [8, 8]
-    for basis, sign in zip(bases, (1.0, -1.0)):
-        assert np.max(np.abs(PARITY2 @ basis @ PARITY2 - sign * basis)) < 1e-12
+    assert [len(b) for b in bases] == [4, 4, 4, 4]
+    sectors = parity_sectors(PARITY2)
+    assert sorted(block_pairs(bases, (sectors, sectors))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     lifts = [b.reshape(len(b), -1).T for b in bases]
     whole = np.concatenate(lifts, axis=1)
     assert np.max(np.abs(whole.conj().T @ whole - np.eye(16))) < 1e-12
@@ -999,13 +1000,16 @@ def test_recovery_build_keeps_no_dense_rows():
 
 
 # ---------------------------------------------------------------------------
-# Physical recovery SDPs in two parity blocks
+# Physical recovery SDPs in one block per pair of sectors
 
 
 PARITY3 = np.asarray(fermion.parity_operator(fermion.FermionSystem(3), tuple(range(1, 7))).c)
-# what the one-block builder gives on the two cases below that have no split
-NO_SPLIT_FROZEN = {"non-invariant-q": (10, 0.9298841445928623),
-                   "three-sector-pinching": (9, 0.7634418273131987)}
+PINCH = [np.diag(x) for x in ([1.0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0])]
+# the two cases below that had one block before the split by pairs of
+# sectors; re-pinned with it from (10, 0.9298841445928623) and
+# (9, 0.7634418273131987)
+NO_SPLIT_FROZEN = {"non-invariant-q": (10, 0.9298841445932353),
+                   "three-sector-pinching": (9, 0.7634418273131486)}
 
 
 def dephasing(c):
@@ -1013,32 +1017,80 @@ def dephasing(c):
     return ch.Channel([np.eye(d) / np.sqrt(2), c / np.sqrt(2)])
 
 
+def parity_sectors(c):
+    d = c.shape[0]
+    return [(np.eye(d) + c) / 2, (np.eye(d) - c) / 2]
+
+
 def physical_corpus(case):
-    """Noise, target, state, constraint and parity of a Physical solve."""
+    """Noise, target, state and constraint of a Physical solve, and the
+    sector projectors of p and of q."""
     if case == "d4":
         # the corpus of the frozen physical solve
         rng = np.random.default_rng(73)
         n = random_physical_channel(rng, PARITY2)
         m = random_physical_channel(rng, PARITY2, 2)
-        return n, m, np.eye(4) / 4, rc.Physical(dephasing(PARITY2), dephasing(PARITY2)), PARITY2
+        sectors = parity_sectors(PARITY2)
+        return (n, m, np.eye(4) / 4, rc.Physical(dephasing(PARITY2), dephasing(PARITY2)),
+                (sectors, sectors))
+    if case == "non-invariant-q":
+        # q = Ad_V with V = P_+ + i P_-: its Kraus operator generates the parity
+        # algebra, but Ad_P . q != q, so q has one sector
+        rng = np.random.default_rng(131)
+        n = random_physical_channel(rng, PARITY2)
+        m = random_physical_channel(rng, PARITY2, 2)
+        one = np.eye(4)
+        v = (one + PARITY2) / 2 + 1j * (one - PARITY2) / 2
+        return (n, m, one / 4, rc.Physical(dephasing(PARITY2), ch.Channel([v])),
+                (parity_sectors(PARITY2), [one]))
+    if case == "three-sector-pinching":
+        rng = np.random.default_rng(137)
+        n = ch.Channel(random_kraus(rng, 4, 4, 3))
+        m = ch.Channel(random_kraus(rng, 4, 4, 2))
+        pinch = ch.Channel(PINCH)
+        return n, m, np.eye(4) / 4, rc.Physical(pinch, pinch), (PINCH, PINCH)
     rng = np.random.default_rng(139)
     n = random_physical_channel(rng, PARITY3, 2)
     m = random_physical_channel(rng, PARITY3, 2)
     pq = dephasing(PARITY3)
-    return n, m, random_density(rng, 8), rc.Physical(pq, pq), PARITY3
+    sectors = parity_sectors(PARITY3)
+    return n, m, random_density(rng, 8), rc.Physical(pq, pq), (sectors, sectors)
 
 
-@pytest.mark.parametrize("case", ["d4", "d8"])
+def block_pairs(bases, sectors):
+    """The pair (k, l) of each block's basis B, with Pi_k B = B = B Pi'_l."""
+    out_sectors, in_sectors = sectors
+    pairs = []
+    for basis in bases:
+        pairs += [(k, l) for k, pk in enumerate(out_sectors) for l, pl in enumerate(in_sectors)
+                  if np.max(np.abs(pk @ basis - basis)) < 1e-12
+                  and np.max(np.abs(basis @ pl - basis)) < 1e-12]
+    return pairs
+
+
+def sector_unitary(rng, sectors):
+    return sum(np.exp(2j * np.pi * rng.random()) * p for p in sectors)
+
+
+@pytest.mark.parametrize("case", ["d4", "d8", "non-invariant-q", "three-sector-pinching"])
 def test_split_and_one_block_solves_agree(monkeypatch, case):
-    n, m, rho, constraint, parity = physical_corpus(case)
-    d = parity.shape[0]
+    n, m, rho, constraint, sectors = physical_corpus(case)
+    d = rho.shape[0]
     build = rc._build_link_problem
     args, split = first_link_plan(
         monkeypatch, lambda: rc.build_recovery_fidelity_sdp(n, m, rho, constraint))
+    # one block per pair of sectors, together an orthonormal basis of all
+    # d x d operators
+    bases = args["op_bases"]
+    pairs = [(k, l) for k in range(len(sectors[0])) for l in range(len(sectors[1]))]
+    assert sorted(block_pairs(bases, sectors)) == pairs
+    assert len(bases) == len(pairs)
+    whole = np.concatenate([b.reshape(len(b), -1).T for b in bases], axis=1)
+    assert np.max(np.abs(whole.conj().T @ whole - np.eye(d * d))) < 1e-12
     # the same eta and sigma in one block over all operators
     one = build(**{**args, "op_bases": [None]})
     r = split.sigma_support.shape[1]
-    assert split.problem.block_dims == [d * d // 2, d * d // 2, 2 * r]
+    assert split.problem.block_dims == [len(b) for b in bases] + [2 * r]
     assert one.problem.block_dims == [d * d, 2 * r]
     for tol in (1e-7, 1e-10):
         sol_split = sdp.solve(split.problem, tol=tol)
@@ -1046,10 +1098,13 @@ def test_split_and_one_block_solves_agree(monkeypatch, case):
         assert sol_split.status == sol_one.status == "optimal"
         assert sol_split.iterations == sol_one.iterations
         assert abs(sol_split.value - sol_one.value) < 1e-9
-    # the reassembled process matrix is parity covariant and trace preserving
+    # the reassembled process matrix is covariant under independent sector
+    # phases on both sides, and trace preserving
     choi = split.choi(sol_split)
-    sym = np.kron(parity, parity.conj())
-    assert np.linalg.norm(sym @ choi - choi @ sym) < 1e-10 * np.linalg.norm(choi)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        sym = np.kron(sector_unitary(rng, sectors[0]), sector_unitary(rng, sectors[1]).conj())
+        assert np.linalg.norm(sym @ choi - choi @ sym) < 1e-10 * np.linalg.norm(choi)
     out_traced = np.einsum("aiaj->ij", choi.reshape(d, d, d, d))
     assert np.linalg.norm(out_traced - np.eye(d)) < 1e-8
     # the fidelity of the extracted channel, without the SDP
@@ -1067,7 +1122,7 @@ def test_parity_blocks_come_from_the_channel(kind):
     n, m, rho, _, _ = physical_corpus("d4")
     sol = sdp.solve(rc.build_recovery_fidelity_sdp(n, m, rho, rc.Physical(pq, pq)))
     r = sol.diagnostics["block_dims"][-1] // 2
-    assert sol.diagnostics["block_dims"] == [8, 8, 2 * r]
+    assert sol.diagnostics["block_dims"] == [4, 4, 4, 4, 2 * r]
     assert sol.iterations == 9
     assert abs(sol.value - 0.8072288506274594) < 1e-9
 
@@ -1091,29 +1146,15 @@ def test_physical_finds_its_parity_blocks_once(monkeypatch):
     assert first.value == second.value
 
 
-def no_split_case(case):
-    one = np.eye(4)
-    if case == "non-invariant-q":
-        # q = Ad_V with V = P_+ + i P_-: its Kraus operator generates the parity
-        # algebra, but Ad_P . q != q
-        rng = np.random.default_rng(131)
-        n = random_physical_channel(rng, PARITY2)
-        m = random_physical_channel(rng, PARITY2, 2)
-        v = (one + PARITY2) / 2 + 1j * (one - PARITY2) / 2
-        return n, m, rc.Physical(dephasing(PARITY2), ch.Channel([v]))
-    rng = np.random.default_rng(137)
-    n = ch.Channel(random_kraus(rng, 4, 4, 3))
-    m = ch.Channel(random_kraus(rng, 4, 4, 2))
-    pinch = ch.Channel([np.diag(x) for x in ([1.0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0])])
-    return n, m, rc.Physical(pinch, pinch)
-
-
 @pytest.mark.parametrize("case", sorted(NO_SPLIT_FROZEN))
-def test_no_split_without_a_parity_involution(case):
-    n, m, constraint = no_split_case(case)
-    prob = rc.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint)
-    assert len(prob.block_dims) == 2 and prob.block_dims[0] == 16
-    res = rc.optimal_recovery_fidelity(n, m, np.eye(4) / 4, constraint)
+def test_former_no_split_cases_split_by_sectors(case):
+    # [8, 8] by p's sectors alone when q fails the check, nine blocks for
+    # the three-sector pinching
+    n, m, rho, constraint, _ = physical_corpus(case)
+    prob = rc.build_recovery_fidelity_sdp(n, m, rho, constraint)
+    want = {"non-invariant-q": [8, 8], "three-sector-pinching": [4, 2, 2, 2, 1, 1, 2, 1, 1]}
+    assert prob.block_dims[:-1] == want[case]
+    res = rc.optimal_recovery_fidelity(n, m, rho, constraint)
     assert res.status == "optimal"
     assert (res.iterations, res.value) == NO_SPLIT_FROZEN[case]
 
@@ -1123,14 +1164,14 @@ def test_split_problem_reports_blocks_and_round_trips(tmp_path):
     prob = rc.build_recovery_fidelity_sdp(n, m, rho, constraint)
     family = sdp.solve(prob)
     r = prob.block_dims[-1] // 2
-    assert family.diagnostics["block_dims"] == [8, 8, 2 * r]
+    assert family.diagnostics["block_dims"] == [4, 4, 4, 4, 2 * r]
     path = tmp_path / "physical.json"
     sdp.dump_problem(prob, path)
     loaded = sdp.load_problem(path)
     assert loaded.families == [] and loaded.block_dims == prob.block_dims
     dense = sdp.solve(loaded)
     assert dense.status == family.status == "optimal"
-    assert dense.diagnostics["block_dims"] == [8, 8, 2 * r]
+    assert dense.diagnostics["block_dims"] == [4, 4, 4, 4, 2 * r]
     assert dense.diagnostics["dense_rows"] == dense.diagnostics["rows_kept"]
     assert dense.iterations == family.iterations
     assert abs(dense.value - family.value) < 1e-9

@@ -82,9 +82,12 @@ class FermionSystem:
         self._check_relations()
 
     def _check_relations(self):
-        # each generator has one nonzero entry per row, at column perm[r]
-        # with value s[r], so w_a w_b = s_a[:, None] * w_b[perm_a]
-        gathers = []
+        # each generator has one nonzero entry per row, at column perm[r] with
+        # value s[r]; row r of w_a w_b then holds s_a[r] s_b[perm_a[r]] at
+        # column perm_b[perm_a[r]], so the anticommutators follow from gathers
+        # of length d.  A row's misfit is 0 exactly when the row is right
+        rows = np.arange(self.dim)
+        perm, sign = [], []
         for a, wa in enumerate(self.majoranas):
             nonzero = wa != 0
             if np.any(np.count_nonzero(nonzero, axis=1) != 1):
@@ -92,18 +95,19 @@ class FermionSystem:
                     f"Majorana generator {a + 1} does not have exactly one "
                     f"nonzero entry per row"
                 )
-            perm = np.argmax(nonzero, axis=1)
-            gathers.append((perm, wa[np.arange(self.dim), perm][:, None]))
-        worst = 0.0
-        eye2 = 2.0 * np.eye(self.dim)
-        for a, (perm_a, s_a) in enumerate(gathers):
-            wa = self.majoranas[a]
-            for b in range(a, len(self.majoranas)):
-                wb = self.majoranas[b]
-                perm_b, s_b = gathers[b]
-                anti = s_a * wb[perm_a] + s_b * wa[perm_b]
-                target = eye2 if a == b else 0.0
-                worst = max(worst, float(np.linalg.norm(anti - target)))
+            perm.append(np.argmax(nonzero, axis=1))
+            sign.append(wa[rows, perm[-1]])
+        perm, sign = np.array(perm), np.array(sign)
+        other = np.arange(len(perm))[None, :, None]
+        # row r of w_a w_b holds value[a, b, r] at column col[a, b, r]
+        col = perm[other, perm[:, None, :]]
+        value = sign[:, None, :] * sign[other, perm[:, None, :]]
+        swap = (1, 0, 2)
+        target = 2.0 * np.eye(len(perm))[:, :, None] * (col == rows)
+        anti = np.where(col == col.transpose(swap),
+                        np.abs(value + value.transpose(swap) - target),
+                        np.hypot(np.abs(value), np.abs(value.transpose(swap))))
+        worst = float(np.linalg.norm(anti, axis=2).max())
         if worst > 1e-10:
             raise RuntimeError(
                 f"Majorana anticommutation relations violated by {worst:.2e}"

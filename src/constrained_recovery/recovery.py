@@ -465,21 +465,24 @@ class Physical:
     fidelity of r . q . n with p . m is then unchanged when r becomes
     Ad_{U_theta} . r . Ad_{U'_phi}^dag, and it is concave in r, so some
     optimal r is covariant under both tori: each of its Kraus operators
-    maps one q-sector l into one p-sector k, a block of d_k d'_l per pair.
-    Parity on both sides gives four blocks of d^2/4, a K-sector pinching
-    on both sides K^2.  A channel that fails the check of
-    :func:`_sectors` counts as one sector, so a split on one side alone
-    gives K blocks.  The environment side keeps one block.
+    maps one q-sector l into one p-sector k, a block of s_k s'_l per
+    pair, for the supports of the linked states inside the sectors (see
+    :func:`_link_plan`).  At full support, parity on both sides gives four
+    blocks of d^2/4, a K-sector pinching on both sides K^2.  A channel
+    that fails the check of :func:`_sectors` counts as one sector, so a
+    split on one side alone gives K blocks.  The environment side keeps
+    one sector.
     """
 
     p: Channel
     q: Channel
 
     @cached_property
-    def sector_bases(self):
-        """The recovery's operator blocks, found once per constraint; see
-        :func:`_sector_bases`."""
-        return _sector_bases(self.p, self.q)
+    def sectors(self):
+        """The sector isometries (p's, q's) of the recovery side (see
+        :func:`_sectors`), found once per constraint."""
+        out = _sectors(self.p)
+        return out, out if self.q is self.p else _sectors(self.q)
 
 
 @dataclass(eq=False)
@@ -548,40 +551,54 @@ def _state_after(channel, psi):
     return t.reshape(channel.out_dim * psi.shape[1], -1)
 
 
+def _pairs(out_sizes, in_sizes):
+    """(out, in) index slices of the PSD blocks, one per pair of nonempty sectors."""
+    out_at, in_at = np.cumsum([0, *out_sizes]), np.cumsum([0, *in_sizes])
+    return [(slice(out_at[k], out_at[k + 1]), slice(in_at[l], in_at[l + 1]))
+            for k in range(len(out_sizes)) for l in range(len(in_sizes))
+            if out_sizes[k] and in_sizes[l]]
+
+
 @dataclass
 class _LinkPlan:
     """A fidelity SDP plus the data needed to read the optimizer back.
 
     The optimized channel maps act_in to act_out, beside a ``left_dim``
-    factor it leaves alone.  ``supports`` holds the isometries
-    (V_out, V_in) onto the subspaces the problem was built on (see
-    :func:`_link_plan`), ``None`` for a side kept at its full dimension.
+    factor it leaves alone.  The problem has one block per pair of the
+    sectors of ``out_sizes`` and ``in_sizes``, or one on ``basis`` (see
+    :func:`_build_link_problem`).  ``supports`` holds the isometries
+    (V_out, V_in) from its coordinates to the act factors (see
+    :func:`_link_plan`), ``None`` for the identity.
     """
 
     problem: sdp.SdpProblem
-    op_bases: list
     act_out: int
     act_in: int
     sigma_support: np.ndarray
+    out_sizes: list
+    in_sizes: list
+    basis: np.ndarray | None = None
     left_dim: int = 1
     supports: tuple = (None, None)
 
     def choi(self, solution):
-        """Process matrix of the optimized channel, on out (x) in: the sum
-        of Q_b J_b Q_b^dag over the operator blocks, where Q_b's columns
-        are vec(B_u) of block b's basis (the identity for ``None``).
+        """Process matrix of the optimized channel, on out (x) in.  Each pair
+        block fills the entries of its two sectors; the ``basis`` block J is
+        Q J Q^dag instead, Q's columns vec(B_u).
 
         On supports, the solved map R_s extends to
         R(x) = V_out R_s(V_in^dag x V_in) V_out^dag + Tr((1 - P_in) x) tau,
         tau = t t^dag for the leading column t of V_out.  Its Kraus
         operators V_out K V_in^dag have vec (V_out (x) conj V_in) vec K.
         """
-        out = 0
-        for basis, j in zip(self.op_bases, solution.block_values):
-            if basis is not None:
-                qv = basis.reshape(basis.shape[0], -1).T
-                j = qv @ j @ qv.conj().T
-            out = out + j
+        if self.basis is not None:
+            qv = self.basis.reshape(len(self.basis), -1).T
+            return qv @ solution.block_values[0] @ qv.conj().T
+        s_out, s_in = sum(self.out_sizes), sum(self.in_sizes)
+        out = np.zeros((s_out, s_in, s_out, s_in), dtype=complex)
+        for (ko, li), j in zip(_pairs(self.out_sizes, self.in_sizes), solution.block_values):
+            out[ko, li, ko, li] = j.reshape(out[ko, li, ko, li].shape)
+        out = out.reshape(s_out * s_in, -1)
         v_out, v_in = self.supports
         if v_out is None and v_in is None:
             return out
@@ -594,96 +611,91 @@ class _LinkPlan:
         return out + np.kron(t @ t.conj().T, outside.conj())
 
 
-def _checked_basis(ops, act_out, act_in):
-    ops = np.asarray(ops, dtype=complex)
-    if ops.ndim != 3 or ops.shape[1:] != (act_out, act_in):
-        raise ValueError(
-            f"operator basis must have shape (*, {act_out}, {act_in})"
-        )
-    gram = ops.reshape(ops.shape[0], -1).conj() @ ops.reshape(ops.shape[0], -1).T
-    if np.linalg.norm(gram - np.eye(ops.shape[0])) > 1e-8:
-        raise ValueError("operator basis is not orthonormal")
-    return ops
-
-
-def _build_link_problem(eta, sigma, left_dim, act_in, act_out, ref_dim,
-                        op_bases=(None,)):
+def _build_link_problem(eta, sigma, left_dim, ref_dim, out_sizes, in_sizes, basis=None):
     """Fidelity between a fixed state and a channel-parameterized one.
 
     ``eta`` is the state of left (x) act_in (x) ref before the optimized
     channel acts on the middle factor; ``sigma`` is the fixed comparison
-    state on left (x) act_out (x) ref.  ``op_bases`` holds one orthonormal
-    (vec inner product) family of act_out x act_in operators per PSD
-    block, ``None`` for all operators; the families must be mutually
-    orthogonal.  The process matrix is parameterized as the sum of one
-    block per family, which keeps the feasible set exactly the channels
-    whose Kraus operators each lie in one family, while preserving strict
-    feasibility.  Every row family has one term per operator block, and
-    the y block holding the fidelity's 2 x 2 block matrix comes last.
+    state on left (x) act_out (x) ref.  The act factors are cut into
+    consecutive sectors of ``out_sizes`` and ``in_sizes``, and the process
+    matrix is one PSD block per pair (k, l) of nonempty sectors
+    (:func:`_pairs`): exactly the channels whose Kraus operators each map
+    sector l into sector k, with strict feasibility kept, and one trace
+    family per input sector.  Given ``basis``, an orthonormal (vec inner
+    product) family of act_out x act_in operators, and one sector a side,
+    it is one block on the channels whose Kraus operators lie in its span.
+    With Q the support of sigma and eta = V V^dag, every link lift is a
+    slice of gv[i, j, p, k] = sum_{a, c} Q^dag[p, (a, i, c)] V[(a, j, c), k],
+    or ``basis`` times gv.  The y block, the fidelity's 2 x 2 block
+    matrix, comes last.
     """
-    d_eta = left_dim * act_in * ref_dim
-    eta = linalg.as_hermitian(eta, "eta", dim=d_eta)
+    act_out, act_in = sum(out_sizes), sum(in_sizes)
+    eta = linalg.as_hermitian(eta, "eta", dim=left_dim * act_in * ref_dim)
     sigma = linalg.as_hermitian(sigma, "sigma", dim=left_dim * act_out * ref_dim)
-    bases = [None if ops is None else _checked_basis(ops, act_out, act_in)
-             for ops in op_bases]
 
     q_sigma = _support(sigma)
     r = q_sigma.shape[1]
     sigma_c = q_sigma.conj().T @ sigma @ q_sigma
     y_dim = 2 * r
-    q_dag = q_sigma.conj().T.reshape(r, left_dim, act_out, ref_dim)
-    q_dag = q_dag.transpose(0, 1, 3, 2).reshape(-1, act_out)
     # eta = V V^dag, V's columns smallest eigenvalue first.  The order moves
     # only rounding, but the tests' tol=1e-10 solves stop within a few
     # percent of tol, so their iteration counts depend on it
     root = linalg.psd_factor(eta)[0][:, ::-1]
+    k = root.shape[1]
+    q_dag = q_sigma.conj().T.reshape(r, left_dim, act_out, ref_dim)
+    q_dag = q_dag.transpose(2, 0, 1, 3).reshape(act_out * r, -1)
+    root = root.reshape(left_dim, act_in, ref_dim, k).transpose(0, 2, 1, 3)
+    # lifts[i, j, (k, p)] = conj(gv[i, j, p, k])
+    lifts = (q_dag @ root.reshape(-1, act_in * k)).reshape(act_out, r, act_in, k)
+    lifts = lifts.transpose(0, 2, 3, 1).conj().reshape(act_out, act_in, k * r)
 
-    trace_terms, link_terms = [], []
-    for b, basis in enumerate(bases):
-        ops = (np.eye(act_out * act_in, dtype=complex).reshape(-1, act_out, act_in)
-               if basis is None else basis)
-        n_ops = ops.shape[0]
-        # ops_cols[i, (u, j)] = B_u[i, j]
-        ops_cols = ops.transpose(1, 0, 2).reshape(act_out, n_ops * act_in)
-        # g[(u, p), :] = row p of Q^dag (1 (x) B_u (x) 1), every u in one matmul
-        g = (q_dag @ ops_cols).reshape(r, left_dim, ref_dim, n_ops, act_in)
-        g = g.transpose(3, 0, 1, 4, 2).reshape(n_ops * r, d_eta)
-        gv = (g @ root).reshape(n_ops, r, -1)
-        # trace preservation of the optimized channel: K^dag (1_out (x) h) K,
-        # K's columns vec(B_u)
-        trace_terms.append(
-            (b, None if basis is None else ops.reshape(n_ops, -1).conj(), 1.0))
-        # the block's share of the channel output, Tr_k of
-        # (Q^dag (1 (x) B_u (x) 1) V_k)(...)^dag against h:
-        # L[u, (k, p)] = conj((g V)[(u, p), k])
-        link_terms.append((b, gv.conj().transpose(0, 2, 1).reshape(n_ops, -1), -1.0))
-    y = len(bases)
-    rows = [
-        sdp.RowFamily(act_in, trace_terms),
+    if basis is None:
+        pairs = _pairs(out_sizes, in_sizes)
+        links = [lifts[ko, li].reshape(-1, k * r) for ko, li in pairs]
+        # trace preservation: the 1_out (x) h rows of the blocks out of
+        # each input sector, summed
+        trace_rows = [sdp.RowFamily(li.stop - li.start, [
+            (b, None, 1.0) for b, (_, lj) in enumerate(pairs) if lj == li])
+            for ko, li in pairs if ko == pairs[0][0]]
+    else:
+        # K^dag (1_out (x) h) K, K's columns vec(B_u), and
+        # L[u, (k, p)] = conj(sum_ij B_u[i, j] gv[i, j, p, k])
+        basis_rows = basis.reshape(len(basis), -1).conj()
+        links = [basis_rows @ lifts.reshape(act_out * act_in, -1)]
+        trace_rows = [sdp.RowFamily(act_in, [(0, basis_rows, 1.0)])]
+    dims = [len(lift) for lift in links]
+    y = len(dims)
+    rows = trace_rows + [
         # the top-left corner of the fidelity block equals the channel output
-        sdp.RowFamily(r, link_terms + [(y, np.eye(y_dim, r), 1.0)]),
+        sdp.RowFamily(r, [(b, lift, -1.0) for b, lift in enumerate(links)]
+                      + [(y, np.eye(y_dim, r), 1.0)]),
         # the bottom-right corner is pinned to the fixed state
         sdp.RowFamily(r, [(y, np.eye(y_dim, r, -r), 1.0)]),
     ]
-    rhs = np.concatenate([
-        np.trace(linalg.hermitian_basis(act_in), axis1=1, axis2=2).real,
-        np.zeros(r * r),
-        (linalg.hermitian_basis(r).reshape(r * r, -1) @ sigma_c.T.reshape(-1)).real,
-    ])
+    rhs = np.concatenate(
+        [np.trace(linalg.hermitian_basis(f.dim), axis1=1, axis2=2).real for f in trace_rows]
+        + [np.zeros(r * r),
+           (linalg.hermitian_basis(r).reshape(r * r, -1) @ sigma_c.T.reshape(-1)).real])
     c_y = np.zeros((y_dim, y_dim), dtype=complex)
     c_y[:r, r:] = np.eye(r) / 2.0
     c_y[r:, :r] = np.eye(r) / 2.0
-    dims = [act_out * act_in if ops is None else ops.shape[0] for ops in bases]
-    problem = sdp.SdpProblem(dims + [y_dim], [None] * y + [c_y], rows, rhs,
-                             sense="max")
-    return _LinkPlan(
-        problem=problem,
-        op_bases=bases,
-        act_out=act_out,
-        act_in=act_in,
-        sigma_support=q_sigma,
-        left_dim=left_dim,
-    )
+    problem = sdp.SdpProblem(dims + [y_dim], [None] * y + [c_y], rows, rhs, sense="max")
+    return _LinkPlan(problem=problem, act_out=act_out, act_in=act_in, sigma_support=q_sigma,
+                     out_sizes=list(out_sizes), in_sizes=list(in_sizes), basis=basis,
+                     left_dim=left_dim)
+
+
+def _moved_by(channel, projector):
+    """||J(Ad_U . channel) - J(channel)||_F for U = 1 - 2 ``projector`` and
+    J the Choi matrix, with no Choi matrix formed.  For A and B with columns
+    vec((1 - projector) E_i) and vec(projector E_i), the difference is
+    -2 (A B^dag + B A^dag), two orthogonal terms (A^dag B = 0), so its norm
+    is 2 sqrt 2 ||A B^dag|| = 2 sqrt 2 ||R_A R_B^dag||, R the QR factors.
+    """
+    ops = channel._stack.reshape(channel.n_kraus, -1)
+    b = (projector @ channel._stack).reshape(channel.n_kraus, -1)
+    r_a, r_b = (np.linalg.qr(x.T, mode="r") for x in (ops - b, b))
+    return 2 * np.sqrt(2) * float(np.linalg.norm(r_a @ r_b.conj().T))
 
 
 def _sectors(channel):
@@ -693,41 +705,31 @@ def _sectors(channel):
     the algebra the Kraus operators generate, with V_k read off
     :func:`algebra.block_structure`.  They are kept only when
     Ad_U . channel = channel for every U_k = 1 - 2 Pi_k, checked on Choi
-    matrices within 1e-10, so the answer depends on the channel and not on
-    its Kraus form; otherwise the one sector is the whole space.
+    matrices within 1e-10 (:func:`_moved_by`), so the answer depends on
+    the channel and not on its Kraus form; otherwise the one sector is
+    the whole space.
     """
     d = channel.out_dim
     sectors = algebra_mod.block_structure(
         algebra_mod.generate_algebra(channel.kraus, d)).sectors
-    moved = (Channel((np.eye(d) - 2 * s.projector) @ channel._stack, check=False)
-             for s in sectors)
-    if len(sectors) == 1 or any(np.linalg.norm(c.choi - channel.choi) > 1e-10 for c in moved):
+    if len(sectors) == 1 or any(_moved_by(channel, s.projector) > 1e-10 for s in sectors):
         return [np.eye(d)]
     return [s.isometry.conj().T for s in sectors]
 
 
-def _sector_bases(p, q):
-    """The operator blocks of the recovery r of ``Physical(p, q)``.
-
-    For each sector V_k of ``p`` and W_l of ``q`` (see :func:`_sectors`),
-    the block's basis is every V_k e_ij W_l^dag, the operators from
-    sector l into sector k.  Returns ``[None]``, one block of all
-    operators, when both channels have one sector.
-    """
-    out = _sectors(p)
-    inp = out if q is p else _sectors(q)
-    if len(out) == len(inp) == 1:
-        return [None]
-    return [np.einsum("ai,bj->ijab", v, w.conj()).reshape(-1, v.shape[0], w.shape[0])
-            for v in out for w in inp]
-
-
-def _act_support(state, left, act, ref):
-    """Isometry onto the support of the act marginal of ``state`` on
-    left (x) act (x) ref (see :func:`_support`); ``None`` when that support
-    is all of act."""
-    v = _support(np.einsum("iajibj->ab", state.reshape(left, act, ref, left, act, ref)))
-    return None if v.shape[1] == act else v
+def _act_supports(state, left, act, ref, sectors):
+    """``(V, sizes)``: V's columns span the support of the act marginal of
+    ``state`` on left (x) act (x) ref inside each of the ``sectors`` (act x
+    d_k isometries whose projectors commute with it), sector by sector, of
+    ``sizes``; a whole sector is its isometry, a part the normalized
+    :func:`linalg.psd_factor` columns.  V is ``None`` for all of act."""
+    marginal = np.einsum("iajibj->ab", state.reshape(left, act, ref, left, act, ref))
+    cols = []
+    for s in sectors:
+        f = linalg.psd_factor(s.conj().T @ marginal @ s)[0]
+        cols.append(s if f.shape[1] == s.shape[1] else s @ (f / np.linalg.norm(f, axis=0)))
+    sizes = [c.shape[1] for c in cols]
+    return (None if sizes == [act] else np.concatenate(cols, axis=1)), sizes
 
 
 def _compress(state, left, v, ref):
@@ -775,39 +777,39 @@ def _link_plan(n, m, rho, constraint, environment):
 
     The recovery side links r . n to m over recoveries r whose Kraus
     operators span all operators, or the commutant of a fixed algebra,
-    or (for :class:`Physical`) the operators between a sector of q and
-    one of p, one block per pair (see :func:`_sector_bases`).
-    The environment side links the complement of m to that of n; under
+    or (for :class:`Physical`) the operators from a sector of q into one
+    of p, one block per pair (see :attr:`Physical.sectors`).  The
+    environment side links the complement of m to that of n; under
     :class:`FixesAlgebra` these are the local complements, and the
     processing acts beyond their first factor, of the conditional
     expectation's Kraus rank.  Returns the plan, the constraint label and
     the map that turns the optimized channel into the reported one (None
     when it is reported as is).
 
-    The unconstrained recovery side and every environment side optimize
-    over all operators, and they are solved on the supports of the
-    linked states: S_in of the act marginal of eta, the state the
-    optimized channel acts on, and S_out of that of the fixed state
-    sigma (each traced over left and ref).  eta lives on
-    left (x) S_in (x) ref, so the fidelity sees the channel R only on
-    B(S_in).  It sees only the compression of R's output to S_out, and
-    it does not fall when a positive term is added to that output, so
-    C . R with C(x) = P_out x P_out + Tr((1 - P_out) x) tau (tau a state
-    on S_out) is as good as R: some optimum maps B(S_in) into B(S_out).
-    The problem is built on s_in x s_out, and the reported optimizer is
-    the solved map's extension to the full dimensions (see
-    :meth:`_LinkPlan.choi`), formed only when read.  A side whose
-    supports are full solves the full problem, unchanged.  The Physical
-    and FixesAlgebra recovery sides keep their full dimensions.
+    Every side but the FixesAlgebra recovery side, which keeps the full
+    dimensions, is solved on the supports of the linked states: S_in of
+    the act marginal of eta, the state the optimized channel acts on,
+    and S_out of that of the fixed state sigma (each traced over left
+    and ref).  eta lives on left (x) S_in (x) ref, so the fidelity sees
+    the channel R only on B(S_in).  It sees only the compression of R's
+    output to S_out, and it does not fall when a positive term is added
+    to that output, so C . R with C(x) = P_out x P_out +
+    Tr((1 - P_out) x) tau (tau a state on S_out) is as good as R: some
+    optimum maps B(S_in) into B(S_out).  On the Physical recovery side
+    both marginals commute with the sectors, so the supports are taken
+    sector by sector, and C keeps R covariant for tau in one sector.
+    The reported optimizer is the solved map's extension to the full
+    dimensions (see :meth:`_LinkPlan.choi`), formed only when read.  A
+    side of one sector with full supports solves the full problem.
     """
     constraint, label, psi = _link_inputs(n, m, rho, constraint)
-    src, dst, left, bases, finish = n, m, 1, [None], None
+    src, dst, left, sectors, basis, finish = n, m, 1, None, None, None
     if isinstance(constraint, Physical):
         p, q = constraint.p, constraint.q
         src, dst = channels_mod.compose(q, n), channels_mod.compose(p, m)
         finish = lambda r: channels_mod.compose(p, channels_mod.compose(r, q))  # noqa: E731
         if not environment:
-            bases = constraint.sector_bases
+            sectors = constraint.sectors
     if isinstance(constraint, FixesAlgebra):
         b = constraint.algebra
         if environment:
@@ -816,7 +818,7 @@ def _link_plan(n, m, rho, constraint, environment):
             dst = channels_mod._local_complement(n, p)
             left = p.n_kraus
         else:
-            bases = [np.stack(algebra_mod.commutant(b).basis)]
+            basis = np.stack(algebra_mod.commutant(b).basis)
     elif environment:
         src, dst = channels_mod.complementary(dst), channels_mod.complementary(src)
     if environment:
@@ -825,19 +827,15 @@ def _link_plan(n, m, rho, constraint, environment):
             channels_mod.identity_channel(left), r)
     eta, sigma = _state_after(src, psi), _state_after(dst, psi)
     act_in, act_out, ref = src.out_dim // left, dst.out_dim // left, psi.shape[1]
-    v_in = v_out = None
-    if environment or isinstance(constraint, Unconstrained):
-        v_in = _act_support(eta, left, act_in, ref)
-        v_out = _act_support(sigma, left, act_out, ref)
-    plan = _build_link_problem(
-        _compress(eta, left, v_in, ref), _compress(sigma, left, v_out, ref), left_dim=left,
-        act_in=act_in if v_in is None else v_in.shape[1],
-        act_out=act_out if v_out is None else v_out.shape[1],
-        ref_dim=ref, op_bases=bases,
-    )
-    if v_in is not None or v_out is not None:
-        plan = replace(plan, act_out=act_out, act_in=act_in, supports=(v_out, v_in))
-    return plan, label, finish
+    if basis is None:
+        out_sectors, in_sectors = sectors or ([np.eye(act_out)], [np.eye(act_in)])
+        v_out, out_sizes = _act_supports(sigma, left, act_out, ref, out_sectors)
+        v_in, in_sizes = _act_supports(eta, left, act_in, ref, in_sectors)
+    else:
+        v_out, out_sizes, v_in, in_sizes = None, [act_out], None, [act_in]
+    plan = _build_link_problem(_compress(eta, left, v_in, ref), _compress(sigma, left, v_out, ref),
+                               left, ref, out_sizes, in_sizes, basis)
+    return replace(plan, act_out=act_out, act_in=act_in, supports=(v_out, v_in)), label, finish
 
 
 def build_recovery_fidelity_sdp(n, m, rho, constraints=None):
@@ -847,9 +845,9 @@ def build_recovery_fidelity_sdp(n, m, rho, constraints=None):
     state ``rho`` over trace-preserving completely positive ``r``,
     subject to ``constraints`` (an :class:`Unconstrained`,
     :class:`Physical`, or :class:`FixesAlgebra` instance).  The optimal
-    value of the returned problem is the fidelity.  An unconstrained
-    problem lives on the supports of the linked states (see
-    :func:`_link_plan`).
+    value of the returned problem is the fidelity.  Unless the constraint
+    is a :class:`FixesAlgebra`, the problem lives on the supports of the
+    linked states (see :func:`_link_plan`).
     """
     return _link_plan(n, m, rho, constraints, environment=False)[0].problem
 

@@ -826,14 +826,9 @@ def ring_demo_scenario(modes, unpaired, pairing=None, max_support=2):
     """
     modes = int(modes)
     n_maj = 2 * modes
-    ups = [int(u) for u in unpaired]
-    if len(set(ups)) != len(ups):
-        raise ScenarioError("unpaired positions repeat")
-    if any(not 1 <= u <= n_maj for u in ups):
-        raise ScenarioError(f"unpaired positions must lie in 1..{n_maj}")
-    if len(ups) < 2 or len(ups) % 2 != 0:
-        raise ScenarioError("the number of unpaired positions must be even and at least 2")
-    ups = sorted(ups)
+    ups = list(_named("unpaired positions", fermion_mod._majorana_set, modes, unpaired, True))
+    if len(ups) < 2:
+        raise ScenarioError("need at least 2 unpaired positions")
     if pairing is None:
         pairing = []
         for here, nxt, arc in zip(ups, ups[1:] + ups[:1],

@@ -779,6 +779,15 @@ def test_demo_odd_arc_rejected(capsys):
     assert "odd length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unpaired", ["1,1,2,3", "1,9", "1,2,3"])
+def test_demo_unpaired_positions_follow_the_majorana_index_rule(capsys, unpaired):
+    # repeated, out-of-range and odd sets fail the one index-set rule
+    assert cli.main(["demo", "majorana-ring", "--modes", "4", "--unpaired", unpaired]) == 2
+    err = capsys.readouterr().err
+    assert "unpaired positions: indices (" in err
+    assert "are not an even number of distinct Majorana indices in 1..8" in err
+
+
 def test_demo_spec_example_layout(capsys):
     """Six modes with unpaired positions 1,4,7,10 pairs the arcs as
     (2,3), (5,6), (8,9), (11,12)."""

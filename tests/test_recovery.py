@@ -816,18 +816,18 @@ def support_corpus(case):
 def linked_channels(n, m, constraint, environment):
     """The channels whose fidelity a side's reported optimizer r maximizes,
     as (source, fixed): r . source against fixed."""
+    if isinstance(constraint, rc.Physical):
+        n, m = ch.compose(constraint.q, n), ch.compose(constraint.p, m)
     if not environment:
         return n, m
     if isinstance(constraint, rc.FixesAlgebra):
         return (ch.local_complementary(m, constraint.algebra),
                 ch.local_complementary(n, constraint.algebra))
-    if isinstance(constraint, rc.Physical):
-        n, m = ch.compose(constraint.q, n), ch.compose(constraint.p, m)
     return ch.complementary(m), ch.complementary(n)
 
 
 SUPPORT_SIDES = [("code", False), ("code-d12", False), ("rectangular", False),
-                 ("fixes_algebra", True), ("physical", True)]
+                 ("fixes_algebra", True), ("physical", True), ("physical", False)]
 
 
 @pytest.mark.parametrize("case, environment", SUPPORT_SIDES)
@@ -839,7 +839,7 @@ def test_support_reduced_side_matches_the_full_problem(monkeypatch, case, enviro
         assert plan.left_dim > 1
     reduced = rc._fidelity(n, m, rho, constraint, 1e-9, environment)
     with monkeypatch.context() as patch:
-        patch.setattr(rc, "_act_support", lambda *args: None)
+        patch.setattr(rc, "_act_supports", lambda state, left, act, *_: (None, [act]))
         full_plan, _, _ = rc._link_plan(n, m, rho, constraint, environment)
         full = rc._fidelity(n, m, rho, constraint, 1e-9, environment)
     assert full_plan.problem.block_dims[0] > plan.problem.block_dims[0]
@@ -868,7 +868,7 @@ def test_full_support_keeps_the_full_problem(monkeypatch, environment):
     m = ch.Channel(random_kraus(rng, 3, 3, 2))
     rho = code_state(rng, 3, 3)
     plan, _, _ = rc._link_plan(n, m, rho, None, environment)
-    monkeypatch.setattr(rc, "_act_support", lambda *args: None)
+    monkeypatch.setattr(rc, "_act_supports", lambda state, left, act, *_: (None, [act]))
     want, _, _ = rc._link_plan(n, m, rho, None, environment)
     assert plan.supports == (None, None)
     assert plan.problem.block_dims == want.problem.block_dims
@@ -930,3 +930,18 @@ def test_padded_poisoning_duality_at_five_modes(monkeypatch):
     for side in ("recovery", "environment"):
         assert abs(out[f"{side}_value"] - 1 / np.sqrt(2)) <= 1e-7
     assert calls == []
+
+
+def test_padded_poisoning_physical_duality_at_five_modes():
+    # under parity dephasing on both sides the recovery side is posed on the
+    # code's supports inside each parity sector; over the full register it
+    # needs a 2 GiB row matrix
+    doc = padded_poisoning(5)
+    doc["channels"]["dephase"] = {"kind": "parity_dephasing"}
+    doc["tasks"][0]["constraint"] = {"kind": "physical", "p": "dephase", "q": "dephase"}
+    report = sc.run_scenario(sc.load_scenario(doc))
+    out = report["tasks"][0]["output"]
+    assert report["all_tasks_completed"] and out["passed"]
+    assert out["recovery"]["constraint_set"] == "physical"
+    for side in ("recovery", "environment"):
+        assert abs(out[f"{side}_value"] - 1 / np.sqrt(2)) <= 1e-7

@@ -19,6 +19,7 @@ from helpers import (
     random_kraus,
     random_physical_channel,
     random_pure,
+    random_unitary,
 )
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -559,41 +560,66 @@ def first_link_plan(monkeypatch, run):
 
 
 def definition_rows(args, q):
-    """Constraint rows and rhs of a one-block link problem, entry by entry."""
-    left, act_in, act_out, ref = (
-        args["left_dim"], args["act_in"], args["act_out"], args["ref_dim"]
-    )
-    (basis,) = args["op_bases"]
-    if basis is None:
-        ops = np.eye(act_out * act_in, dtype=complex).reshape(-1, act_out, act_in)
+    """Constraint rows and rhs of a link problem, entry by entry: one block
+    per pair of sectors (the unit operators from an input sector into an
+    output sector), trace rows per input sector, or one block on the basis."""
+    left, ref = args["left_dim"], args["ref_dim"]
+    act_out, act_in = sum(args["out_sizes"]), sum(args["in_sizes"])
+    out_at, in_at = np.cumsum([0, *args["out_sizes"]]), np.cumsum([0, *args["in_sizes"]])
+    in_sectors = [range(a, b) for a, b in zip(in_at, in_at[1:]) if b > a]
+    if args["basis"] is None:
+        units = np.eye(act_out * act_in, dtype=complex).reshape(act_out, act_in, act_out, act_in)
+        blocks = [(ls, np.stack([units[i, j] for i in ks for j in ls]))
+                  for ks in (range(a, b) for a, b in zip(out_at, out_at[1:]) if b > a)
+                  for ls in in_sectors]
     else:
-        ops = np.asarray(basis, dtype=complex)
+        blocks = [(range(act_in), np.asarray(args["basis"], dtype=complex))]
     eta = np.asarray(args["eta"], dtype=complex)
     sigma = np.asarray(args["sigma"], dtype=complex)
     r = q.shape[1]
-    lifts = [np.kron(np.kron(np.eye(left), b), np.eye(ref)) for b in ops]
-    # s[u][v] = Q^dag (1 (x) B_u (x) 1) eta (1 (x) B_v (x) 1)^dag Q
-    s = [[q.conj().T @ lu @ eta @ lv.conj().T @ q for lv in lifts] for lu in lifts]
     rows = []
     rhs = []
-    # a[u, v] = sum_ijl conj(B_u[i, j]) B_v[i, l] h[j, l]
-    for h in linalg.hermitian_basis(act_in):
-        a = np.array([[np.trace(bu.conj().T @ bv @ h.T) for bv in ops] for bu in ops])
-        rows.append([(a + a.conj().T) / 2.0, None])
-        rhs.append(np.trace(h).real)
+    # a[u, v] = sum_ijl conj(B_u[i, j]) B_v[i, l] h[j, l], h on one input sector
+    for ls in in_sectors:
+        for g in linalg.hermitian_basis(len(ls)):
+            h = np.zeros((act_in, act_in), dtype=complex)
+            h[np.ix_(ls, ls)] = g
+            row = []
+            for sector, ops in blocks:
+                a = np.array([[np.trace(bu.conj().T @ bv @ h.T) for bv in ops] for bu in ops])
+                row.append((a + a.conj().T) / 2.0 if sector == ls else None)
+            rows.append(row + [None])
+            rhs.append(np.trace(h).real)
+    # s[u][v] = Q^dag (1 (x) B_u (x) 1) eta (1 (x) B_v (x) 1)^dag Q
+    s = []
+    for _, ops in blocks:
+        lifts = [np.kron(np.kron(np.eye(left), b), np.eye(ref)) for b in ops]
+        s.append([[q.conj().T @ lu @ eta @ lv.conj().T @ q for lv in lifts] for lu in lifts])
     for h in linalg.hermitian_basis(r):
-        n = np.array([[np.sum(suv.conj() * h) for suv in su] for su in s])
         y = np.zeros((2 * r, 2 * r), dtype=complex)
         y[:r, :r] = h
-        rows.append([-(n + n.conj().T) / 2.0, y])
+        row = []
+        for s_b in s:
+            n = np.array([[np.sum(suv.conj() * h) for suv in su] for su in s_b])
+            row.append(-(n + n.conj().T) / 2.0)
+        rows.append(row + [y])
         rhs.append(0.0)
     sigma_c = q.conj().T @ sigma @ q
     for h in linalg.hermitian_basis(r):
         y = np.zeros((2 * r, 2 * r), dtype=complex)
         y[r:, r:] = h
-        rows.append([None, y])
+        rows.append([None] * len(blocks) + [y])
         rhs.append(np.trace(h @ sigma_c).real)
     return rows, rhs
+
+
+def block_bases(plan):
+    """Each block's operators V_out e_i e_j^dag V_in^dag on the full act
+    factors, for the plan's supports V (the identity for ``None``)."""
+    v_out, v_in = (np.eye(d) if v is None else v
+                   for v, d in zip(plan.supports, (plan.act_out, plan.act_in)))
+    return [np.einsum("ai,bj->ijab", v_out[:, ko], v_in[:, li].conj()).reshape(
+        -1, plan.act_out, plan.act_in) for ko, li in rc._pairs(plan.out_sizes, plan.in_sizes)]
 
 
 def assert_plan_matches_definition(args, plan):
@@ -620,7 +646,7 @@ def test_link_rows_match_definition_rectangular(monkeypatch):
     args, plan = first_link_plan(
         monkeypatch, lambda: rc.build_recovery_fidelity_sdp(n, m, rho)
     )
-    assert (args["act_in"], args["act_out"]) == (2, 3)
+    assert (args["in_sizes"], args["out_sizes"]) == ([2], [3])
     assert_plan_matches_definition(args, plan)
 
 
@@ -634,26 +660,17 @@ def test_link_rows_match_definition_physical(monkeypatch):
         monkeypatch,
         lambda: rc.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint),
     )
-    q = plan.sigma_support
-    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) < 1e-12
-    # the operators between each pair of parity sectors, together an
-    # orthonormal basis of all 4 x 4
-    bases = args["op_bases"]
+    monkeypatch.undo()
+    # the operators from each parity sector of q into one of p, together
+    # an orthonormal basis of all 4 x 4
+    bases = block_bases(rc._link_plan(n, m, np.eye(4) / 4, constraint, False)[0])
     assert [len(b) for b in bases] == [4, 4, 4, 4]
     sectors = parity_sectors(PARITY2)
     assert sorted(block_pairs(bases, (sectors, sectors))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    lifts = [b.reshape(len(b), -1).T for b in bases]
-    whole = np.concatenate(lifts, axis=1)
+    whole = np.concatenate([b.reshape(len(b), -1).T for b in bases], axis=1)
     assert np.max(np.abs(whole.conj().T @ whole - np.eye(16))) < 1e-12
-    # each block's rows are Q_b^dag A Q_b of the one-block rows A over all
-    # operators, Q_b's columns vec of the block's basis
-    rows, rhs = definition_rows({**args, "op_bases": [None]}, q)
-    compressed = [
-        [None if row[0] is None else lift.conj().T @ row[0] @ lift for lift in lifts]
-        + [row[1]]
-        for row in rows
-    ]
-    assert_rows_match(plan.problem, compressed, rhs)
+    # each block's rows are those of its pair of sectors in the plan's coordinates
+    assert_plan_matches_definition(args, plan)
 
 
 def test_link_rows_match_definition_fixes_algebra(monkeypatch):
@@ -665,7 +682,7 @@ def test_link_rows_match_definition_fixes_algebra(monkeypatch):
         monkeypatch,
         lambda: rc.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint),
     )
-    assert args["op_bases"][0] is not None
+    assert args["basis"] is not None
     assert_plan_matches_definition(args, plan)
 
 
@@ -1007,9 +1024,10 @@ PARITY3 = np.asarray(fermion.parity_operator(fermion.FermionSystem(3), tuple(ran
 PINCH = [np.diag(x) for x in ([1.0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0])]
 # the two cases below that had one block before the split by pairs of
 # sectors; re-pinned with it from (10, 0.9298841445928623) and
-# (9, 0.7634418273131987)
-NO_SPLIT_FROZEN = {"non-invariant-q": (10, 0.9298841445932353),
-                   "three-sector-pinching": (9, 0.7634418273131486)}
+# (9, 0.7634418273131987), and with the problems posed in the sector
+# coordinates from 0.9298841445932353 and 0.7634418273131486
+NO_SPLIT_FROZEN = {"non-invariant-q": (10, 0.9298841445931839),
+                   "three-sector-pinching": (9, 0.7634418273131776)}
 
 
 def dephasing(c):
@@ -1077,18 +1095,21 @@ def test_split_and_one_block_solves_agree(monkeypatch, case):
     n, m, rho, constraint, sectors = physical_corpus(case)
     d = rho.shape[0]
     build = rc._build_link_problem
-    args, split = first_link_plan(
+    args, _ = first_link_plan(
         monkeypatch, lambda: rc.build_recovery_fidelity_sdp(n, m, rho, constraint))
+    monkeypatch.undo()
+    split = rc._link_plan(n, m, rho, constraint, False)[0]
     # one block per pair of sectors, together an orthonormal basis of all
     # d x d operators
-    bases = args["op_bases"]
+    bases = block_bases(split)
     pairs = [(k, l) for k in range(len(sectors[0])) for l in range(len(sectors[1]))]
     assert sorted(block_pairs(bases, sectors)) == pairs
     assert len(bases) == len(pairs)
     whole = np.concatenate([b.reshape(len(b), -1).T for b in bases], axis=1)
     assert np.max(np.abs(whole.conj().T @ whole - np.eye(d * d))) < 1e-12
     # the same eta and sigma in one block over all operators
-    one = build(**{**args, "op_bases": [None]})
+    one = build(**{**args, "out_sizes": [sum(args["out_sizes"])],
+                   "in_sizes": [sum(args["in_sizes"])]})
     r = split.sigma_support.shape[1]
     assert split.problem.block_dims == [len(b) for b in bases] + [2 * r]
     assert one.problem.block_dims == [d * d, 2 * r]
@@ -1125,6 +1146,38 @@ def test_parity_blocks_come_from_the_channel(kind):
     assert sol.diagnostics["block_dims"] == [4, 4, 4, 4, 2 * r]
     assert sol.iterations == 9
     assert abs(sol.value - 0.8072288506274594) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["parity", "pinching", "non-invariant-q"])
+def test_sector_check_is_the_choi_distance(case):
+    # ||J(Ad_U . N) - J(N)|| for U = 1 - 2 P, over the channel's sectors and
+    # a random rank-2 projector, against the Choi matrices themselves
+    one = np.eye(4)
+    channel = {"parity": dephasing(PARITY2), "pinching": ch.Channel(PINCH),
+               "non-invariant-q": ch.Channel([(one + PARITY2) / 2 + 1j * (one - PARITY2) / 2])}[case]
+    u = random_unitary(np.random.default_rng(167), 4)[:, :2]
+    sectors = alg.block_structure(alg.generate_algebra(channel.kraus, 4)).sectors
+    for proj in [s.projector for s in sectors] + [u @ u.conj().T]:
+        moved = ch.Channel((one - 2 * proj) @ channel._stack, check=False)
+        want = np.linalg.norm(moved.choi - channel.choi)
+        assert abs(rc._moved_by(channel, proj) - want) <= 1e-12 * max(1.0, want)
+    assert len(rc._sectors(channel)) == {"parity": 2, "pinching": 3, "non-invariant-q": 1}[case]
+
+
+def test_sectors_of_a_large_channel_form_no_choi_matrix():
+    # parity dephasing of eight modes: one Choi matrix would take 64 GiB
+    system = fermion.FermionSystem(8)
+    c = np.asarray(fermion.parity_operator(system, tuple(range(1, 17))).c)
+    tracemalloc.start()
+    try:
+        sectors = rc._sectors(dephasing(c))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [v.shape for v in sectors] == [(256, 128), (256, 128)]
+    for v in sectors:
+        assert np.linalg.norm(c @ v @ v.conj().T - v @ v.conj().T @ c) < 1e-10
+    assert peak < 128 * 2**20
 
 
 def test_physical_finds_its_parity_blocks_once(monkeypatch):

@@ -116,8 +116,8 @@ def generate_algebra(generators, ambient_dim):
         new = fresh.reshape(-1, d, d)
         candidates = np.concatenate(
             [
-                np.einsum("iab,jbc->ijac", cur, new).reshape(-1, d * d),
-                np.einsum("iab,jbc->ijac", new, cur).reshape(-1, d * d),
+                np.matmul(cur[:, None], new[None]).reshape(-1, d * d),
+                np.matmul(new[:, None], cur[None]).reshape(-1, d * d),
                 new.conj().transpose(0, 2, 1).reshape(-1, d * d),
             ]
         )

@@ -226,7 +226,7 @@ def _emit(report, args):
         csv.writer(buffer).writerows(scenario_mod.report_rows(report))
         text = buffer.getvalue()
     else:
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(report) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:

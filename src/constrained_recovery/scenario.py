@@ -24,10 +24,9 @@ import numbers
 import platform
 import time
 from dataclasses import dataclass, replace
-from importlib import metadata, resources
+from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import algebra as algebra_mod
@@ -76,6 +75,8 @@ def _validator():
     """A validator of the bundled scenario schema, which is checked once."""
     global _VALIDATOR
     if _VALIDATOR is None:
+        import jsonschema
+
         text = (
             resources.files(__package__)
             .joinpath("data/scenario.schema.json")
@@ -248,6 +249,10 @@ def with_tasks(scenario, tasks):
 
 
 def _validate(raw, label):
+    # jsonschema (about 0.1 s to import) loads on the first scenario load, not
+    # with the package: callers that build their objects directly never need it
+    import jsonschema
+
     # the error jsonschema.validate would raise
     exc = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
     if exc is not None:
@@ -703,6 +708,8 @@ TASKS = {
 
 
 def _provenance(seed):
+    from importlib import metadata
+
     try:
         version = metadata.version("constrained-recovery")
     except metadata.PackageNotFoundError:

@@ -107,6 +107,32 @@ def commutant_by_svd(a, tol=1e-10):
     return AlgebraBasis(d, list(null.conj().reshape(-1, d, d)))
 
 
+def generate_algebra_by_einsum(generators, d):
+    """Reference for ``algebra.generate_algebra``: the same closure loop with
+    its pairwise products written as ``np.einsum``; returns the basis rows."""
+    from constrained_recovery import linalg
+    from constrained_recovery.algebra import _extend_rows
+
+    seed = [np.eye(d).reshape(-1)]
+    for g in generators:
+        seed += [g.reshape(-1), g.conj().T.reshape(-1)]
+    rows = linalg.orthonormal_rows(np.stack(seed).astype(complex))
+    fresh = rows
+    while rows.shape[0] < d * d:
+        cur, new = rows.reshape(-1, d, d), fresh.reshape(-1, d, d)
+        candidates = np.concatenate([
+            np.einsum("iab,jbc->ijac", cur, new).reshape(-1, d * d),
+            np.einsum("iab,jbc->ijac", new, cur).reshape(-1, d * d),
+            new.conj().transpose(0, 2, 1).reshape(-1, d * d),
+        ])
+        before = rows.shape[0]
+        rows = _extend_rows(rows, candidates)
+        if rows.shape[0] == before:
+            break
+        fresh = rows[before:]
+    return rows
+
+
 def _scalar_fit(fixed, target):
     """Least-squares scalar with target ~ lam * fixed, and the misfit."""
     denom = float(np.vdot(fixed, fixed).real)

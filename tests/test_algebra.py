@@ -7,6 +7,7 @@ from constrained_recovery import fermion
 from constrained_recovery import linalg
 from helpers import (
     commutant_by_svd,
+    generate_algebra_by_einsum,
     planted_algebra,
     random_density,
     random_hermitian,
@@ -75,6 +76,26 @@ def test_generate_planted_dimensions():
         gens, _, d = planted_algebra(rng, sectors)
         a = alg.generate_algebra(gens, d)
         assert a.dim == sum(n * n for n, m in sectors)
+
+
+def test_generate_products_match_einsum_reference():
+    low = (X + 1j * Y) / 2
+    corpus = [([Z], 2), ([X, Z], 2), ([np.kron(low, np.eye(2)), np.kron(Z, low)], 4)]
+    for seed, shapes in (
+        (7, [[(2, 1), (1, 2)], [(2, 2)], [(3, 1), (1, 1)], [(2, 1), (2, 1)],
+             [(2, 2), (1, 3), (1, 1)]]),
+        (41, [[(1, 1), (1, 1), (2, 1)], [(2, 3), (2, 3)], [(1, 5)],
+              [(4, 2), (2, 2), (2, 1), (1, 2)]]),
+    ):
+        rng = np.random.default_rng(seed)
+        for sectors in shapes:
+            gens, _, d = planted_algebra(rng, sectors)
+            corpus.append((gens, d))
+    for gens, d in corpus:
+        got = alg.generate_algebra(gens, d)._rows
+        want = generate_algebra_by_einsum(gens, d)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_generate_rejects_dimension_mismatch():

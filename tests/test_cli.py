@@ -4,6 +4,7 @@ import io
 import json
 import shutil
 import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -257,6 +258,23 @@ def test_report_provenance_and_timings(capsys):
         assert task["wall_time_s"] >= 0.0
         assert task["tol"] > 0.0
     assert report["wall_time_s"] >= 0.0
+
+
+def _without_wall_times(value):
+    if isinstance(value, dict):
+        return {k: _without_wall_times(v) for k, v in value.items() if k != "wall_time_s"}
+    if isinstance(value, list):
+        return [_without_wall_times(v) for v in value]
+    return value
+
+
+def test_json_report_is_one_line_of_the_library_report(capsys, monkeypatch):
+    monkeypatch.delenv("CONSTRAINED_RECOVERY_SEED", raising=False)
+    assert cli.main(["run", "poisoning"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    want = sc.run_scenario(sc.load_scenario("poisoning"))
+    assert _without_wall_times(json.loads(out)) == _without_wall_times(want)
 
 
 def test_csv_format_is_a_flat_table(capsys):
@@ -799,6 +817,25 @@ def test_demo_spec_example_layout(capsys):
     assert report["scenario"]["name"] == "majorana-ring-n6"
     assert len(report["tasks"]) == 3
     assert report["all_tasks_completed"] is True
+
+
+def test_import_loads_neither_jsonschema_nor_importlib_metadata():
+    # modules already loaded at start-up (a site hook may load either) are
+    # not the package's doing, so only the newly loaded ones count
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import constrained_recovery, constrained_recovery.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "constrained_recovery.cli" in loaded
+    assert not {m for m in loaded if m == "jsonschema" or m.startswith("jsonschema.")}
+    assert "importlib.metadata" not in loaded
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,15 @@ in 1-based indexing.  On one mode this gives ``w1 = Y`` and ``w2 = X``,
 and the all-mode parity operator is the product of the ``Z_j``, so the
 Fock vacuum ``|0...0>`` always carries parity +1.
 
+Each generator, monomial and parity operator is a signed permutation: a
+pair ``(perm, phase)`` of length-``dim`` arrays for the matrix whose row
+``r`` holds ``phase[r]`` at column ``perm[r]`` and nothing else.  Row ``r``
+of a product ``a @ b`` holds ``phase_a[r] phase_b[perm_a[r]]`` at column
+``perm_b[perm_a[r]]``, so products of monomials, and their products with
+dense matrices, are gathers; a dense d x d matrix is formed only where one
+is returned.  :class:`FermionSystem` keeps ``w_a`` as row ``a-1`` of its
+read-only arrays ``perm`` and ``phase``, and densely as ``majoranas[a-1]``.
+
 Monomials in the generators are normalized to Hermitian involutions by
 the phase ``i**(s*(s-1)/2)`` on an ascending product of ``s`` generators.
 The physical (parity-even) observables of a region form a *-subalgebra
@@ -41,22 +50,20 @@ __all__ = [
     "geometric_noise",
 ]
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+def _product(a, b):
+    """The signed permutation of ``a @ b`` (see the module docstring)."""
+    return b[0][a[0]], a[1] * b[1][a[0]]
 
 
-def _site_operator(op, site, n_modes):
-    """Tensor ``op`` at ``site`` (0-based) with Z's before and 1's after."""
-    mat = np.ones((1, 1), dtype=complex)
-    for j in range(n_modes):
-        if j < site:
-            mat = np.kron(mat, _Z)
-        elif j == site:
-            mat = np.kron(mat, op)
-        else:
-            mat = np.kron(mat, np.eye(2))
-    return mat
+def _left(g, x):
+    """``g @ x`` for a signed permutation ``g`` and a stack ``x`` of matrices."""
+    return g[1][:, None] * x[..., g[0], :]
+
+
+def _right(x, g):
+    """``x @ g`` for a stack ``x`` and a monomial ``g``, whose ``perm`` is an involution."""
+    return x[..., g[0]] * g[1][g[0]]
 
 
 class FermionSystem:
@@ -72,34 +79,33 @@ class FermionSystem:
     def __init__(self, n_modes):
         if n_modes < 1:
             raise ValueError("need at least one mode")
-        self.n_modes = int(n_modes)
-        self.dim = 2**self.n_modes
-        majoranas = []
-        for j in range(self.n_modes):
-            majoranas.append(_site_operator(_Y, j, self.n_modes))
-            majoranas.append(_site_operator(_X, j, self.n_modes))
-        self.majoranas = majoranas
+        self.n_modes = n = int(n_modes)
+        self.dim = 2**n
+        # 0-based site j is bit n-1-j of the row index r; both generators of
+        # the site flip that bit, and Z on the earlier sites gives the sign
+        # (-1)^(occupied earlier sites); Y adds -i on an empty site, +i on an
+        # occupied one
+        rows = np.arange(self.dim)
+        string = np.ones(self.dim)
+        perm, phase = [], []
+        for j in range(n):
+            occupied = (rows >> (n - 1 - j)) & 1 == 1
+            perm += [rows ^ (1 << (n - 1 - j))] * 2
+            phase += [string * np.where(occupied, 1j, -1j), string + 0j]
+            string = np.where(occupied, -string, string)
+        self.perm, self.phase = np.array(perm), np.array(phase)
+        self.perm.flags.writeable = self.phase.flags.writeable = False
+        eye = np.eye(self.dim)
+        self.majoranas = [_left(g, eye) for g in zip(self.perm, self.phase)]
         self._check_relations()
 
     def _check_relations(self):
-        # each generator has one nonzero entry per row, at column perm[r] with
-        # value s[r]; row r of w_a w_b then holds s_a[r] s_b[perm_a[r]] at
-        # column perm_b[perm_a[r]], so the anticommutators follow from gathers
-        # of length d.  A row's misfit is 0 exactly when the row is right
+        # row r of w_a w_b holds value[a, b, r] at column col[a, b, r] (see
+        # _product), so the anticommutators follow from gathers of length d.
+        # A row's misfit is 0 exactly when the row is right
         rows = np.arange(self.dim)
-        perm, sign = [], []
-        for a, wa in enumerate(self.majoranas):
-            nonzero = wa != 0
-            if np.any(np.count_nonzero(nonzero, axis=1) != 1):
-                raise RuntimeError(
-                    f"Majorana generator {a + 1} does not have exactly one "
-                    f"nonzero entry per row"
-                )
-            perm.append(np.argmax(nonzero, axis=1))
-            sign.append(wa[rows, perm[-1]])
-        perm, sign = np.array(perm), np.array(sign)
+        perm, sign = self.perm, self.phase
         other = np.arange(len(perm))[None, :, None]
-        # row r of w_a w_b holds value[a, b, r] at column col[a, b, r]
         col = perm[other, perm[:, None, :]]
         value = sign[:, None, :] * sign[other, perm[:, None, :]]
         swap = (1, 0, 2)
@@ -150,12 +156,17 @@ def majorana_monomial(system, indices):
     ascending order, which is Hermitian and squares to the identity.  The
     empty monomial is the identity.
     """
-    order = _majorana_set(system.n_modes, indices)
-    mat = np.eye(system.dim, dtype=complex)
+    return _left(_monomial(system, _majorana_set(system.n_modes, indices)), np.eye(system.dim))
+
+
+def _monomial(system, order):
+    """The signed permutation of :func:`majorana_monomial` for the checked,
+    ascending Majorana indices ``order``."""
+    g = np.arange(system.dim), np.ones(system.dim, dtype=complex)
     for k in order:
-        mat = mat @ system.majoranas[k - 1]
+        g = _product(g, (system.perm[k - 1], system.phase[k - 1]))
     s = len(order)
-    return (1j ** ((s * (s - 1) // 2) % 4)) * mat
+    return g[0], (1j ** ((s * (s - 1) // 2) % 4)) * g[1]
 
 
 @dataclass
@@ -179,12 +190,7 @@ def parity_operator(system, region):
     region = _majorana_set(system.n_modes, region, even=True)
     c = majorana_monomial(system, region)
     eye = np.eye(system.dim)
-    return ParityData(
-        region=region,
-        c=c,
-        p_plus=(eye + c) / 2.0,
-        p_minus=(eye - c) / 2.0,
-    )
+    return ParityData(region, c, p_plus=(eye + c) / 2.0, p_minus=(eye - c) / 2.0)
 
 
 def physical_algebra(system, majoranas=None, *, modes=None):
@@ -203,25 +209,18 @@ def physical_algebra(system, majoranas=None, *, modes=None):
         majoranas = [k for m in modes for k in (2 * m - 1, 2 * m)]
     region = _majorana_set(system.n_modes, majoranas)
     scale = 1.0 / np.sqrt(system.dim)
-    return AlgebraBasis(system.dim, [scale * m for m in _even_monomials(system, region)])
+    eye = np.eye(system.dim)
+    return AlgebraBasis(system.dim, [_left((perm, scale * phase), eye)
+                                     for perm, phase in _even_monomials(system, region)])
 
 
 def _even_monomials(system, indices):
-    """The even :func:`majorana_monomial` of ``indices`` (ascending), by size
-    and then in the order of ``itertools.combinations``.  Each is one product
-    from its prefix, the same left-to-right products, so the matrices agree."""
-    gens = [majorana(system, k) for k in indices]
-
-    def extend(prefix, start, left, phase):
-        if left == 0:
-            yield phase * prefix
-            return
-        for j in range(start, len(gens) - left + 1):
-            yield from extend(prefix @ gens[j], j + 1, left - 1, phase)
-
-    eye = np.eye(system.dim, dtype=complex)
-    for size in range(0, len(gens) + 1, 2):
-        yield from extend(eye, 0, size, 1j ** ((size * (size - 1) // 2) % 4))
+    """The signed permutations of the even :func:`majorana_monomial` of
+    ``indices`` (ascending), by size and then in the order of
+    ``itertools.combinations``."""
+    for size in range(0, len(indices) + 1, 2):
+        for subset in itertools.combinations(indices, size):
+            yield _monomial(system, subset)
 
 
 @dataclass
@@ -338,11 +337,12 @@ def majorana_ring(system, unpaired, pairing):
     if k_modes == 0:
         raise ValueError("need at least one unpaired pair of indices")
 
-    eye = np.eye(system.dim)
-    proj = eye
+    # proj (1 + stab) / 2 for each stabilizer stab = -i w_p w_q in turn, the
+    # negated monomial of (p, q)
+    proj = np.eye(system.dim)
     for p, q in pairing:
-        stab = -1j * majorana(system, p) @ majorana(system, q)
-        proj = proj @ (eye + stab) / 2.0
+        perm, phase = _monomial(system, (p, q))
+        proj = (proj + _right(proj, (perm, -phase))) / 2.0
     w_vals, w_vecs = np.linalg.eigh((proj + proj.conj().T) / 2.0)
     cols = w_vals > 0.5
     if int(np.count_nonzero(cols)) != 2**k_modes:
@@ -354,13 +354,14 @@ def majorana_ring(system, unpaired, pairing):
 
     logical = FermionSystem(k_modes)
     dl = logical.dim
-    restricted = [
-        w0.conj().T @ majorana(system, k) @ w0 for k in unpaired
-    ]
-    rows = []
-    for l_op, w_op in zip(restricted, logical.majoranas):
-        rows.append(np.kron(l_op, np.eye(dl)) - np.kron(np.eye(dl), w_op.T))
-    null = linalg.null_space(np.vstack(rows))
+    restricted = [w0.conj().T @ majorana(system, k) @ w0 for k in unpaired]
+    # U with l_op U = U w_op for every pair: in the row-major vec of linalg,
+    # l_op (x) 1 - 1 (x) w_op^T, entry a[i, j] b[k, l] of a (x) b at row
+    # (i, k) and column (j, l)
+    eye = np.eye(dl)
+    rows = [l_op[:, None, :, None] * eye[:, None, :] - eye[:, None, :, None] * w_op.T[:, None, :]
+            for l_op, w_op in zip(restricted, logical.majoranas)]
+    null = linalg.null_space(np.reshape(rows, (-1, dl * dl)))
     if null.shape[0] == 0:
         raise RuntimeError("logical Majorana identification has no solution")
     u = linalg.unvec(null[0], (dl, dl))
@@ -372,14 +373,12 @@ def majorana_ring(system, unpaired, pairing):
     u = u * (u[pivot].conj() / abs(u[pivot]))
     isometry = w0 @ u
 
-    code = Code(
-        logical_dim=dl, physical_dim=system.dim, isometry=isometry
-    )
-    c_all = parity_operator(system, range(1, n_indices + 1)).c
-    if np.linalg.norm(c_all @ code.projector - code.projector @ c_all) > 1e-9:
+    code = Code(logical_dim=dl, physical_dim=system.dim, isometry=isometry)
+    c_all = _monomial(system, range(1, n_indices + 1))
+    if np.linalg.norm(_left(c_all, code.projector) - _right(code.projector, c_all)) > 1e-9:
         raise RuntimeError("code projector does not commute with parity")
     c_logical = parity_operator(logical, range(1, 2 * k_modes + 1)).c
-    restricted_parity = isometry.conj().T @ c_all @ isometry
+    restricted_parity = isometry.conj().T @ _left(c_all, isometry)
     if np.linalg.norm(restricted_parity - c_logical) <= 1e-8:
         sign = 1
     elif np.linalg.norm(restricted_parity + c_logical) <= 1e-8:
@@ -388,14 +387,9 @@ def majorana_ring(system, unpaired, pairing):
         raise RuntimeError("restricted parity is not proportional to the "
                            "logical parity")
     return MajoranaRingScenario(
-        system=system,
-        unpaired=unpaired,
-        pairing=pairing,
-        intervals=_ring_intervals(unpaired, n_indices),
-        code=code,
-        logical_system=logical,
-        parity_sign=sign,
-    )
+        system=system, unpaired=unpaired, pairing=pairing,
+        intervals=_ring_intervals(unpaired, n_indices), code=code,
+        logical_system=logical, parity_sign=sign)
 
 
 def _arc_monomial_supports(n_indices, max_support):

@@ -333,18 +333,20 @@ def tensor_local_check(code, kraus, dims, tol=1e-8):
 
 def _even_residuals(system, c, outside, x):
     """Frobenius distance of each matrix of the stack ``x`` from the even
-    algebra of a region with parity ``c`` and Majoranas ``outside`` it.
+    algebra of a region with parity ``c`` (a signed permutation, see
+    :func:`fermion._product`) and Majoranas ``outside`` it.
 
     That algebra is the commutant of ``c`` and of every ``w_k`` outside.
     Each map ``x -> (x + g x g)/2`` projects onto the commutant of one such
     involution ``g``; all are diagonal in the Majorana-monomial basis, so
-    they commute and their product is the orthogonal projection.
+    they commute and their product is the orthogonal projection.  Each
+    ``g x g`` is two gathers with phases.
     """
     from . import fermion as fermion_mod
 
     p = x
-    for g in [c] + [fermion_mod.majorana(system, k) for k in outside]:
-        p = (p + g @ p @ g) / 2
+    for g in [c] + [fermion_mod._monomial(system, (k,)) for k in outside]:
+        p = (p + fermion_mod._right(fermion_mod._left(g, p), g)) / 2
     return np.linalg.norm(x - p, axis=(1, 2))
 
 
@@ -384,9 +386,9 @@ def fermion_local_check(code, kraus, region, tol=1e-8):
     ops, n_modes, region = _check_region(code, kraus, region)
     d = code.physical_dim
     system = fermion_mod.FermionSystem(n_modes)
-    parity = fermion_mod.parity_operator(system, region)
+    c = fermion_mod._monomial(system, region)
     outside = [i for i in range(1, 2 * n_modes + 1) if i not in region]
-    inside = _even_residuals(system, parity.c, outside, ops) <= 1e-8
+    inside = _even_residuals(system, c, outside, ops) <= 1e-8
     if not inside.all():
         raise ValueError(
             f"Kraus operator {int(np.argmin(inside))} is not in the even "
@@ -396,7 +398,8 @@ def fermion_local_check(code, kraus, region, tol=1e-8):
     w = code.isometry
     # the code projector, then each Kraus operator, against the region parity
     x = np.concatenate([code.projector[None], ops])
-    commute = np.linalg.norm(parity.c @ x - x @ parity.c, axis=(1, 2)) <= max(tol, 1e-10) * 10
+    commute = (np.linalg.norm(fermion_mod._left(c, x) - fermion_mod._right(x, c), axis=(1, 2))
+               <= max(tol, 1e-10) * 10)
     code_parity_ok, kraus_parity_ok = bool(commute[0]), bool(commute[1:].all())
 
     # W^dag E_i^dag E_j for every pair, as rows (i, j, x) of one matrix
@@ -404,11 +407,12 @@ def fermion_local_check(code, kraus, region, tol=1e-8):
     # B P W for both parity sectors P, B over the relative commutant of the
     # region algebra: the even monomials outside the region and their
     # products with the region parity
-    pw = np.concatenate([parity.p_plus @ w, parity.p_minus @ w], axis=1)
+    cw = fermion_mod._left(c, w)
+    pw = np.concatenate([(w + cw) / 2.0, (w - cw) / 2.0], axis=1)
     right = []
     for monomial in fermion_mod._even_monomials(system, outside):
-        bpw = monomial @ pw
-        right += [bpw, parity.c @ bpw]
+        bpw = fermion_mod._left(monomial, pw)
+        right += [bpw, fermion_mod._left(c, bpw)]
     right = np.stack(right, axis=1).reshape(d, len(right), 2, -1)
 
     lam = {}

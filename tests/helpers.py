@@ -133,6 +133,44 @@ def generate_algebra_by_einsum(generators, d):
     return rows
 
 
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def kron_majoranas(n_modes):
+    """Reference Jordan-Wigner generators as dense kron chains: for site j
+    (0-based), Z on the sites before j, Y (then X) on j and 1 after it."""
+    gens = []
+    for site in range(n_modes):
+        for op in (_PAULI_Y, _PAULI_X):
+            mat = np.ones((1, 1), dtype=complex)
+            for j in range(n_modes):
+                mat = np.kron(mat, _PAULI_Z if j < site else op if j == site else np.eye(2))
+            gens.append(mat)
+    return gens
+
+
+def kron_monomial(gens, indices):
+    """Reference Hermitian monomial: i**(s(s-1)/2) times the dense product
+    of the generators ``gens[k - 1]`` for the ascending ``indices``."""
+    mat = np.eye(len(gens[0]), dtype=complex)
+    for k in indices:
+        mat = mat @ gens[k - 1]
+    s = len(indices)
+    return (1j ** ((s * (s - 1) // 2) % 4)) * mat
+
+
+def sandwich_even_residuals(c, gens_outside, x):
+    """Reference for ``recovery._even_residuals``: the projections
+    x -> (x + g x g)/2 for the dense parity ``c`` and generators outside,
+    with dense products, and the Frobenius distance of x from the result."""
+    p = x
+    for g in [c] + list(gens_outside):
+        p = (p + g @ p @ g) / 2
+    return np.linalg.norm(x - p, axis=(1, 2))
+
+
 def _scalar_fit(fixed, target):
     """Least-squares scalar with target ~ lam * fixed, and the misfit."""
     denom = float(np.vdot(fixed, fixed).real)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from constrained_recovery import algebra, channels, fermion
-from helpers import random_kraus, random_physical_channel
+from helpers import kron_majoranas, kron_monomial, random_kraus, random_physical_channel
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -48,21 +48,47 @@ def test_anticommutation_relations():
             assert np.linalg.norm(wa @ wb + wb @ wa - target) < 1e-10
 
 
+def test_generators_equal_the_kron_chains():
+    for n_modes in range(1, 9):
+        system = fermion.FermionSystem(n_modes)
+        for got, want in zip(system.majoranas, kron_majoranas(n_modes), strict=True):
+            assert np.array_equal(got, want)
+
+
+def test_monomials_equal_the_dense_products():
+    for n_modes in range(1, 6):
+        system = fermion.FermionSystem(n_modes)
+        gens = kron_majoranas(n_modes)
+        for size in range(0, 5):
+            for indices in itertools.combinations(range(1, 2 * n_modes + 1), size):
+                assert np.array_equal(fermion.majorana_monomial(system, indices),
+                                      kron_monomial(gens, indices)), indices
+
+
+def test_generator_arrays_are_read_only():
+    system = fermion.FermionSystem(2)
+    with pytest.raises(ValueError):
+        system.phase[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        system.perm[0, 0] = 0
+
+
 @pytest.mark.parametrize("generator", [0, 3, 5])
 def test_relation_check_rejects_a_corrupted_generator(generator):
     system = fermion.FermionSystem(3)
-    w = system.majoranas[generator].copy()
-    r, c = np.argwhere(w)[2]
-    w[r, c] = -w[r, c]
-    system.majoranas[generator] = w
+    phase = system.phase.copy()
+    phase[generator, 2] = -phase[generator, 2]
+    system.phase = phase
     with pytest.raises(RuntimeError, match="anticommutation"):
         system._check_relations()
 
 
-def test_relation_check_rejects_a_generator_with_two_entries_in_a_row():
+def test_relation_check_rejects_a_permuted_generator():
     system = fermion.FermionSystem(2)
-    system.majoranas[1] = system.majoranas[1] + 0.5 * np.eye(system.dim)
-    with pytest.raises(RuntimeError, match="one nonzero entry per row"):
+    perm = system.perm.copy()
+    perm[1, [0, 1]] = perm[1, [1, 0]]
+    system.perm = perm
+    with pytest.raises(RuntimeError, match="anticommutation"):
         system._check_relations()
 
 

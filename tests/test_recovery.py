@@ -13,9 +13,12 @@ from constrained_recovery import recovery as rc
 from constrained_recovery import scenario as sc
 from helpers import (
     fermion_local_reference,
+    kron_majoranas,
+    kron_monomial,
     random_kraus,
     random_physical_channel,
     random_unitary,
+    sandwich_even_residuals,
     tensor_local_reference,
 )
 
@@ -333,6 +336,7 @@ def test_even_residuals_match_the_dense_projection():
     rng = np.random.default_rng(7)
     for n_modes in range(1, 5):
         system = fermion.FermionSystem(n_modes)
+        gens = kron_majoranas(n_modes)
         d = system.dim
         indices = range(1, 2 * n_modes + 1)
         for size in range(0, 2 * n_modes + 1, 2):
@@ -344,11 +348,16 @@ def test_even_residuals_match_the_dense_projection():
                     np.tensordot(coeffs, basis, axes=1)[None],
                     fermion.majorana_monomial(system, (region or (1,))[:1])[None],
                 ])
-                c = fermion.parity_operator(system, region).c
+                c = fermion._monomial(system, region)
                 outside = [k for k in indices if k not in region]
                 got = rc._even_residuals(system, c, outside, x)
                 want = _dense_even_residuals(system, region, x)
                 assert np.abs(got - want).max() <= 1e-12, (n_modes, region)
+                # the same projections with dense kron-chain generators and
+                # dense products give the same numbers exactly
+                sandwich = sandwich_even_residuals(
+                    kron_monomial(gens, region), [gens[k - 1] for k in outside], x)
+                assert np.array_equal(got, sandwich), (n_modes, region)
                 assert got[2] <= 1e-12
                 assert abs(got[3] - np.sqrt(d)) <= 1e-12
 

@@ -59,19 +59,24 @@ class AlgebraBasis:
 
     Instances are immutable after construction. The constructor trusts the
     caller on orthonormality and algebraic closure; :func:`generate_algebra`
-    is the safe entry point for arbitrary generating sets.
+    is the safe entry point for arbitrary generating sets. A C-contiguous
+    complex (k, d, d) array is adopted as the rows without a copy (and made
+    read-only); any other sequence of matrices is copied.
     """
 
     def __init__(self, ambient_dim, basis):
         self.ambient_dim = d = int(ambient_dim)
-        rows = np.empty((len(basis), d * d), dtype=complex)
-        for row, b in zip(rows, basis):
-            b = np.asarray(b)
-            if b.shape != (d, d):
-                raise ValueError(
-                    f"basis element of shape {b.shape} in ambient dimension {d}"
-                )
-            row[:] = b.reshape(-1)
+        if (isinstance(basis, np.ndarray) and basis.dtype == complex
+                and basis.shape[1:] == (d, d) and basis.flags.c_contiguous):
+            rows = basis.reshape(len(basis), d * d)
+            basis.flags.writeable = False
+        else:
+            rows = np.empty((len(basis), d * d), dtype=complex)
+            for row, b in zip(rows, basis):
+                b = np.asarray(b)
+                if b.shape != (d, d):
+                    raise ValueError(f"basis element of shape {b.shape} in ambient dimension {d}")
+                row[:] = b.reshape(-1)
         rows.flags.writeable = False
         # each element is stored once: the basis matrices are views of _rows
         self._rows = rows

@@ -210,8 +210,10 @@ def physical_algebra(system, majoranas=None, *, modes=None):
     region = _majorana_set(system.n_modes, majoranas)
     scale = 1.0 / np.sqrt(system.dim)
     eye = np.eye(system.dim)
-    return AlgebraBasis(system.dim, [_left((perm, scale * phase), eye)
-                                     for perm, phase in _even_monomials(system, region)])
+    rows = np.empty((max(1, 2 ** (len(region) - 1)), system.dim, system.dim), dtype=complex)
+    for row, (perm, phase) in zip(rows, _even_monomials(system, region)):
+        row[:] = _left((perm, scale * phase), eye)
+    return AlgebraBasis(system.dim, rows)
 
 
 def _even_monomials(system, indices):

@@ -494,12 +494,18 @@ class FixesAlgebra:
     """Restrict the optimized channel to fix an algebra of observables.
 
     The channel's adjoint must act as the identity on every element of
-    ``algebra``, which holds exactly when all Kraus operators lie in the
-    algebra's commutant; the builder parameterizes the process matrix in
-    that operator basis.
+    ``algebra`` (B), which holds exactly when all Kraus operators lie in
+    B' = (+)_k 1_{n_k} (x) M_{m_k}, read in the coordinates where
+    U_k B U_k^dag = M_{n_k} (x) 1_{m_k} (:func:`algebra.block_structure`).
     """
 
     algebra: object
+
+    @cached_property
+    def sectors(self):
+        """Each U_k^dag, shape (d, n_k, m_k), found once per constraint."""
+        return [s.isometry.conj().T.reshape(-1, s.left_dim, s.right_dim)
+                for s in algebra_mod.block_structure(self.algebra).sectors]
 
 
 def _support(h):
@@ -555,24 +561,16 @@ def _state_after(channel, psi):
     return t.reshape(channel.out_dim * psi.shape[1], -1)
 
 
-def _pairs(out_sizes, in_sizes):
-    """(out, in) index slices of the PSD blocks, one per pair of nonempty sectors."""
-    out_at, in_at = np.cumsum([0, *out_sizes]), np.cumsum([0, *in_sizes])
-    return [(slice(out_at[k], out_at[k + 1]), slice(in_at[l], in_at[l + 1]))
-            for k in range(len(out_sizes)) for l in range(len(in_sizes))
-            if out_sizes[k] and in_sizes[l]]
-
-
 @dataclass
 class _LinkPlan:
     """A fidelity SDP plus the data needed to read the optimizer back.
 
     The optimized channel maps act_in to act_out, beside a ``left_dim``
-    factor it leaves alone.  The problem has one block per pair of the
-    sectors of ``out_sizes`` and ``in_sizes``, or one on ``basis`` (see
-    :func:`_build_link_problem`).  ``supports`` holds the isometries
-    (V_out, V_in) from its coordinates to the act factors (see
-    :func:`_link_plan`), ``None`` for the identity.
+    factor it leaves alone; ``blocks`` holds the (output, input) sectors
+    of each block (:func:`_build_link_problem`), ``supports`` the
+    isometries (V_out, V_in) from its coordinates to the act factors, as
+    lists of act x n x s arrays by sector (:func:`_act_supports`), and
+    ``sectors`` those of a fixed algebra (:attr:`FixesAlgebra.sectors`).
     """
 
     problem: sdp.SdpProblem
@@ -581,61 +579,68 @@ class _LinkPlan:
     sigma_support: np.ndarray
     out_sizes: list
     in_sizes: list
-    basis: np.ndarray | None = None
+    blocks: list
     left_dim: int = 1
-    supports: tuple = (None, None)
+    supports: tuple = ()
+    sectors: list | None = None
 
     def choi(self, solution):
-        """Process matrix of the optimized channel, on out (x) in.  Each pair
-        block fills the entries of its two sectors; the ``basis`` block J is
-        Q J Q^dag instead, Q's columns vec(B_u).
+        """Process matrix of the optimized channel, on out (x) in.
 
-        On supports, the solved map R_s extends to
-        R(x) = V_out R_s(V_in^dag x V_in) V_out^dag + Tr((1 - P_in) x) tau,
-        tau = t t^dag for the leading column t of V_out.  Its Kraus
-        operators V_out K V_in^dag have vec (V_out (x) conj V_in) vec K.
+        The solved map extends to R(x) = V_out R_s(V_in^dag x V_in) V_out^dag
+        + T(x).  A Kraus operator K from input sector l (columns C of V_in,
+        read as act_in x n x s_l) to output sector k (columns A of V_out)
+        becomes sum_nu A_nu K C_nu^dag, of vec L vec K with L[(x, y), (a, b)]
+        = sum_nu A[x, nu, a] conj(C[y, nu, b]); n > 1 only under a fixed
+        algebra B.  T has the Kraus operators |t><e_j|, t leading V_out and
+        e_j spanning 1 - P_in, or under B per sector 1_{n_k} (x) |t_k><e_j|,
+        t_k leading its output support and e_j spanning the rest of m_k.
+        Every Kraus operator of R, and of the C of :func:`_link_plan`, is
+        then a tuple U^dag ((+)_k 1 (x) K_k) U in the algebra B', so is
+        every product of them, and R and C . R fix B.  R is a channel: its
+        Kraus operators add up to (+)_k 1 (x) (P_in^k + 1 - P_in^k) = 1.
         """
-        if self.basis is not None:
-            qv = self.basis.reshape(len(self.basis), -1).T
-            return qv @ solution.block_values[0] @ qv.conj().T
-        s_out, s_in = sum(self.out_sizes), sum(self.in_sizes)
-        out = np.zeros((s_out, s_in, s_out, s_in), dtype=complex)
-        for (ko, li), j in zip(_pairs(self.out_sizes, self.in_sizes), solution.block_values):
-            out[ko, li, ko, li] = j.reshape(out[ko, li, ko, li].shape)
-        out = out.reshape(s_out * s_in, -1)
-        v_out, v_in = self.supports
-        if v_out is None and v_in is None:
-            return out
-        v_out = np.eye(self.act_out) if v_out is None else v_out
-        v_in = np.eye(self.act_in) if v_in is None else v_in
-        lift = np.kron(v_out, v_in.conj())
-        out = lift @ out @ lift.conj().T
-        t = v_out[:, :1]
-        outside = np.eye(self.act_in) - v_in @ v_in.conj().T
-        return out + np.kron(t @ t.conj().T, outside.conj())
+        d_out, d_in = self.act_out, self.act_in
+        outs, ins = self.supports
+        # T per sector of a fixed algebra, else on all of act_in; c[:, 0] =
+        # s[:, 0] F for the input support F, and rest spans its complement
+        groups = zip(outs, ins, self.sectors) if self.sectors else [
+            (np.concatenate(outs, axis=2), np.concatenate(ins, axis=2), np.eye(d_in)[:, None])]
+        out = 0
+        for a, c, s in groups:
+            rest = np.linalg.qr(s[:, 0].conj().T @ c[:, 0], mode="complete")[0][:, c.shape[2]:]
+            pad = np.einsum("xn,ynj->xyj", a[:, :, 0], (s @ rest).conj()).reshape(d_out * d_in, -1)
+            out = out + pad @ pad.conj().T
+        for pairs, x in zip(self.blocks, solution.block_values):
+            lift = np.concatenate([np.einsum("xna,ynb->xyab", outs[k], ins[l].conj()).reshape(
+                d_out * d_in, -1) for k, l in pairs], axis=1)
+            out = out + lift @ x @ lift.conj().T
+        return out
 
 
-def _build_link_problem(eta, sigma, left_dim, ref_dim, out_sizes, in_sizes, basis=None):
+def _build_link_problem(eta, sigma, left_dim, ref_dim, out_sizes, in_sizes, lefts=None):
     """Fidelity between a fixed state and a channel-parameterized one.
 
     ``eta`` is the state of left (x) act_in (x) ref before the optimized
     channel acts on the middle factor; ``sigma`` is the fixed comparison
     state on left (x) act_out (x) ref.  The act factors are cut into
     consecutive sectors of ``out_sizes`` and ``in_sizes``, and the process
-    matrix is one PSD block per pair (k, l) of nonempty sectors
-    (:func:`_pairs`): exactly the channels whose Kraus operators each map
-    sector l into sector k, with strict feasibility kept, and one trace
-    family per input sector.  Given ``basis``, an orthonormal (vec inner
-    product) family of act_out x act_in operators, and one sector a side,
-    it is one block on the channels whose Kraus operators lie in its span.
-    With Q the support of sigma and eta = V V^dag, every link lift is a
-    slice of gv[i, j, p, k] = sum_{a, c} Q^dag[p, (a, i, c)] V[(a, j, c), k],
-    or ``basis`` times gv.  The y block, the fidelity's 2 x 2 block
-    matrix, comes last.
+    matrix is one PSD block per pair (k, l) of nonempty sectors: exactly
+    the channels whose Kraus operators each map sector l into sector k,
+    with strict feasibility kept.  Given ``lefts`` (and ``left_dim`` 1),
+    sector k is lefts[k] (x) its size on both sides, as for a fixed
+    algebra, and one block holds the Kraus tuples (+)_k 1 (x) K_k, each
+    sector's trace family on its part (a selection lift).  With Q the
+    support of sigma and eta = V V^dag, the link lift of sectors (k, l) is
+    gv[i, j, p, k] = sum_{a, c} Q^dag[p, (a, i, c)] V[(a, j, c), k] on their
+    rows of Q and V, a over the left factor.  The y block, the fidelity's
+    2 x 2 block matrix, comes last.
     """
-    act_out, act_in = sum(out_sizes), sum(in_sizes)
-    eta = linalg.as_hermitian(eta, "eta", dim=left_dim * act_in * ref_dim)
-    sigma = linalg.as_hermitian(sigma, "sigma", dim=left_dim * act_out * ref_dim)
+    ns = lefts or [1] * (len(out_sizes) + len(in_sizes))
+    at_out, at_in = (np.cumsum([0, *(n * s for n, s in zip(ns, sizes))])
+                     for sizes in (out_sizes, in_sizes))
+    eta = linalg.as_hermitian(eta, "eta", dim=left_dim * at_in[-1] * ref_dim)
+    sigma = linalg.as_hermitian(sigma, "sigma", dim=left_dim * at_out[-1] * ref_dim)
 
     q_sigma = _support(sigma)
     r = q_sigma.shape[1]
@@ -646,27 +651,36 @@ def _build_link_problem(eta, sigma, left_dim, ref_dim, out_sizes, in_sizes, basi
     # percent of tol, so their iteration counts depend on it
     root = linalg.psd_factor(eta)[0][:, ::-1]
     k = root.shape[1]
-    q_dag = q_sigma.conj().T.reshape(r, left_dim, act_out, ref_dim)
-    q_dag = q_dag.transpose(2, 0, 1, 3).reshape(act_out * r, -1)
-    root = root.reshape(left_dim, act_in, ref_dim, k).transpose(0, 2, 1, 3)
-    # lifts[i, j, (k, p)] = conj(gv[i, j, p, k])
-    lifts = (q_dag @ root.reshape(-1, act_in * k)).reshape(act_out, r, act_in, k)
-    lifts = lifts.transpose(0, 2, 3, 1).conj().reshape(act_out, act_in, k * r)
 
-    if basis is None:
-        pairs = _pairs(out_sizes, in_sizes)
-        links = [lifts[ko, li].reshape(-1, k * r) for ko, li in pairs]
+    def lifts(q, v, n, s_out, s_in):
+        # conj(gv[i, j, p, k]) on the rows q of Q and v of V, rows (i, j)
+        q_dag = q.conj().T.reshape(r, n, s_out, ref_dim)
+        q_dag = q_dag.transpose(2, 0, 1, 3).reshape(s_out * r, -1)
+        v = v.reshape(n, s_in, ref_dim, k).transpose(0, 2, 1, 3)
+        out = (q_dag @ v.reshape(-1, s_in * k)).reshape(s_out, r, s_in, k)
+        return out.transpose(0, 2, 3, 1).conj().reshape(s_out * s_in, k * r)
+
+    if lefts:
+        blocks = [[(j, j) for j in range(len(lefts))]]
+        parts = [lifts(q_sigma[at_out[j] * ref_dim:at_out[j + 1] * ref_dim],
+                       root[at_in[j] * ref_dim:at_in[j + 1] * ref_dim], *sizes)
+                 for j, sizes in enumerate(zip(lefts, out_sizes, in_sizes))]
+        at, links = np.cumsum([0, *map(len, parts)]), [np.concatenate(parts)]
+        # trace preservation: the 1_out (x) h rows of each sector's part
+        trace_rows = [sdp.RowFamily(si, [(0, None if len(parts) == 1 else
+                                          np.eye(at[-1], len(part), -at[j]), 1.0)])
+                      for j, (si, part) in enumerate(zip(in_sizes, parts))]
+    else:
+        full = lifts(q_sigma, root, left_dim, at_out[-1], at_in[-1])
+        full = full.reshape(at_out[-1], at_in[-1], -1)
+        blocks = [[(ko, li)] for ko, so in enumerate(out_sizes) if so
+                  for li, si in enumerate(in_sizes) if si]
+        links = [full[at_out[ko]:at_out[ko + 1], at_in[li]:at_in[li + 1]].reshape(-1, k * r)
+                 for ((ko, li),) in blocks]
         # trace preservation: the 1_out (x) h rows of the blocks out of
         # each input sector, summed
-        trace_rows = [sdp.RowFamily(li.stop - li.start, [
-            (b, None, 1.0) for b, (_, lj) in enumerate(pairs) if lj == li])
-            for ko, li in pairs if ko == pairs[0][0]]
-    else:
-        # K^dag (1_out (x) h) K, K's columns vec(B_u), and
-        # L[u, (k, p)] = conj(sum_ij B_u[i, j] gv[i, j, p, k])
-        basis_rows = basis.reshape(len(basis), -1).conj()
-        links = [basis_rows @ lifts.reshape(act_out * act_in, -1)]
-        trace_rows = [sdp.RowFamily(act_in, [(0, basis_rows, 1.0)])]
+        trace_rows = [sdp.RowFamily(si, [(b, None, 1.0) for b, ((_, lj),) in enumerate(blocks)
+                                         if lj == li]) for li, si in enumerate(in_sizes) if si]
     dims = [len(lift) for lift in links]
     y = len(dims)
     rows = trace_rows + [
@@ -684,9 +698,9 @@ def _build_link_problem(eta, sigma, left_dim, ref_dim, out_sizes, in_sizes, basi
     c_y[:r, r:] = np.eye(r) / 2.0
     c_y[r:, :r] = np.eye(r) / 2.0
     problem = sdp.SdpProblem(dims + [y_dim], [None] * y + [c_y], rows, rhs, sense="max")
-    return _LinkPlan(problem=problem, act_out=act_out, act_in=act_in, sigma_support=q_sigma,
-                     out_sizes=list(out_sizes), in_sizes=list(in_sizes), basis=basis,
-                     left_dim=left_dim)
+    return _LinkPlan(problem=problem, act_out=sum(out_sizes), act_in=sum(in_sizes),
+                     sigma_support=q_sigma, out_sizes=list(out_sizes),
+                     in_sizes=list(in_sizes), blocks=blocks, left_dim=left_dim)
 
 
 def _moved_by(channel, projector):
@@ -721,28 +735,30 @@ def _sectors(channel):
     return [s.isometry.conj().T for s in sectors]
 
 
-def _act_supports(state, left, act, ref, sectors):
-    """``(V, sizes)``: V's columns span the support of the act marginal of
-    ``state`` on left (x) act (x) ref inside each of the ``sectors`` (act x
-    d_k isometries whose projectors commute with it), sector by sector, of
-    ``sizes``; a whole sector is its isometry, a part the normalized
-    :func:`linalg.psd_factor` columns.  V is ``None`` for all of act."""
+def _act_supports(state, left, act, ref, sectors, lefts=None):
+    """``(V, state compressed by V)``: V's columns span the support of the
+    act marginal of ``state`` on left (x) act (x) ref inside each of the
+    ``sectors`` (act x d_k isometries S_k), as one act x 1 x s_k array per
+    sector; a whole sector is its isometry, a part the normalized
+    :func:`linalg.psd_factor` columns.  Given ``lefts``, sector k is
+    lefts[k] (x) m_k, and its support F on m_k (at least one dimension)
+    gives S_k (1 (x) F) as act x lefts[k] x s_k.  For all of act, V is the
+    identity and ``state`` is kept."""
     marginal = np.einsum("iajibj->ab", state.reshape(left, act, ref, left, act, ref))
     cols = []
-    for s in sectors:
-        f = linalg.psd_factor(s.conj().T @ marginal @ s)[0]
-        cols.append(s if f.shape[1] == s.shape[1] else s @ (f / np.linalg.norm(f, axis=0)))
-    sizes = [c.shape[1] for c in cols]
-    return (None if sizes == [act] else np.concatenate(cols, axis=1)), sizes
-
-
-def _compress(state, left, v, ref):
-    """(1 (x) V^dag (x) 1) state (1 (x) V (x) 1) on left (x) act (x) ref, or
-    ``state`` itself for ``v`` None."""
-    if v is None:
-        return state
+    for s, n in zip(sectors, lefts or [1] * len(sectors)):
+        m = s.shape[1] // n
+        block = s.conj().T @ marginal @ s
+        f = linalg.psd_factor(block if n == 1 else
+                              np.trace(block.reshape(n, m, n, m), axis1=0, axis2=2))[0]
+        f = np.eye(m, 1) if lefts and not f.shape[1] else f
+        cols.append(s.reshape(act, n, m) if f.shape[1] == m else
+                    (s.reshape(-1, m) @ (f / np.linalg.norm(f, axis=0))).reshape(act, n, -1))
+    if len(cols) == 1 and cols[0].shape == (act, 1, act):
+        return [np.eye(act, dtype=complex)[:, None]], state
+    v = np.concatenate([c.reshape(act, -1) for c in cols], axis=1)
     lift = np.kron(np.kron(np.eye(left), v), np.eye(ref))
-    return lift.conj().T @ state @ lift
+    return cols, lift.conj().T @ state @ lift
 
 
 def _link_inputs(n, m, rho, constraint):
@@ -790,8 +806,7 @@ def _link_plan(n, m, rho, constraint, environment):
     the map that turns the optimized channel into the reported one (None
     when it is reported as is).
 
-    Every side but the FixesAlgebra recovery side, which keeps the full
-    dimensions, is solved on the supports of the linked states: S_in of
+    Every side is solved on the supports of the linked states: S_in of
     the act marginal of eta, the state the optimized channel acts on,
     and S_out of that of the fixed state sigma (each traced over left
     and ref).  eta lives on left (x) S_in (x) ref, so the fidelity sees
@@ -802,12 +817,17 @@ def _link_plan(n, m, rho, constraint, environment):
     optimum maps B(S_in) into B(S_out).  On the Physical recovery side
     both marginals commute with the sectors, so the supports are taken
     sector by sector, and C keeps R covariant for tau in one sector.
-    The reported optimizer is the solved map's extension to the full
-    dimensions (see :meth:`_LinkPlan.choi`), formed only when read.  A
+    Under FixesAlgebra(B), in the coordinates of
+    :attr:`FixesAlgebra.sectors`, a positive matrix lives on the sum of
+    the supports of its diagonal blocks, and one on n_k (x) m_k on n_k (x)
+    that of its trace over n_k: the supports are taken on each m_k, and C
+    adds 1_{n_k} (x) |t_k><e_j| per sector, e_j spanning 1 - P_out^k and
+    t_k in S_out^k, so that C . R still fixes B (:meth:`_LinkPlan.choi`,
+    which extends the solved map to the full dimensions when read).  A
     side of one sector with full supports solves the full problem.
     """
     constraint, label, psi = _link_inputs(n, m, rho, constraint)
-    src, dst, left, sectors, basis, finish = n, m, 1, None, None, None
+    src, dst, left, sectors, fixed, finish = n, m, 1, None, None, None
     if isinstance(constraint, Physical):
         p, q = constraint.p, constraint.q
         src, dst = channels_mod.compose(q, n), channels_mod.compose(p, m)
@@ -815,14 +835,14 @@ def _link_plan(n, m, rho, constraint, environment):
         if not environment:
             sectors = constraint.sectors
     if isinstance(constraint, FixesAlgebra):
-        b = constraint.algebra
         if environment:
-            p = channels_mod._commutant_expectation(b)
+            p = channels_mod._commutant_expectation(constraint.algebra)
             src = channels_mod._local_complement(m, p)
             dst = channels_mod._local_complement(n, p)
             left = p.n_kraus
         else:
-            basis = np.stack(algebra_mod.commutant(b).basis)
+            fixed = constraint.sectors
+            sectors = ([s.reshape(len(s), -1) for s in fixed],) * 2
     elif environment:
         src, dst = channels_mod.complementary(dst), channels_mod.complementary(src)
     if environment:
@@ -831,15 +851,14 @@ def _link_plan(n, m, rho, constraint, environment):
             channels_mod.identity_channel(left), r)
     eta, sigma = _state_after(src, psi), _state_after(dst, psi)
     act_in, act_out, ref = src.out_dim // left, dst.out_dim // left, psi.shape[1]
-    if basis is None:
-        out_sectors, in_sectors = sectors or ([np.eye(act_out)], [np.eye(act_in)])
-        v_out, out_sizes = _act_supports(sigma, left, act_out, ref, out_sectors)
-        v_in, in_sizes = _act_supports(eta, left, act_in, ref, in_sectors)
-    else:
-        v_out, out_sizes, v_in, in_sizes = None, [act_out], None, [act_in]
-    plan = _build_link_problem(_compress(eta, left, v_in, ref), _compress(sigma, left, v_out, ref),
-                               left, ref, out_sizes, in_sizes, basis)
-    return replace(plan, act_out=act_out, act_in=act_in, supports=(v_out, v_in)), label, finish
+    lefts = fixed and [s.shape[1] for s in fixed]
+    out_sectors, in_sectors = sectors or ([np.eye(act_out)], [np.eye(act_in)])
+    outs, sigma = _act_supports(sigma, left, act_out, ref, out_sectors, lefts)
+    ins, eta = _act_supports(eta, left, act_in, ref, in_sectors, lefts)
+    out_sizes, in_sizes = ([c.shape[2] for c in cols] for cols in (outs, ins))
+    plan = _build_link_problem(eta, sigma, left, ref, out_sizes, in_sizes, lefts)
+    return replace(plan, act_out=act_out, act_in=act_in, supports=(outs, ins),
+                   sectors=fixed), label, finish
 
 
 def build_recovery_fidelity_sdp(n, m, rho, constraints=None):
@@ -849,9 +868,8 @@ def build_recovery_fidelity_sdp(n, m, rho, constraints=None):
     state ``rho`` over trace-preserving completely positive ``r``,
     subject to ``constraints`` (an :class:`Unconstrained`,
     :class:`Physical`, or :class:`FixesAlgebra` instance).  The optimal
-    value of the returned problem is the fidelity.  Unless the constraint
-    is a :class:`FixesAlgebra`, the problem lives on the supports of the
-    linked states (see :func:`_link_plan`).
+    value of the returned problem is the fidelity.  The problem lives on
+    the supports of the linked states (see :func:`_link_plan`).
     """
     return _link_plan(n, m, rho, constraints, environment=False)[0].problem
 

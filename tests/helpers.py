@@ -240,3 +240,82 @@ def fermion_local_reference(code, kraus, region):
                 resid_sq += res * res
         lams.append(lam)
     return lams[0], lams[1], np.sqrt(resid_sq)
+
+
+def fixed_algebra(name, rng):
+    """A fixed algebra of the FixesAlgebra corpora by name:
+
+    - ``parity-d``: the span of 1 and the parity of log2(d) modes (two
+      sectors, n_k = 1);
+    - ``m2-d``: M_2 (x) 1_{d/2}, generated by X (x) 1 and Z (x) 1 (one
+      sector, n_k = 2);
+    - ``mixed-7``: a planted (M_2 (x) 1_2) (+) (M_1 (x) 1_3);
+    - ``scalars-d``: C 1; ``full-d``: M_d.
+    """
+    from constrained_recovery import algebra, fermion
+
+    kind, d = name.rsplit("-", 1)
+    d = int(d)
+    if kind == "parity":
+        modes = d.bit_length() - 1
+        system = fermion.FermionSystem(modes)
+        gens = [np.asarray(fermion.parity_operator(system, tuple(range(1, 2 * modes + 1))).c)]
+    elif kind == "m2":
+        gens = [np.kron(p, np.eye(d // 2)) for p in (_PAULI_X, _PAULI_Z)]
+    elif kind == "mixed":
+        gens = planted_algebra(rng, [(2, 2), (1, 3)])[0]
+    elif kind == "scalars":
+        gens = []
+    else:
+        gens = [random_unitary(rng, d) for _ in range(2)]
+    return algebra.generate_algebra(gens, d)
+
+
+def fixes_algebra_reference(n, m, rho, b, tol):
+    """Reference for the FixesAlgebra recovery side: the fidelity SDP on the
+    full dimensions with the process matrix in the dense commutant basis,
+    the builder's form before it took the algebra's block coordinates.
+
+    The PSD block J is the process matrix in the basis B_u of the
+    commutant: the Kraus operators are the columns of K, vec(B_u) its rows.
+    The trace rows are K^dag (1 (x) h) K for every h on the input, d^2 rows
+    of which dim B' are independent, and the link lift is
+    conj(sum_ij B_u[i, j] gv[i, j, p, k]) with
+    gv[i, j, p, k] = sum_c Q^dag[p, (i, c)] V[(j, c), k], Q the support of
+    (m (x) id)(psi psi^dag) and V V^dag = (n (x) id)(psi psi^dag).  Returns
+    the solution of ``sdp.solve`` at ``tol``.
+    """
+    from constrained_recovery import algebra, linalg, sdp
+
+    d = b.ambient_dim
+    psi = linalg.density_purification(rho, dim=n.in_dim)
+    ref = psi.shape[1]
+
+    def state_after(c):
+        v = c._stack @ psi
+        return np.einsum("kar,kbs->arbs", v, v.conj()).reshape(d * ref, -1)
+
+    eta, sigma = state_after(n), state_after(m)
+    q, _ = linalg.psd_factor(sigma)
+    q /= np.linalg.norm(q, axis=0)
+    r = q.shape[1]
+    root, _ = linalg.psd_factor(eta)
+    gv = np.einsum("icp,jck->ijpk", q.conj().reshape(d, ref, r),
+                   root.reshape(d, ref, -1))
+    basis_rows = np.stack(algebra.commutant(b).basis).reshape(-1, d * d).conj()
+    link = basis_rows @ gv.transpose(0, 1, 3, 2).conj().reshape(d * d, -1)
+    rows = [
+        sdp.RowFamily(d, [(0, basis_rows, 1.0)]),
+        sdp.RowFamily(r, [(0, link, -1.0), (1, np.eye(2 * r, r), 1.0)]),
+        sdp.RowFamily(r, [(1, np.eye(2 * r, r, -r), 1.0)]),
+    ]
+    sigma_c = q.conj().T @ sigma @ q
+    rhs = np.concatenate([
+        np.trace(linalg.hermitian_basis(d), axis1=1, axis2=2).real,
+        np.zeros(r * r),
+        (linalg.hermitian_basis(r).reshape(r * r, -1) @ sigma_c.T.reshape(-1)).real,
+    ])
+    c_y = np.zeros((2 * r, 2 * r), dtype=complex)
+    c_y[:r, r:] = c_y[r:, :r] = np.eye(r) / 2.0
+    problem = sdp.SdpProblem([len(basis_rows), 2 * r], [None, c_y], rows, rhs, sense="max")
+    return sdp.solve(problem, tol=tol)

@@ -33,6 +33,18 @@ def test_basis_elements_are_views_of_the_rows():
     assert np.array_equal(a._rows, np.stack([m.reshape(-1) for m in mats]))
 
 
+def test_a_complex_stack_is_adopted_without_a_copy():
+    stack = np.stack([np.eye(2) / np.sqrt(2), Z / np.sqrt(2)]).astype(complex)
+    a = alg.AlgebraBasis(2, stack)
+    assert np.shares_memory(a._rows, stack)
+    assert not a._rows.flags.writeable and not stack.flags.writeable
+    # a list of the same matrices, or a real stack, is copied
+    for other in (list(stack), stack.real.copy()):
+        b = alg.AlgebraBasis(2, other)
+        assert not np.shares_memory(b._rows, stack)
+        assert np.array_equal(b._rows, a._rows)
+
+
 def test_generate_diagonal():
     a = alg.generate_algebra([Z], 2)
     assert a.dim == 2

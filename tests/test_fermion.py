@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,26 @@ def test_physical_algebra_basis_is_the_scaled_monomials():
         ]
         assert len(a.basis) == len(expect)
         assert all(np.array_equal(x, y) for x, y in zip(a.basis, expect))
+
+
+def test_physical_algebra_keeps_one_copy_of_its_basis():
+    # the monomials are written into one stack that the basis adopts, so a
+    # build peaks near the size of what it keeps (twice that with a list copy)
+    system = fermion.FermionSystem(5)
+    region = tuple(range(1, 11))
+    tracemalloc.start()
+    try:
+        a = fermion.physical_algebra(system, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.dim == 512
+    assert peak <= 1.25 * a._rows.nbytes
+    scale = 1.0 / np.sqrt(system.dim)
+    listed = algebra.AlgebraBasis(system.dim, [
+        fermion._left((perm, scale * phase), np.eye(system.dim))
+        for perm, phase in fermion._even_monomials(system, region)])
+    assert a._rows.tobytes() == listed._rows.tobytes()
 
 
 def test_physical_algebra_argument_validation():

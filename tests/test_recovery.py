@@ -11,11 +11,15 @@ from constrained_recovery import channels as ch
 from constrained_recovery import fermion
 from constrained_recovery import recovery as rc
 from constrained_recovery import scenario as sc
+from constrained_recovery import sdp
 from helpers import (
     fermion_local_reference,
+    fixed_algebra,
+    fixes_algebra_reference,
     kron_majoranas,
     kron_monomial,
     random_kraus,
+    random_density,
     random_physical_channel,
     random_unitary,
     sandwich_even_residuals,
@@ -686,6 +690,57 @@ def test_fixed_algebra_optimizer_fixes_the_algebra():
         assert np.linalg.norm(ch.adjoint_apply(best, elem) - elem) <= 1e-6
 
 
+@pytest.mark.parametrize("state", ["full-rank", "code"])
+@pytest.mark.parametrize("name", ["parity-4", "parity-8", "m2-8", "m2-16", "mixed-7",
+                                  "scalars-6", "full-4"])
+def test_fixes_algebra_recovery_matches_the_dense_basis_reference(name, state):
+    """The sector form agrees with the dense commutant basis, writes only
+    independent rows, and extends to a channel that fixes the algebra."""
+    rng = np.random.default_rng(241)
+    b = fixed_algebra(name, rng)
+    d = b.ambient_dim
+    n, m = (ch.Channel(random_kraus(rng, d, d, 2)) for _ in range(2))
+    rho = random_density(rng, d) if state == "full-rank" else code_state(rng, d)
+    plan, _, _ = rc._link_plan(n, m, rho, rc.FixesAlgebra(b), False)
+    sol = sdp.solve(plan.problem, tol=1e-9)
+    ref = fixes_algebra_reference(n, m, rho, b, tol=1e-9)
+    assert sol.status == ref.status == "optimal"
+    assert abs(sol.value - ref.value) < 1e-8
+    assert sol.diagnostics["rows_kept"] == sol.diagnostics["rows"]
+
+    choi = plan.choi(sol)
+    assert np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0] >= -1e-8
+    traced = np.einsum("aiaj->ij", choi.reshape(d, d, d, d))
+    assert np.linalg.norm(traced - np.eye(d)) <= 1e-8
+    best = ch.channel_from_choi(choi, d, d, renormalize=True)
+    assert ch.fixes_algebra(best, b).fixes
+    if name.startswith("scalars"):
+        free = rc.optimal_recovery_fidelity(n, m, rho, tol=1e-9)
+        assert abs(sol.value - free.value) < 1e-8
+    if name.startswith("full"):
+        # only the identity channel fixes all of M_d
+        unit = np.eye(d).reshape(-1)
+        assert np.linalg.norm(choi - np.outer(unit, unit)) <= 1e-8
+        assert abs(sol.value - ch.entanglement_fidelity(n, m, rho)) < 1e-8
+
+
+def test_fixes_algebra_sector_the_target_never_reaches():
+    """A parity sector with no output support keeps one dimension, so the
+    noise's weight there still has a trace-preserving place to go."""
+    rng = np.random.default_rng(251)
+    b = fixed_algebra("parity-4", rng)
+    even, odd = (s.reshape(4, -1) for s in rc.FixesAlgebra(b).sectors)
+    # the target keeps the first sector and folds the second onto its first vector
+    m = ch.Channel([even @ even.conj().T] + [even[:, :1] @ v[None].conj() for v in odd.T])
+    n = ch.Channel(random_kraus(rng, 4, 4, 2))
+    rho = random_density(rng, 4)
+    plan, _, _ = rc._link_plan(n, m, rho, rc.FixesAlgebra(b), False)
+    assert (plan.out_sizes, plan.in_sizes) == ([2, 1], [2, 2])
+    sol = sdp.solve(plan.problem, tol=1e-9)
+    assert abs(sol.value - fixes_algebra_reference(n, m, rho, b, tol=1e-9).value) < 1e-8
+    assert ch.fixes_algebra(ch.channel_from_choi(plan.choi(sol), 4, 4, renormalize=True), b).fixes
+
+
 def test_constraints_never_raise_the_optimum():
     """Each constrained optimum stays below the unconstrained optimum of
     its own objective (the physical variant targets the dephased channel)."""
@@ -835,6 +890,11 @@ def linked_channels(n, m, constraint, environment):
     return ch.complementary(m), ch.complementary(n)
 
 
+def identity_supports(state, left, act, *_):
+    """:func:`recovery._act_supports` at full support: act as one sector."""
+    return [np.eye(act, dtype=complex)[:, None]], state
+
+
 SUPPORT_SIDES = [("code", False), ("code-d12", False), ("rectangular", False),
                  ("fixes_algebra", True), ("physical", True), ("physical", False)]
 
@@ -843,12 +903,13 @@ SUPPORT_SIDES = [("code", False), ("code-d12", False), ("rectangular", False),
 def test_support_reduced_side_matches_the_full_problem(monkeypatch, case, environment):
     n, m, rho, constraint = support_corpus(case)
     plan, _, _ = rc._link_plan(n, m, rho, constraint, environment)
-    assert any(v is not None for v in plan.supports)
+    # some side is not the whole act factor as one sector
+    assert any(cols[0].shape[1:] != (1, len(cols[0])) for cols in plan.supports)
     if case == "fixes_algebra":
         assert plan.left_dim > 1
     reduced = rc._fidelity(n, m, rho, constraint, 1e-9, environment)
     with monkeypatch.context() as patch:
-        patch.setattr(rc, "_act_supports", lambda state, left, act, *_: (None, [act]))
+        patch.setattr(rc, "_act_supports", identity_supports)
         full_plan, _, _ = rc._link_plan(n, m, rho, constraint, environment)
         full = rc._fidelity(n, m, rho, constraint, 1e-9, environment)
     assert full_plan.problem.block_dims[0] > plan.problem.block_dims[0]
@@ -877,9 +938,10 @@ def test_full_support_keeps_the_full_problem(monkeypatch, environment):
     m = ch.Channel(random_kraus(rng, 3, 3, 2))
     rho = code_state(rng, 3, 3)
     plan, _, _ = rc._link_plan(n, m, rho, None, environment)
-    monkeypatch.setattr(rc, "_act_supports", lambda state, left, act, *_: (None, [act]))
+    monkeypatch.setattr(rc, "_act_supports", identity_supports)
     want, _, _ = rc._link_plan(n, m, rho, None, environment)
-    assert plan.supports == (None, None)
+    for cols in plan.supports:
+        assert len(cols) == 1 and np.array_equal(cols[0][:, 0], np.eye(len(cols[0])))
     assert plan.problem.block_dims == want.problem.block_dims
     assert np.array_equal(plan.problem.rhs, want.problem.rhs)
     for got_row, want_row in zip(plan.problem.constraints, want.problem.constraints):

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import re
 import tracemalloc
@@ -14,6 +15,7 @@ from constrained_recovery import recovery as rc
 from constrained_recovery import scenario
 from constrained_recovery import sdp
 from helpers import (
+    fixed_algebra,
     random_density,
     random_hermitian,
     random_kraus,
@@ -361,8 +363,8 @@ TIGHT_FIXES_ALGEBRA_VALUE = 0.5458952023611481
 
 
 def test_fixes_algebra_solve_iterations_are_frozen():
-    # its trace-preservation rows include exact zeros, which the row
-    # reduction drops before the solve
+    # one trace family per parity sector, on its own sub-block: every row
+    # written is independent
     rng = np.random.default_rng(103)
     n = ch.Channel(random_kraus(rng, 4, 4, 3))
     m = ch.Channel(random_kraus(rng, 4, 4, 2))
@@ -371,7 +373,7 @@ def test_fixes_algebra_solve_iterations_are_frozen():
     )
     sol = sdp.solve(prob)
     assert sol.status == "optimal"
-    assert sol.diagnostics["rows_kept"] < sol.diagnostics["rows"]
+    assert sol.diagnostics["rows_kept"] == sol.diagnostics["rows"]
     assert sol.iterations == FROZEN_FIXES_ALGEBRA_ITERATIONS
     assert abs(sol.value - FROZEN_FIXES_ALGEBRA_VALUE) < 1e-9
     tight = sdp.solve(prob, tol=1e-10)
@@ -562,32 +564,44 @@ def first_link_plan(monkeypatch, run):
 def definition_rows(args, q):
     """Constraint rows and rhs of a link problem, entry by entry: one block
     per pair of sectors (the unit operators from an input sector into an
-    output sector), trace rows per input sector, or one block on the basis."""
-    left, ref = args["left_dim"], args["ref_dim"]
-    act_out, act_in = sum(args["out_sizes"]), sum(args["in_sizes"])
-    out_at, in_at = np.cumsum([0, *args["out_sizes"]]), np.cumsum([0, *args["in_sizes"]])
-    in_sectors = [range(a, b) for a, b in zip(in_at, in_at[1:]) if b > a]
-    if args["basis"] is None:
-        units = np.eye(act_out * act_in, dtype=complex).reshape(act_out, act_in, act_out, act_in)
-        blocks = [(ls, np.stack([units[i, j] for i in ks for j in ls]))
-                  for ks in (range(a, b) for a, b in zip(out_at, out_at[1:]) if b > a)
-                  for ls in in_sectors]
+    output sector), or, given ``lefts``, one block on the unit tuples
+    1_n (x) |a><b| of every sector of a fixed algebra; trace rows per input
+    sector, on its 1_n (x) h / n."""
+    left, ref, lefts = args["left_dim"], args["ref_dim"], args["lefts"]
+    sizes = args["out_sizes"], args["in_sizes"]
+    out_n, in_n = (lefts or [1] * len(s) for s in sizes)
+    out_at, in_at = (np.cumsum([0, *(n * z for n, z in zip(ns, s))])
+                     for ns, s in zip((out_n, in_n), sizes))
+
+    def units(k, l):
+        """1_n (x) |a><b| from input sector l into output sector k, (a, b) row-major."""
+        ops = np.zeros((sizes[0][k], sizes[1][l], out_at[-1], in_at[-1]), dtype=complex)
+        for a, b in itertools.product(range(sizes[0][k]), range(sizes[1][l])):
+            unit = np.zeros((sizes[0][k], sizes[1][l]))
+            unit[a, b] = 1.0
+            ops[a, b, out_at[k]:out_at[k + 1], in_at[l]:in_at[l + 1]] = np.kron(
+                np.eye(in_n[l]), unit)
+        return ops.reshape(-1, out_at[-1], in_at[-1])
+
+    in_sectors = [l for l, z in enumerate(sizes[1]) if z]
+    if lefts is None:
+        blocks = [({l}, units(k, l)) for k, z in enumerate(sizes[0]) if z for l in in_sectors]
     else:
-        blocks = [(range(act_in), np.asarray(args["basis"], dtype=complex))]
+        blocks = [(set(in_sectors), np.concatenate([units(k, k) for k in in_sectors]))]
     eta = np.asarray(args["eta"], dtype=complex)
     sigma = np.asarray(args["sigma"], dtype=complex)
     r = q.shape[1]
     rows = []
     rhs = []
     # a[u, v] = sum_ijl conj(B_u[i, j]) B_v[i, l] h[j, l], h on one input sector
-    for ls in in_sectors:
-        for g in linalg.hermitian_basis(len(ls)):
-            h = np.zeros((act_in, act_in), dtype=complex)
-            h[np.ix_(ls, ls)] = g
+    for l in in_sectors:
+        for g in linalg.hermitian_basis(sizes[1][l]):
+            h = np.zeros((in_at[-1], in_at[-1]), dtype=complex)
+            h[in_at[l]:in_at[l + 1], in_at[l]:in_at[l + 1]] = np.kron(np.eye(in_n[l]), g) / in_n[l]
             row = []
-            for sector, ops in blocks:
+            for touched, ops in blocks:
                 a = np.array([[np.trace(bu.conj().T @ bv @ h.T) for bv in ops] for bu in ops])
-                row.append((a + a.conj().T) / 2.0 if sector == ls else None)
+                row.append((a + a.conj().T) / 2.0 if l in touched else None)
             rows.append(row + [None])
             rhs.append(np.trace(h).real)
     # s[u][v] = Q^dag (1 (x) B_u (x) 1) eta (1 (x) B_v (x) 1)^dag Q
@@ -615,11 +629,11 @@ def definition_rows(args, q):
 
 def block_bases(plan):
     """Each block's operators V_out e_i e_j^dag V_in^dag on the full act
-    factors, for the plan's supports V (the identity for ``None``)."""
-    v_out, v_in = (np.eye(d) if v is None else v
-                   for v, d in zip(plan.supports, (plan.act_out, plan.act_in)))
-    return [np.einsum("ai,bj->ijab", v_out[:, ko], v_in[:, li].conj()).reshape(
-        -1, plan.act_out, plan.act_in) for ko, li in rc._pairs(plan.out_sizes, plan.in_sizes)]
+    factors, for the plan's supports V by sector, of a plan with one pair
+    of sectors per block and no left factor inside the act factors."""
+    outs, ins = plan.supports
+    return [np.einsum("ai,bj->ijab", outs[k][:, 0], ins[l][:, 0].conj()).reshape(
+        -1, plan.act_out, plan.act_in) for ((k, l),) in plan.blocks]
 
 
 def assert_plan_matches_definition(args, plan):
@@ -682,7 +696,26 @@ def test_link_rows_match_definition_fixes_algebra(monkeypatch):
         monkeypatch,
         lambda: rc.build_recovery_fidelity_sdp(n, m, np.eye(4) / 4, constraint),
     )
-    assert args["basis"] is not None
+    # two parity sectors of 1 (x) 2, coherent in one block of 2*2 + 2*2
+    assert (args["lefts"], args["out_sizes"], args["in_sizes"]) == ([1, 1], [2, 2], [2, 2])
+    assert plan.problem.block_dims[0] == 8
+    assert_plan_matches_definition(args, plan)
+
+
+@pytest.mark.parametrize("name", ["m2-4", "mixed-7"])
+def test_link_rows_match_definition_fixes_algebra_left_factors(monkeypatch, name):
+    # sectors with n_k > 1, whose link lifts are contracted over n_k
+    rng = np.random.default_rng(263)
+    b = fixed_algebra(name, rng)
+    d = b.ambient_dim
+    n = ch.Channel(random_kraus(rng, d, d, 2))
+    m = ch.Channel(random_kraus(rng, d, d, 2))
+    rho = random_density(rng, d, 2)
+    args, plan = first_link_plan(
+        monkeypatch,
+        lambda: rc.build_recovery_fidelity_sdp(n, m, rho, rc.FixesAlgebra(b)),
+    )
+    assert max(args["lefts"]) == 2
     assert_plan_matches_definition(args, plan)
 
 
@@ -823,7 +856,7 @@ def test_family_schur_matches_dense_schur(monkeypatch, case):
     assert sum(len(f) for _, f in prob.families) == prob.n_constraints
     kept = assert_family_schur_matches(prob, np.random.default_rng(97))
     if case == "fixes_algebra":
-        assert kept.size < prob.n_constraints
+        assert kept.size == prob.n_constraints
     if case == "environment":
         assert args["left_dim"] > 1
 
@@ -993,8 +1026,15 @@ def test_no_orthogonal_lead_for_an_explicit_lift():
 
 
 def test_row_matrix_bytes_is_the_kept_row_matrix(monkeypatch):
+    # the fixes_algebra corpus with its first row repeated as a dense row,
+    # which the row reduction drops
     _, plan = definition_corpus_plan(monkeypatch, "fixes_algebra")
-    sol = sdp.solve(plan.problem)
+    prob = plan.problem
+    repeated = sdp.SdpProblem(prob.block_dims, prob.objective,
+                              [f for _, f in prob.families] + [prob.constraints[0]],
+                              np.append(prob.rhs, prob.rhs[0]), sense=prob.sense)
+    sol = sdp.solve(repeated)
+    assert sol.status == "optimal"
     diag = sol.diagnostics
     assert diag["rows_kept"] < diag["rows"]
     width = sum(n * n for n in diag["block_dims"])

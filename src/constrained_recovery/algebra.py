@@ -9,8 +9,8 @@ dense. One routine, :func:`_modules`, finds and certifies the irreducible
 modules of an algebra and groups them into sectors, from two random elements
 of the commutant drawn by twirling over the basis: a few GEMMs of
 dim * d^3 flops and one d x d eigensolve, no d^2 x d^2 matrix. The commutant
-basis, the sector projectors and isometries of the block structure, and the
-conditional expectation are all read off those modules.
+basis and the block structure are read off those modules; the center and the
+expectations onto an algebra and onto its commutant off the block structure.
 """
 
 from __future__ import annotations
@@ -279,8 +279,9 @@ def _certify(a, v, blocks, clusters, sectors):
 
 
 def center(a):
-    """The abelian algebra a intersected with its commutant."""
-    return intersect(a, commutant(a))
+    """The algebra a intersected with its commutant, spanned by its sector projectors."""
+    projectors = minimal_central_projectors(a)
+    return AlgebraBasis(a.ambient_dim, [p / np.linalg.norm(p) for p in projectors])
 
 
 def join(a, b):
@@ -412,18 +413,23 @@ def minimal_central_projectors(a, seed=DEFAULT_SEED):
 
 
 def conditional_expectation(a, seed=DEFAULT_SEED):
-    """The Hilbert-Schmidt orthogonal projection onto ``a`` as a channel.
+    """The Hilbert-Schmidt orthogonal projection onto ``a`` as a channel:
+    identity on the left factor of each sector, normalized trace on the right."""
+    return _expectation(_sector_arrays(block_structure(a, seed).sectors))
 
-    On each sector the map acts as identity on the left factor and the
-    normalized trace on the right factor, which gives explicit Kraus
-    operators U_i^dag (1 (x) |j><k|) U_i / sqrt(m_i) = L_j L_k^dag / sqrt(m_i),
-    with L_j level j of the sector.
-    """
-    d = a.ambient_dim
+
+def _sector_arrays(sectors):
+    """Each U_k^dag of the :class:`Sector` list, as a (d, n_k, m_k) array."""
+    return [s.isometry.conj().T.reshape(-1, s.left_dim, s.right_dim) for s in sectors]
+
+
+def _expectation(arrays):
+    """The channel that keeps the middle factor of each (d, n, m) array X and
+    traces the last: Kraus operators X[:, :, j] X[:, :, k]^dag / sqrt(m)."""
     ops = []
-    for sec in block_structure(a, seed).sectors:
-        n, m = sec.left_dim, sec.right_dim
-        levels = sec.isometry.conj().T.reshape(d, n, m).transpose(2, 0, 1)
+    for x in arrays:
+        d, n, m = x.shape
+        levels = x.transpose(2, 0, 1)
         kraus = np.einsum("jan,kbn->jkab", levels, levels.conj()) / np.sqrt(m)
         ops.extend(kraus.reshape(m * m, d, d))
     return Channel(ops)

@@ -235,10 +235,11 @@ def local_complementary(c, b):
     """Complement of ``c`` that also counts the part of the output hidden
     from the fixed algebra ``b`` as environment.
 
-    Built as the ordinary complement of (conditional expectation onto the
-    commutant of ``b``) composed after ``c``. The composition keeps the full
-    product Kraus family, so the output space factors as the expectation's
-    environment tensor the environment of ``c`` (in that order).
+    Built as the ordinary complement of E composed after ``c``, E the
+    conditional expectation onto the commutant of ``b``: with U_k b U_k^dag
+    = M_{n_k} (x) 1_{m_k}, its Kraus operators are U_k^dag (|i><j| (x) 1)
+    U_k / sqrt(n_k). The full product Kraus family is kept, so the output
+    space factors as E's environment tensor that of ``c`` (in that order).
     """
     _check_output_algebra(c, b)
     return _local_complement(c, _commutant_expectation(b))
@@ -252,11 +253,13 @@ def _check_output_algebra(c, b):
         raise ValueError(f"algebra ambient dim {b.ambient_dim} != channel output dim {c.out_dim}")
 
 
-def _commutant_expectation(b):
-    """The conditional expectation onto the commutant of the algebra ``b``."""
+def _commutant_expectation(b, sectors=None):
+    """The expectation onto the commutant of ``b``: :func:`algebra._expectation`
+    of its sector arrays (found when not given), last two axes swapped."""
     from . import algebra as algebra_mod
 
-    return algebra_mod.conditional_expectation(algebra_mod.commutant(b))
+    sectors = sectors or algebra_mod._sector_arrays(algebra_mod.block_structure(b).sectors)
+    return algebra_mod._expectation([x.swapaxes(1, 2) for x in sectors])
 
 
 def _local_complement(c, p):
@@ -279,23 +282,15 @@ def local_complement_defect(c, b, lc=None):
     residual is part of the defect. Returns the largest Frobenius residual
     over an orthonormal basis of ``b`` and all environment matrix units.
     """
-    _check_output_algebra(c, b)
-    p = _commutant_expectation(b)
-    return _defect(c, b, p, _local_complement(c, p) if lc is None else lc)
+    return _checked_local_complement(c, b, lc)[1]
 
 
-def _checked_local_complement(c, b):
-    """:func:`local_complementary` of ``c`` for ``b`` and its
+def _checked_local_complement(c, b, lc=None):
+    """:func:`local_complementary` of ``c`` for ``b`` (or ``lc``) and its
     :func:`local_complement_defect`, from one conditional expectation."""
     _check_output_algebra(c, b)
     p = _commutant_expectation(b)
-    lc = _local_complement(c, p)
-    return lc, _defect(c, b, p, lc)
-
-
-def _defect(c, b, p, lc):
-    """:func:`local_complement_defect` of ``lc`` given ``p``, the
-    conditional expectation onto the commutant of ``b``."""
+    lc = _local_complement(c, p) if lc is None else lc
     k_p = p.n_kraus
     k_n = c.n_kraus
     d = c.out_dim
@@ -316,7 +311,7 @@ def _defect(c, b, p, lc):
         lhs = v2.conj().T @ (bop @ v2)
         rhs = g2.conj().T @ (x @ g3).reshape(d * k_p, -1)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)), solve_res)
-    return worst
+    return lc, worst
 
 
 @dataclass
@@ -455,7 +450,7 @@ def is_local(n, a, b, tol=1e-8):
 
     ``b`` must commute with ``a`` elementwise (precondition, raises
     otherwise); the ``strong`` flag marks the case where ``b`` equals the
-    full commutant of ``a`` as a span.
+    full commutant a' of ``a``, read as dim b = dim a' = sum_s m_s^2.
     """
     _check_square_with(n, a, b)
     pre = 0.0
@@ -471,7 +466,7 @@ def is_local(n, a, b, tol=1e-8):
 
     from . import algebra as algebra_mod
 
-    strong = algebra_mod.equal_spans(b, algebra_mod.commutant(a))
+    strong = b.dim == sum(s.right_dim ** 2 for s in algebra_mod.block_structure(a).sectors)
     return LocalityReport(bool(fx) and mi, fx, mi, strong, tol)
 
 

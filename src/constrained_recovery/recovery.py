@@ -504,8 +504,7 @@ class FixesAlgebra:
     @cached_property
     def sectors(self):
         """Each U_k^dag, shape (d, n_k, m_k), found once per constraint."""
-        return [s.isometry.conj().T.reshape(-1, s.left_dim, s.right_dim)
-                for s in algebra_mod.block_structure(self.algebra).sectors]
+        return algebra_mod._sector_arrays(algebra_mod.block_structure(self.algebra).sectors)
 
 
 def _support(h):
@@ -732,7 +731,7 @@ def _sectors(channel):
         algebra_mod.generate_algebra(channel.kraus, d)).sectors
     if len(sectors) == 1 or any(_moved_by(channel, s.projector) > 1e-10 for s in sectors):
         return [np.eye(d)]
-    return [s.isometry.conj().T for s in sectors]
+    return [x.reshape(d, -1) for x in algebra_mod._sector_arrays(sectors)]
 
 
 def _act_supports(state, left, act, ref, sectors, lefts=None):
@@ -836,7 +835,7 @@ def _link_plan(n, m, rho, constraint, environment):
             sectors = constraint.sectors
     if isinstance(constraint, FixesAlgebra):
         if environment:
-            p = channels_mod._commutant_expectation(constraint.algebra)
+            p = channels_mod._commutant_expectation(constraint.algebra, constraint.sectors)
             src = channels_mod._local_complement(m, p)
             dst = channels_mod._local_complement(n, p)
             left = p.n_kraus

@@ -107,6 +107,15 @@ def commutant_by_svd(a, tol=1e-10):
     return AlgebraBasis(d, list(null.conj().reshape(-1, d, d)))
 
 
+def commutant_expectation_by_dense_basis(b):
+    """Reference for ``channels._commutant_expectation``: the conditional
+    expectation of a dense basis of the commutant of ``b``, decomposed a
+    second time."""
+    from constrained_recovery import algebra
+
+    return algebra.conditional_expectation(algebra.commutant(b))
+
+
 def generate_algebra_by_einsum(generators, d):
     """Reference for ``algebra.generate_algebra``: the same closure loop with
     its pairwise products written as ``np.einsum``; returns the basis rows."""

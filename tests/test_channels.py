@@ -6,6 +6,8 @@ from constrained_recovery import channels as ch
 from constrained_recovery import linalg
 from constrained_recovery import recovery as rc
 from helpers import (
+    commutant_by_svd,
+    commutant_expectation_by_dense_basis,
     planted_algebra,
     random_density,
     random_hermitian,
@@ -461,8 +463,9 @@ def test_local_complement_defect_random_pairs():
 
 
 def _defect_by_einsum(c, b, lc):
-    # the defect contracted with three-operand einsums, as a reference
-    p = alg.conditional_expectation(alg.commutant(b))
+    # the defect contracted with three-operand einsums, as a reference; p is
+    # the package's expectation, so that it matches the package's lc
+    p = ch._commutant_expectation(b)
     k_p, k_n, d = p.n_kraus, c.n_kraus, c.out_dim
     prods = np.einsum("mba,nbc->mnac", p._stack.conj(), p._stack)
     ghat = prods.reshape(k_p * k_p, d * d).T
@@ -485,11 +488,14 @@ def test_local_complement_defect_builds_the_expectation_once(monkeypatch):
     b = alg.generate_algebra([np.kron(np.eye(2), np.diag([1.0, -1.0]))], 4)
     c = ch.Channel(random_kraus(rng, 4, 4, 2))
     want = ch.local_complement_defect(c, b)
-    calls = []
-    inner = alg.commutant
-    monkeypatch.setattr(alg, "commutant", lambda a: calls.append(a) or inner(a))
+    calls = {"commutant": 0, "_modules": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(alg, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(alg, name, counted)
     assert ch.local_complement_defect(c, b) == want
-    assert len(calls) == 1
+    assert calls == {"commutant": 0, "_modules": 1}
 
 
 def test_local_complement_defect_matches_einsum_contraction():
@@ -503,6 +509,42 @@ def test_local_complement_defect_matches_einsum_contraction():
         expect = _defect_by_einsum(c, b, lc or ch.local_complementary(c, b))
         assert abs(ch.local_complement_defect(c, b, lc) - expect) <= 1e-12
     assert expect > 0.1
+
+
+def test_commutant_expectation_matches_the_dense_route():
+    """E_B' read off the sectors of b equals the expectation of a dense
+    basis of b', with sum n_k^2 Kraus operators."""
+    rng = np.random.default_rng(62)
+    cases = []
+    for sectors in ([(2, 1), (1, 2)], [(2, 2)]):
+        gens, _, d = planted_algebra(rng, sectors)
+        cases.append((alg.generate_algebra(gens, d), sum(n * n for n, _ in sectors)))
+    cases.append((alg.generate_algebra([np.kron(p, np.eye(4)) for p in (X, Z)], 8), 4))
+    cases.append((alg.generate_algebra([np.kron(Z, np.kron(Z, Z))], 8), 2))
+    for b, rank in cases:
+        p = ch._commutant_expectation(b)
+        assert p.n_kraus == rank
+        dense = commutant_expectation_by_dense_basis(b)
+        assert ch.distance(p, dense).choi_frobenius < 1e-12
+
+
+def test_center_locality_and_local_complements_form_no_commutant(monkeypatch):
+    rng = np.random.default_rng(63)
+    gens, _, d = planted_algebra(rng, [(2, 1), (1, 2)])
+    a = alg.generate_algebra(gens, d)
+    b = commutant_by_svd(a)
+    c = ch.Channel(random_kraus(rng, d, d, 2))
+    calls = []
+    monkeypatch.setattr(alg, "commutant", lambda *args, **kwargs: calls.append(args))
+    z = alg.center(a)
+    assert z.dim == 2 and alg.equal_spans(z, alg.intersect(a, b))
+    assert ch.is_local(c, a, b).strong
+    assert not ch.is_local(c, a, alg.generate_algebra([], d)).strong
+    lc = ch.local_complementary(c, a)
+    assert ch.local_complement_defect(c, a) < 1e-8
+    lc_checked, defect = ch._checked_local_complement(c, a)
+    assert defect < 1e-8 and ch.distance(lc, lc_checked).choi_frobenius == 0.0
+    assert calls == []
 
 
 def test_local_complementary_is_trace_preserving():

@@ -754,8 +754,8 @@ def test_local_complement_task_builds_the_expectation_once(monkeypatch):
     scenario = sc.load_scenario(qubit_scenario([task]))
     want = sc.run_scenario(scenario)["tasks"][0]
     calls = []
-    inner = alg.conditional_expectation
-    monkeypatch.setattr(alg, "conditional_expectation",
+    inner = alg.block_structure
+    monkeypatch.setattr(alg, "block_structure",
                         lambda *a, **k: calls.append(a) or inner(*a, **k))
     got = sc.run_scenario(scenario)["tasks"][0]
     assert len(calls) == 1

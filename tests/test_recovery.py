@@ -607,7 +607,8 @@ def test_constraint_labels_of_both_sides():
 
 def test_fixed_algebra_environment_side_builds_the_expectation_once(monkeypatch):
     """Both local complements and the expectation's Kraus rank share one
-    commutant and one conditional expectation."""
+    conditional expectation, read off the block structure of the fixed
+    algebra with no commutant basis."""
     rng = np.random.default_rng(59)
     b = alg.generate_algebra([np.asarray(PAR3.c)], 8)
     n = ch.Channel(random_kraus(rng, 8, 8, 2))
@@ -620,9 +621,25 @@ def test_fixed_algebra_environment_side_builds_the_expectation_once(monkeypatch)
             return _inner(*args, **kwargs)
         monkeypatch.setattr(alg, name, counted)
     got = rc.environment_side_fidelity(n, m, np.eye(8) / 8, rc.FixesAlgebra(b))
-    assert calls == {"commutant": 1, "_modules": 2}
+    assert calls == {"commutant": 0, "_modules": 1}
     assert got.value == want.value
     assert np.array_equal(got.optimizer, want.optimizer)
+
+
+def test_fixed_algebra_duality_decomposes_the_algebra_once(monkeypatch):
+    """Both sides of a FixesAlgebra duality read the sectors of the fixed
+    algebra, found by one _modules draw and with no commutant basis."""
+    rng = np.random.default_rng(64)
+    b = alg.generate_algebra([np.kron(p, np.eye(2)) for p in (X, Z)], 4)
+    n = ch.Channel(random_kraus(rng, 4, 4, 2))
+    calls = {"commutant": 0, "_modules": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(alg, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(alg, name, counted)
+    assert rc.verify_duality(n, ID4, np.eye(4) / 4, rc.FixesAlgebra(b)).passed
+    assert calls == {"commutant": 0, "_modules": 1}
 
 
 def test_local_recovery_of_factor_noise_reduces_to_factor_problem():

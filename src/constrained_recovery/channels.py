@@ -275,43 +275,43 @@ def local_complement_defect(c, b, lc=None):
     The defining property of the local complement lc of ``c`` for ``b``: for
     every B in ``b`` and every environment observable E, applying the adjoint
     of lc to (a preimage of B) tensor E equals V^dag (B (x) E) V with V the
-    Stinespring isometry of ``c``. The preimage lives on the expectation's
-    environment factor and is obtained by solving the linear map G with
-    G(|m><n|) = F_m^dag F_n, F_m the Kraus operators of the conditional
-    expectation onto the commutant of ``b``; G is onto ``b``, so the solve
-    residual is part of the defect. Returns the largest Frobenius residual
-    over an orthonormal basis of ``b`` and all environment matrix units.
+    Stinespring isometry of ``c``. The preimage x, with sum x_mn F_m^dag F_n
+    = B for the Kraus operators F = X_k (|i><j| (x) 1) X_k^dag / sqrt(n_k) of
+    the expectation onto the commutant (X_k the sector arrays of ``b``), is
+    the least-norm one, (+)_k 1_{n_k} (x) Tr_{m_k}(X_k^dag B X_k) / m_k; its
+    solve residual is part of the defect. Returns the largest Frobenius
+    residual over an orthonormal basis of ``b`` and all environment units.
     """
     return _checked_local_complement(c, b, lc)[1]
 
 
 def _checked_local_complement(c, b, lc=None):
     """:func:`local_complementary` of ``c`` for ``b`` (or ``lc``) and its
-    :func:`local_complement_defect`, from one conditional expectation."""
-    _check_output_algebra(c, b)
-    p = _commutant_expectation(b)
-    lc = _local_complement(c, p) if lc is None else lc
-    k_p = p.n_kraus
-    k_n = c.n_kraus
-    d = c.out_dim
-    # column m*k_p + n of ghat is vec(F_m^dag F_n)
-    ghat = linalg.gram_rows(p._stack).T
-    ghat_pinv = np.linalg.pinv(ghat, rcond=1e-10)
+    :func:`local_complement_defect`, from one decomposition of ``b``."""
+    from . import algebra as algebra_mod
 
-    # both sides as (environment x input) square matrices: V^dag (B (x) 1) V
-    # and G^dag (1 (x) X) G with G the Stinespring isometry of lc
-    v2 = c.stinespring.reshape(d, k_n * c.in_dim)
-    g3 = lc._stack.reshape(d, k_p, k_n * c.in_dim)
-    g2 = g3.reshape(d * k_p, k_n * c.in_dim)
-    worst = 0.0
-    for bop in b.basis:
-        x = ghat_pinv @ linalg.vec(bop)
-        solve_res = float(np.linalg.norm(ghat @ x - linalg.vec(bop)))
-        x = linalg.unvec(x, (k_p, k_p))
-        lhs = v2.conj().T @ (bop @ v2)
-        rhs = g2.conj().T @ (x @ g3).reshape(d * k_p, -1)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)), solve_res)
-    return lc, worst
+    _check_output_algebra(c, b)
+    sectors = algebra_mod._sector_arrays(algebra_mod.block_structure(b).sectors)
+    p = _commutant_expectation(b, sectors)
+    lc = _local_complement(c, p) if lc is None else lc
+    d, width, basis = c.out_dim, c.n_kraus * c.in_dim, np.stack(b.basis)
+    # both sides as (environment x input) square matrices over the basis:
+    # V^dag (B (x) 1) V, less G^dag (x (x) 1) G with G the Stinespring
+    # isometry of lc, sum_k sum_jl b_k[j, l] sum_i G_kij^dag G_kil; and the
+    # solve residual sum_k X_k (b_k (x) 1) X_k^dag - B
+    v, g = c.stinespring.reshape(d, width), lc._stack.reshape(d, p.n_kraus, width)
+    lhs, image, at = v.conj().T @ basis @ v, -basis, 0
+    for x in sectors:
+        _, n, m = x.shape
+        flat, xt = x.reshape(d, n * m), x.transpose(0, 2, 1).reshape(d * m, n)
+        blocks = (flat.conj().T @ basis @ flat).reshape(-1, n, m, n, m)
+        b_k = np.trace(blocks, axis1=2, axis2=4) / m
+        image += (xt @ b_k).reshape(-1, d, m * n) @ xt.reshape(d, m * n).conj().T
+        rows = g[:, at:at + n * n].reshape(d * n, n * width)
+        h = (rows.conj().T @ rows).reshape(n, width, n, width).transpose(0, 2, 1, 3)
+        lhs -= (b_k.reshape(-1, n * n) @ h.reshape(n * n, -1)).reshape(lhs.shape)
+        at += n * n
+    return lc, float(max(np.linalg.norm(r, axis=(1, 2)).max() for r in (lhs, image)))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -564,12 +565,12 @@ def _state_after(channel, psi):
 class _LinkPlan:
     """A fidelity SDP plus the data needed to read the optimizer back.
 
-    The optimized channel maps act_in to act_out, beside a ``left_dim``
-    factor it leaves alone; ``blocks`` holds the (output, input) sectors
-    of each block (:func:`_build_link_problem`), ``supports`` the
-    isometries (V_out, V_in) from its coordinates to the act factors, as
-    lists of act x n x s arrays by sector (:func:`_act_supports`), and
-    ``sectors`` those of a fixed algebra (:attr:`FixesAlgebra.sectors`).
+    The optimized channel maps act_in to act_out; ``blocks`` holds the
+    (output, input) sectors of each block (:func:`_build_link_problem`),
+    ``supports`` the isometries (V_out, V_in) from its coordinates to the
+    act factors, as lists of act x n x s arrays by sector
+    (:func:`_act_supports`), and ``sectors`` the input sectors of a fixed
+    algebra M_n (x) 1 as act_in x n x m arrays (see :func:`_link_plan`).
     """
 
     problem: sdp.SdpProblem
@@ -579,7 +580,6 @@ class _LinkPlan:
     out_sizes: list
     in_sizes: list
     blocks: list
-    left_dim: int = 1
     supports: tuple = ()
     sectors: list | None = None
 
@@ -589,15 +589,16 @@ class _LinkPlan:
         The solved map extends to R(x) = V_out R_s(V_in^dag x V_in) V_out^dag
         + T(x).  A Kraus operator K from input sector l (columns C of V_in,
         read as act_in x n x s_l) to output sector k (columns A of V_out)
-        becomes sum_nu A_nu K C_nu^dag, of vec L vec K with L[(x, y), (a, b)]
-        = sum_nu A[x, nu, a] conj(C[y, nu, b]); n > 1 only under a fixed
-        algebra B.  T has the Kraus operators |t><e_j|, t leading V_out and
-        e_j spanning 1 - P_in, or under B per sector 1_{n_k} (x) |t_k><e_j|,
-        t_k leading its output support and e_j spanning the rest of m_k.
-        Every Kraus operator of R, and of the C of :func:`_link_plan`, is
-        then a tuple U^dag ((+)_k 1 (x) K_k) U in the algebra B', so is
-        every product of them, and R and C . R fix B.  R is a channel: its
-        Kraus operators add up to (+)_k 1 (x) (P_in^k + 1 - P_in^k) = 1.
+        becomes sum_nu A_nu K C_nu^dag, of vec L vec K with L = sum_nu A_nu
+        (x) conj(C_nu); n > 1 only under a fixed algebra B.  A block X adds
+        L X L^dag = L (L X)^dag, with L never formed.  T has the Kraus
+        operators |t><e_j|, t leading V_out and e_j spanning 1 - P_in, or
+        under B per sector 1_{n_k} (x) |t_k><e_j|, t_k leading its output
+        support and e_j spanning the rest of m_k.  Every Kraus operator of
+        R, and of the C of :func:`_link_plan`, is then a tuple
+        U^dag ((+)_k 1 (x) K_k) U in the algebra B', so is every product of
+        them, and R and C . R fix B.  R is a channel: its Kraus operators
+        add up to (+)_k 1 (x) (P_in^k + 1 - P_in^k) = 1.
         """
         d_out, d_in = self.act_out, self.act_in
         outs, ins = self.supports
@@ -605,41 +606,49 @@ class _LinkPlan:
         # s[:, 0] F for the input support F, and rest spans its complement
         groups = zip(outs, ins, self.sectors) if self.sectors else [
             (np.concatenate(outs, axis=2), np.concatenate(ins, axis=2), np.eye(d_in)[:, None])]
-        out = 0
+        out = np.zeros((d_out * d_in,) * 2, dtype=complex)
         for a, c, s in groups:
             rest = np.linalg.qr(s[:, 0].conj().T @ c[:, 0], mode="complete")[0][:, c.shape[2]:]
             pad = np.einsum("xn,ynj->xyj", a[:, :, 0], (s @ rest).conj()).reshape(d_out * d_in, -1)
-            out = out + pad @ pad.conj().T
+            out += pad @ pad.conj().T
+
+        def lift(k, l, y):
+            # L y, y on rows (a, b): A, then conj(C) on the rows (nu, b)
+            z = outs[k].reshape(-1, outs[k].shape[2]) @ y.reshape(outs[k].shape[2], -1)
+            c = ins[l].reshape(d_in, -1).conj()
+            return (c @ z.reshape(d_out, c.shape[1], -1)).reshape(d_out * d_in, -1)
+
         for pairs, x in zip(self.blocks, solution.block_values):
-            lift = np.concatenate([np.einsum("xna,ynb->xyab", outs[k], ins[l].conj()).reshape(
-                d_out * d_in, -1) for k, l in pairs], axis=1)
-            out = out + lift @ x @ lift.conj().T
+            at = [0, *accumulate(outs[k].shape[2] * ins[l].shape[2] for k, l in pairs)]
+            half = sum(lift(k, l, x[at[j]:at[j + 1]]) for j, (k, l) in enumerate(pairs))
+            for j, (k, l) in enumerate(pairs):
+                out += lift(k, l, half[:, at[j]:at[j + 1]].conj().T)
         return out
 
 
-def _build_link_problem(eta, sigma, left_dim, ref_dim, out_sizes, in_sizes, lefts=None):
+def _build_link_problem(eta, sigma, ref_dim, out_sizes, in_sizes, lefts=None):
     """Fidelity between a fixed state and a channel-parameterized one.
 
-    ``eta`` is the state of left (x) act_in (x) ref before the optimized
-    channel acts on the middle factor; ``sigma`` is the fixed comparison
-    state on left (x) act_out (x) ref.  The act factors are cut into
+    ``eta`` is the state of act_in (x) ref before the optimized channel
+    acts on the first factor; ``sigma`` is the fixed comparison state on
+    act_out (x) ref.  The act factors are cut into
     consecutive sectors of ``out_sizes`` and ``in_sizes``, and the process
     matrix is one PSD block per pair (k, l) of nonempty sectors: exactly
     the channels whose Kraus operators each map sector l into sector k,
-    with strict feasibility kept.  Given ``lefts`` (and ``left_dim`` 1),
-    sector k is lefts[k] (x) its size on both sides, as for a fixed
-    algebra, and one block holds the Kraus tuples (+)_k 1 (x) K_k, each
-    sector's trace family on its part (a selection lift).  With Q the
-    support of sigma and eta = V V^dag, the link lift of sectors (k, l) is
+    with strict feasibility kept.  Given ``lefts``, sector k is lefts[k]
+    (x) its size on both sides, as for a fixed algebra, and one block
+    holds the Kraus tuples (+)_k 1 (x) K_k, each sector's trace family on
+    its part (a selection lift).  With Q the support of sigma and
+    eta = V V^dag, the link lift of sectors (k, l) is
     gv[i, j, p, k] = sum_{a, c} Q^dag[p, (a, i, c)] V[(a, j, c), k] on their
-    rows of Q and V, a over the left factor.  The y block, the fidelity's
-    2 x 2 block matrix, comes last.
+    rows of Q and V, a over the sector's lefts[k].  The y block, the
+    fidelity's 2 x 2 block matrix, comes last.
     """
     ns = lefts or [1] * (len(out_sizes) + len(in_sizes))
     at_out, at_in = (np.cumsum([0, *(n * s for n, s in zip(ns, sizes))])
                      for sizes in (out_sizes, in_sizes))
-    eta = linalg.as_hermitian(eta, "eta", dim=left_dim * at_in[-1] * ref_dim)
-    sigma = linalg.as_hermitian(sigma, "sigma", dim=left_dim * at_out[-1] * ref_dim)
+    eta = linalg.as_hermitian(eta, "eta", dim=at_in[-1] * ref_dim)
+    sigma = linalg.as_hermitian(sigma, "sigma", dim=at_out[-1] * ref_dim)
 
     q_sigma = _support(sigma)
     r = q_sigma.shape[1]
@@ -670,7 +679,7 @@ def _build_link_problem(eta, sigma, left_dim, ref_dim, out_sizes, in_sizes, left
                                           np.eye(at[-1], len(part), -at[j]), 1.0)])
                       for j, (si, part) in enumerate(zip(in_sizes, parts))]
     else:
-        full = lifts(q_sigma, root, left_dim, at_out[-1], at_in[-1])
+        full = lifts(q_sigma, root, 1, at_out[-1], at_in[-1])
         full = full.reshape(at_out[-1], at_in[-1], -1)
         blocks = [[(ko, li)] for ko, so in enumerate(out_sizes) if so
                   for li, si in enumerate(in_sizes) if si]
@@ -699,7 +708,7 @@ def _build_link_problem(eta, sigma, left_dim, ref_dim, out_sizes, in_sizes, left
     problem = sdp.SdpProblem(dims + [y_dim], [None] * y + [c_y], rows, rhs, sense="max")
     return _LinkPlan(problem=problem, act_out=sum(out_sizes), act_in=sum(in_sizes),
                      sigma_support=q_sigma, out_sizes=list(out_sizes),
-                     in_sizes=list(in_sizes), blocks=blocks, left_dim=left_dim)
+                     in_sizes=list(in_sizes), blocks=blocks)
 
 
 def _moved_by(channel, projector):
@@ -734,16 +743,16 @@ def _sectors(channel):
     return [x.reshape(d, -1) for x in algebra_mod._sector_arrays(sectors)]
 
 
-def _act_supports(state, left, act, ref, sectors, lefts=None):
+def _act_supports(state, act, ref, sectors, lefts=None):
     """``(V, state compressed by V)``: V's columns span the support of the
-    act marginal of ``state`` on left (x) act (x) ref inside each of the
+    act marginal of ``state`` on act (x) ref inside each of the
     ``sectors`` (act x d_k isometries S_k), as one act x 1 x s_k array per
     sector; a whole sector is its isometry, a part the normalized
     :func:`linalg.psd_factor` columns.  Given ``lefts``, sector k is
     lefts[k] (x) m_k, and its support F on m_k (at least one dimension)
-    gives S_k (1 (x) F) as act x lefts[k] x s_k.  For all of act, V is the
-    identity and ``state`` is kept."""
-    marginal = np.einsum("iajibj->ab", state.reshape(left, act, ref, left, act, ref))
+    gives S_k (1 (x) F) as act x lefts[k] x s_k.  Where V is the identity,
+    ``state`` is kept."""
+    marginal = np.einsum("ajbj->ab", state.reshape(act, ref, act, ref))
     cols = []
     for s, n in zip(sectors, lefts or [1] * len(sectors)):
         m = s.shape[1] // n
@@ -753,10 +762,10 @@ def _act_supports(state, left, act, ref, sectors, lefts=None):
         f = np.eye(m, 1) if lefts and not f.shape[1] else f
         cols.append(s.reshape(act, n, m) if f.shape[1] == m else
                     (s.reshape(-1, m) @ (f / np.linalg.norm(f, axis=0))).reshape(act, n, -1))
-    if len(cols) == 1 and cols[0].shape == (act, 1, act):
-        return [np.eye(act, dtype=complex)[:, None]], state
     v = np.concatenate([c.reshape(act, -1) for c in cols], axis=1)
-    lift = np.kron(np.kron(np.eye(left), v), np.eye(ref))
+    if v.shape[1] == act and np.array_equal(v, np.eye(act)):
+        return cols, state
+    lift = np.kron(v, np.eye(ref))
     return cols, lift.conj().T @ state @ lift
 
 
@@ -800,62 +809,62 @@ def _link_plan(n, m, rho, constraint, environment):
     of p, one block per pair (see :attr:`Physical.sectors`).  The
     environment side links the complement of m to that of n; under
     :class:`FixesAlgebra` these are the local complements, and the
-    processing acts beyond their first factor, of the conditional
-    expectation's Kraus rank.  Returns the plan, the constraint label and
-    the map that turns the optimized channel into the reported one (None
-    when it is reported as is).
+    processing fixes M_{k_p} (x) 1 on them (one sector of multiplicity
+    k_p, the Kraus rank of the expectation onto B').  Returns the plan,
+    the label and the map from its process matrix to the reported one.
 
     Every side is solved on the supports of the linked states: S_in of
     the act marginal of eta, the state the optimized channel acts on,
-    and S_out of that of the fixed state sigma (each traced over left
-    and ref).  eta lives on left (x) S_in (x) ref, so the fidelity sees
-    the channel R only on B(S_in).  It sees only the compression of R's
-    output to S_out, and it does not fall when a positive term is added
-    to that output, so C . R with C(x) = P_out x P_out +
+    and S_out of that of the fixed state sigma (each traced over ref).
+    eta lives on S_in (x) ref, so the fidelity sees the channel R only on
+    B(S_in).  It sees only the compression of R's output to S_out, and it
+    does not fall when a positive term is added to that output, so C . R
+    with C(x) = P_out x P_out +
     Tr((1 - P_out) x) tau (tau a state on S_out) is as good as R: some
     optimum maps B(S_in) into B(S_out).  On the Physical recovery side
     both marginals commute with the sectors, so the supports are taken
     sector by sector, and C keeps R covariant for tau in one sector.
     Under FixesAlgebra(B), in the coordinates of
-    :attr:`FixesAlgebra.sectors`, a positive matrix lives on the sum of
-    the supports of its diagonal blocks, and one on n_k (x) m_k on n_k (x)
-    that of its trace over n_k: the supports are taken on each m_k, and C
-    adds 1_{n_k} (x) |t_k><e_j| per sector, e_j spanning 1 - P_out^k and
-    t_k in S_out^k, so that C . R still fixes B (:meth:`_LinkPlan.choi`,
-    which extends the solved map to the full dimensions when read).  A
-    side of one sector with full supports solves the full problem.
+    :attr:`FixesAlgebra.sectors` (or of the local complements), a positive
+    matrix lives on the sum of the supports of its diagonal blocks, and
+    one on n_k (x) m_k on n_k (x) that of its trace over n_k: the supports
+    are taken on each m_k, and C adds 1_{n_k} (x) |t_k><e_j| per sector,
+    e_j spanning 1 - P_out^k and t_k in S_out^k, so that C . R still fixes
+    B (:meth:`_LinkPlan.choi`, which extends the solved map to the full
+    dimensions when read).  A side whose supports are the identity solves
+    the full problem.
     """
     constraint, label, psi = _link_inputs(n, m, rho, constraint)
-    src, dst, left, sectors, fixed, finish = n, m, 1, None, None, None
+    src, dst, sectors, fixed, finish = n, m, None, None, lambda choi: choi
     if isinstance(constraint, Physical):
         p, q = constraint.p, constraint.q
         src, dst = channels_mod.compose(q, n), channels_mod.compose(p, m)
-        finish = lambda r: channels_mod.compose(p, channels_mod.compose(r, q))  # noqa: E731
         if not environment:
             sectors = constraint.sectors
+
+            def finish(choi):
+                r = channels_mod.channel_from_choi(choi, m.out_dim, n.out_dim, renormalize=True)
+                return channels_mod.compose(p, channels_mod.compose(r, q)).choi
     if isinstance(constraint, FixesAlgebra):
+        fixed = out_fixed = constraint.sectors
         if environment:
-            p = channels_mod._commutant_expectation(constraint.algebra, constraint.sectors)
+            p = channels_mod._commutant_expectation(constraint.algebra, fixed)
             src = channels_mod._local_complement(m, p)
             dst = channels_mod._local_complement(n, p)
-            left = p.n_kraus
-        else:
-            fixed = constraint.sectors
-            sectors = ([s.reshape(len(s), -1) for s in fixed],) * 2
+            out_fixed, fixed = ([np.eye(c.out_dim).reshape(-1, p.n_kraus, c.out_dim // p.n_kraus)]
+                                for c in (dst, src))
+        sectors = tuple([s.reshape(len(s), -1) for s in f] for f in (out_fixed, fixed))
     elif environment:
         src, dst = channels_mod.complementary(dst), channels_mod.complementary(src)
-    if environment:
-        label = f"environment({label})"
-        finish = None if left == 1 else lambda r: channels_mod.tensor_channels(  # noqa: E731
-            channels_mod.identity_channel(left), r)
+    label = f"environment({label})" if environment else label
     eta, sigma = _state_after(src, psi), _state_after(dst, psi)
-    act_in, act_out, ref = src.out_dim // left, dst.out_dim // left, psi.shape[1]
+    act_in, act_out, ref = src.out_dim, dst.out_dim, psi.shape[1]
     lefts = fixed and [s.shape[1] for s in fixed]
     out_sectors, in_sectors = sectors or ([np.eye(act_out)], [np.eye(act_in)])
-    outs, sigma = _act_supports(sigma, left, act_out, ref, out_sectors, lefts)
-    ins, eta = _act_supports(eta, left, act_in, ref, in_sectors, lefts)
+    outs, sigma = _act_supports(sigma, act_out, ref, out_sectors, lefts)
+    ins, eta = _act_supports(eta, act_in, ref, in_sectors, lefts)
     out_sizes, in_sizes = ([c.shape[2] for c in cols] for cols in (outs, ins))
-    plan = _build_link_problem(eta, sigma, left, ref, out_sizes, in_sizes, lefts)
+    plan = _build_link_problem(eta, sigma, ref, out_sizes, in_sizes, lefts)
     return replace(plan, act_out=act_out, act_in=act_in, supports=(outs, ins),
                    sectors=fixed), label, finish
 
@@ -877,26 +886,16 @@ def _fidelity(n, m, rho, constraint, tol, environment):
     """Build and solve one side of the duality; see :func:`_link_plan`."""
     plan, label, finish = _link_plan(n, m, rho, constraint, environment)
     sol = sdp.solve(plan.problem, tol=tol)
-
-    def optimizer():
-        choi = plan.choi(sol)
-        if finish is None:
-            return choi
-        return finish(channels_mod.channel_from_choi(
-            choi, plan.act_out, plan.act_in, renormalize=True
-        )).choi
-
-    # the reported map acts on the left factor too (as the identity), and
     # a Physical sandwich keeps the dimensions of r
     return FidelityResult(
         value=float(np.clip(sol.value, 0.0, 1.0)),
-        optimizer=optimizer,
+        optimizer=lambda: finish(plan.choi(sol)),
         duality_gap=abs(sol.value - sol.dual_value),
         iterations=sol.iterations,
         constraint_set=label,
         status=sol.status,
-        out_dim=plan.left_dim * plan.act_out,
-        in_dim=plan.left_dim * plan.act_in,
+        out_dim=plan.act_out,
+        in_dim=plan.act_in,
     )
 
 
@@ -918,9 +917,9 @@ def environment_side_fidelity(n, m, rho, constraint=None, tol=1e-7):
     ``m`` into the environment of ``n``.
 
     For a fixed-algebra constraint the environments are those of the
-    local complements and the processing acts only on the factor beyond
-    the conditional expectation; the optimizer then includes the
-    identity on that first factor.
+    local complements and the processing must fix M_{k_p} (x) 1, k_p the
+    size of their first factor; the optimizer is 1_{k_p} (x) R, extended
+    as on the recovery side and not renormalized.
     """
     return _fidelity(n, m, rho, constraint, tol, environment=True)
 

@@ -116,6 +116,35 @@ def commutant_expectation_by_dense_basis(b):
     return algebra.conditional_expectation(algebra.commutant(b))
 
 
+def local_complement_defect_by_pinv(c, b, lc=None):
+    """Reference for ``channels.local_complement_defect``: each preimage of
+    a basis element B of ``b`` solved by the pseudo-inverse of the
+    d^2 x k_p^2 matrix G with G(|m><n|) = F_m^dag F_n, F_m the Kraus
+    operators of the conditional expectation onto the commutant, and the
+    two sides compared one basis element at a time; the solve residual
+    ||G x - vec B|| counts toward the defect."""
+    from constrained_recovery import channels, linalg
+
+    p = channels._commutant_expectation(b)
+    lc = channels.local_complementary(c, b) if lc is None else lc
+    k_p, k_n, d = p.n_kraus, c.n_kraus, c.out_dim
+    # column m*k_p + n of ghat is vec(F_m^dag F_n)
+    ghat = linalg.gram_rows(p._stack).T
+    ghat_pinv = np.linalg.pinv(ghat, rcond=1e-10)
+    v2 = c.stinespring.reshape(d, k_n * c.in_dim)
+    g3 = lc._stack.reshape(d, k_p, k_n * c.in_dim)
+    g2 = g3.reshape(d * k_p, k_n * c.in_dim)
+    worst = 0.0
+    for bop in b.basis:
+        x = ghat_pinv @ linalg.vec(bop)
+        solve_res = float(np.linalg.norm(ghat @ x - linalg.vec(bop)))
+        x = linalg.unvec(x, (k_p, k_p))
+        lhs = v2.conj().T @ (bop @ v2)
+        rhs = g2.conj().T @ (x @ g3).reshape(d * k_p, -1)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)), solve_res)
+    return worst
+
+
 def generate_algebra_by_einsum(generators, d):
     """Reference for ``algebra.generate_algebra``: the same closure loop with
     its pairwise products written as ``np.einsum``; returns the basis rows."""

@@ -3,11 +3,14 @@ import pytest
 
 from constrained_recovery import algebra as alg
 from constrained_recovery import channels as ch
+from constrained_recovery import fermion
 from constrained_recovery import linalg
 from constrained_recovery import recovery as rc
 from helpers import (
     commutant_by_svd,
     commutant_expectation_by_dense_basis,
+    fixed_algebra,
+    local_complement_defect_by_pinv,
     planted_algebra,
     random_density,
     random_hermitian,
@@ -509,6 +512,35 @@ def test_local_complement_defect_matches_einsum_contraction():
         expect = _defect_by_einsum(c, b, lc or ch.local_complementary(c, b))
         assert abs(ch.local_complement_defect(c, b, lc) - expect) <= 1e-12
     assert expect > 0.1
+
+
+@pytest.mark.parametrize("name", ["m2-8", "mixed-7", "whole-region-16"])
+def test_local_complement_defect_matches_the_pinv_route(monkeypatch, name):
+    """The closed-form preimages (+)_k 1_{n_k} (x) b_k are the least-norm
+    solutions that the pseudo-inverse finds: the defect of a local
+    complement of another channel, far from 0, agrees with the pinv route,
+    and no pseudo-inverse is taken."""
+    rng = np.random.default_rng(271)
+    if name.startswith("whole-region"):
+        # the even algebra of all 8 Majoranas of 4 modes: M_8 (+) M_8
+        b = fermion.physical_algebra(fermion.FermionSystem(4), list(range(1, 9)))
+    else:
+        b = fixed_algebra(name, rng)
+    d = b.ambient_dim
+    c = ch.Channel(random_kraus(rng, d, 3, 2))
+    other = ch.local_complementary(ch.Channel(random_kraus(rng, d, 3, 2)), b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("local_complement_defect called np.linalg.pinv")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "pinv", refuse)
+        own = ch.local_complement_defect(c, b)
+        got = ch.local_complement_defect(c, b, other)
+    assert own < 1e-8
+    want = local_complement_defect_by_pinv(c, b, other)
+    assert want > 0.1
+    assert abs(got - want) <= 1e-12
 
 
 def test_commutant_expectation_matches_the_dense_route():

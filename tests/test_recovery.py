@@ -758,6 +758,34 @@ def test_fixes_algebra_sector_the_target_never_reaches():
     assert ch.fixes_algebra(ch.channel_from_choi(plan.choi(sol), 4, 4, renormalize=True), b).fixes
 
 
+@pytest.mark.parametrize("name", ["parity-4", "m2-8", "mixed-7"])
+def test_fixes_algebra_environment_optimizer_fixes_the_expectation_factor(name):
+    """The environment side's reported optimizer is the plan's extension
+    1_{k_p} (x) R, not renormalized: trace preserving to solver accuracy,
+    fixing M_{k_p} (x) 1 on the local complements (k_p the Kraus rank of
+    the expectation onto the commutant), and reaching the reported value."""
+    rng = np.random.default_rng(277)
+    b = fixed_algebra(name, rng)
+    d = b.ambient_dim
+    n, m = (ch.Channel(random_kraus(rng, d, d, 2)) for _ in range(2))
+    rho = random_density(rng, d)
+    res = rc.environment_side_fidelity(n, m, rho, rc.FixesAlgebra(b), tol=1e-9)
+    assert res.status == "optimal"
+    src, fixed = ch.local_complementary(m, b), ch.local_complementary(n, b)
+    k_p, dim = src.out_dim // 2, src.out_dim
+    assert (res.out_dim, res.in_dim) == (dim, dim) == (fixed.out_dim, src.out_dim)
+
+    choi = res.optimizer
+    traced = np.einsum("aiaj->ij", choi.reshape(dim, dim, dim, dim))
+    assert np.linalg.norm(traced - np.eye(dim)) <= 1e-8
+    best = ch.channel_from_choi(choi, dim, dim)
+    units = np.eye(k_p * k_p).reshape(-1, k_p, k_p)
+    assert ch.fixes_algebra(best, alg.generate_algebra([np.kron(u, np.eye(2)) for u in units],
+                                                       dim)).fixes
+    reached = ch.entanglement_fidelity(ch.compose(best, src), fixed, rho)
+    assert abs(reached - res.value) <= 1e-7
+
+
 def test_constraints_never_raise_the_optimum():
     """Each constrained optimum stays below the unconstrained optimum of
     its own objective (the physical variant targets the dephased channel)."""
@@ -907,9 +935,10 @@ def linked_channels(n, m, constraint, environment):
     return ch.complementary(m), ch.complementary(n)
 
 
-def identity_supports(state, left, act, *_):
-    """:func:`recovery._act_supports` at full support: act as one sector."""
-    return [np.eye(act, dtype=complex)[:, None]], state
+def identity_supports(state, act, ref, sectors, lefts=None):
+    """:func:`recovery._act_supports` at full support: act as one sector,
+    of multiplicity ``lefts[0]`` on a side that fixes M_n (x) 1."""
+    return [np.eye(act, dtype=complex).reshape(act, lefts[0] if lefts else 1, -1)], state
 
 
 SUPPORT_SIDES = [("code", False), ("code-d12", False), ("rectangular", False),
@@ -923,7 +952,7 @@ def test_support_reduced_side_matches_the_full_problem(monkeypatch, case, enviro
     # some side is not the whole act factor as one sector
     assert any(cols[0].shape[1:] != (1, len(cols[0])) for cols in plan.supports)
     if case == "fixes_algebra":
-        assert plan.left_dim > 1
+        assert plan.sectors[0].shape[1] > 1
     reduced = rc._fidelity(n, m, rho, constraint, 1e-9, environment)
     with monkeypatch.context() as patch:
         patch.setattr(rc, "_act_supports", identity_supports)

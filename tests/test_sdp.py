@@ -400,7 +400,7 @@ def _physical_fidelity(tol=1e-7):
 
 def _environment_fixes_algebra_fidelity(tol=1e-7):
     # the corpus of test_link_rows_match_definition_environment_fixes_algebra,
-    # whose link problem has left_dim > 1
+    # whose link problem has one sector of multiplicity k_p > 1
     rng = np.random.default_rng(83)
     n = ch.Channel(random_kraus(rng, 4, 4, 3))
     m = ch.Channel(random_kraus(rng, 4, 4, 2))
@@ -567,7 +567,7 @@ def definition_rows(args, q):
     output sector), or, given ``lefts``, one block on the unit tuples
     1_n (x) |a><b| of every sector of a fixed algebra; trace rows per input
     sector, on its 1_n (x) h / n."""
-    left, ref, lefts = args["left_dim"], args["ref_dim"], args["lefts"]
+    ref, lefts = args["ref_dim"], args["lefts"]
     sizes = args["out_sizes"], args["in_sizes"]
     out_n, in_n = (lefts or [1] * len(s) for s in sizes)
     out_at, in_at = (np.cumsum([0, *(n * z for n, z in zip(ns, s))])
@@ -604,10 +604,10 @@ def definition_rows(args, q):
                 row.append((a + a.conj().T) / 2.0 if l in touched else None)
             rows.append(row + [None])
             rhs.append(np.trace(h).real)
-    # s[u][v] = Q^dag (1 (x) B_u (x) 1) eta (1 (x) B_v (x) 1)^dag Q
+    # s[u][v] = Q^dag (B_u (x) 1) eta (B_v (x) 1)^dag Q
     s = []
     for _, ops in blocks:
-        lifts = [np.kron(np.kron(np.eye(left), b), np.eye(ref)) for b in ops]
+        lifts = [np.kron(b, np.eye(ref)) for b in ops]
         s.append([[q.conj().T @ lu @ eta @ lv.conj().T @ q for lv in lifts] for lu in lifts])
     for h in linalg.hermitian_basis(r):
         y = np.zeros((2 * r, 2 * r), dtype=complex)
@@ -728,7 +728,7 @@ def test_link_rows_match_definition_environment_fixes_algebra(monkeypatch):
         monkeypatch,
         lambda: rc.environment_side_fidelity(n, m, np.eye(4) / 4, constraint),
     )
-    assert args["left_dim"] > 1
+    assert args["lefts"][0] > 1
     assert_plan_matches_definition(args, plan)
 
 
@@ -858,7 +858,7 @@ def test_family_schur_matches_dense_schur(monkeypatch, case):
     if case == "fixes_algebra":
         assert kept.size == prob.n_constraints
     if case == "environment":
-        assert args["left_dim"] > 1
+        assert args["lefts"][0] > 1
 
 
 def test_family_and_dense_rows_mix(monkeypatch):

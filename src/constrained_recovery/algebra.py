@@ -5,17 +5,26 @@ the Hilbert-Schmidt inner product Tr(X^dag Y). The module computes algebra
 generation (closure under products and adjoints), commutants, centers,
 minimal central projectors, the block (Wedderburn) factorization, and the
 trace-preserving conditional expectation each algebra induces. Everything is
-dense. One routine, :func:`_modules`, finds and certifies the irreducible
-modules of an algebra and groups them into sectors, from two random elements
-of the commutant drawn by twirling over the basis: a few GEMMs of
-dim * d^3 flops and one d x d eigensolve, no d^2 x d^2 matrix. The commutant
-basis and the block structure are read off those modules; the center and the
-expectations onto an algebra and onto its commutant off the block structure.
+dense. Every consumer of an algebra's structure (the commutant basis, the
+center, the expectations onto an algebra and onto its commutant) reads it
+off :func:`block_structure`, which takes one of two paths:
+
+* an algebra built with its sectors carries them, and its dense basis is
+  written only when first read. :func:`fermion.physical_algebra` builds the
+  even algebra of a Majorana region this way, from signed permutations;
+* every other algebra (:func:`generate_algebra`, the results of
+  :func:`commutant`, :func:`intersect` and the rest, and any basis given
+  directly) has its sectors found by :func:`_modules`, which finds and
+  certifies the irreducible modules of the algebra and groups them into
+  sectors, from two random elements of the commutant drawn by twirling over
+  the basis: a few GEMMs of dim * d^3 flops and one d x d eigensolve, no
+  d^2 x d^2 matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,10 +71,23 @@ class AlgebraBasis:
     is the safe entry point for arbitrary generating sets. A C-contiguous
     complex (k, d, d) array is adopted as the rows without a copy (and made
     read-only); any other sequence of matrices is copied.
+
+    An algebra whose sectors are known is built from a function of no
+    arguments that returns its basis, written on the first read of
+    ``basis`` or ``_rows``, and its list of :class:`Sector`, which
+    :func:`block_structure` returns and whose sum_k n_k^2 is ``dim``.
     """
 
-    def __init__(self, ambient_dim, basis):
-        self.ambient_dim = d = int(ambient_dim)
+    def __init__(self, ambient_dim, basis, sectors=None):
+        self.ambient_dim = int(ambient_dim)
+        self._sectors = sectors
+        if callable(basis):
+            self._write = basis
+        else:
+            self._rows = self._adopt(basis)
+
+    def _adopt(self, basis):
+        d = self.ambient_dim
         if (isinstance(basis, np.ndarray) and basis.dtype == complex
                 and basis.shape[1:] == (d, d) and basis.flags.c_contiguous):
             rows = basis.reshape(len(basis), d * d)
@@ -78,13 +100,22 @@ class AlgebraBasis:
                     raise ValueError(f"basis element of shape {b.shape} in ambient dimension {d}")
                 row[:] = b.reshape(-1)
         rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def _rows(self):
+        return self._adopt(self._write())
+
+    @cached_property
+    def basis(self):
         # each element is stored once: the basis matrices are views of _rows
-        self._rows = rows
-        self.basis = list(rows.reshape(-1, d, d))
+        return list(self._rows.reshape(-1, self.ambient_dim, self.ambient_dim))
 
     @property
     def dim(self):
-        return len(self.basis)
+        if self._sectors is not None:
+            return sum(s.left_dim ** 2 for s in self._sectors)
+        return len(self._rows)
 
     def __repr__(self):
         return f"AlgebraBasis(ambient_dim={self.ambient_dim}, dim={self.dim})"
@@ -138,22 +169,27 @@ def commutant(a):
     """The algebra of everything commuting with every element of ``a``.
 
     ``a`` must hold an orthonormal basis of a unital dagger-algebra A, which
-    is unitarily equivalent to (+)_s M_{n_s} (x) 1_{m_s}; its commutant is
-    then (+)_s 1_{n_s} (x) M_{m_s}. Its basis, read off the certified modules
-    of :func:`_modules`, is V_e V_e^dag / sqrt(n_e) for every module and
-    V_e U V_f^dag for every ordered pair of distinct modules in one sector:
-    sum_s m_s^2 orthonormal elements. A failed check raises ValueError, since
-    the input is then not a dagger-algebra. The cost is a few GEMMs of
-    a.dim * d^3 flops and one d x d eigensolve; the memory is a few copies of
-    the basis. An empty basis gives all of M_d.
+    is unitarily equivalent to (+)_k M_{n_k} (x) 1_{m_k}; its commutant is
+    then (+)_k 1_{n_k} (x) M_{m_k}. With X_k the sector arrays of
+    :func:`block_structure`, its basis is X_k (1 (x) |p><q|) X_k^dag /
+    sqrt(n_k) for every sector and every p, q < m_k: sum_k m_k^2 orthonormal
+    elements, written by one product per sector into the stack the result
+    adopts. An algebra whose sectors are not carried is decomposed by
+    :func:`_modules`, whose failed check raises ValueError, since the input
+    is then not a dagger-algebra. An empty basis gives all of M_d.
     """
     d = a.ambient_dim
     if a.dim == 0:
         return AlgebraBasis(d, list(np.eye(d * d).reshape(d * d, d, d)))
-    out = []
-    for vs, units in _modules(a):
-        for p in range(len(vs)):
-            out.extend((vs[p] @ units[p]) @ vs.conj().transpose(0, 2, 1))
+    arrays = _sector_arrays(block_structure(a).sectors)
+    out = np.empty((sum(x.shape[2] ** 2 for x in arrays), d, d), dtype=complex)
+    at = 0
+    for x in arrays:
+        _, n, m = x.shape
+        # out[p, q] = X[:, :, p] X[:, :, q]^dag / sqrt(n), one broadcast matmul
+        np.matmul((x / np.sqrt(n)).transpose(2, 0, 1)[:, None], x.conj().transpose(2, 1, 0)[None],
+                  out=out[at:at + m * m].reshape(m, m, d, d))
+        at += m * m
     return AlgebraBasis(d, out)
 
 
@@ -382,22 +418,27 @@ def block_structure(a, seed=DEFAULT_SEED):
 
     For each minimal central projector P_i, returns an isometry U_i with
     U_i U_i^dag = 1 and U_i^dag U_i = P_i such that U_i A U_i^dag has the
-    form A_i (x) 1_{m_i} for every A in the algebra. The sectors are those
-    of :func:`_modules`, drawn with ``seed``: level k of a sector with
+    form A_i (x) 1_{m_i} for every A in the algebra. An algebra that carries
+    its sectors returns those, whatever the seed. Otherwise the sectors are
+    those of :func:`_modules`, drawn with ``seed``: level k of a sector with
     modules V_k of dimension n is V_k sqrt(n) units[k, 0], on which every
     element of ``a`` acts as on level 0; column j*m + k of U_i^dag is the
-    j-th vector of level k, and P_i = sum_k V_k V_k^dag. Ordering: descending
-    rank, ties broken by the trace of P_i against diag(0..d-1).
+    j-th vector of level k, and P_i = sum_k V_k V_k^dag. Either way the
+    report records ``seed``. Ordering: descending rank, ties broken by the
+    trace of P_i against diag(0..d-1).
     """
     d = a.ambient_dim
     ref = np.arange(d)
-    sectors = []
-    for vs, units in _modules(a, seed):
-        m, _, n = vs.shape
-        levels = np.sqrt(n) * vs @ units[:, 0]
-        projector = np.einsum("kan,kbn->ab", vs, vs.conj())
-        isometry = levels.transpose(2, 0, 1).reshape(n * m, d).conj()
-        sectors.append(Sector(projector, n, m, isometry))
+    if a._sectors is not None:
+        sectors = list(a._sectors)
+    else:
+        sectors = []
+        for vs, units in _modules(a, seed):
+            m, _, n = vs.shape
+            levels = np.sqrt(n) * vs @ units[:, 0]
+            projector = np.einsum("kan,kbn->ab", vs, vs.conj())
+            isometry = levels.transpose(2, 0, 1).reshape(n * m, d).conj()
+            sectors.append(Sector(projector, n, m, isometry))
     sectors.sort(key=lambda s: (-s.left_dim * s.right_dim,
                                 float((np.diag(s.projector).real * ref).sum())))
     return BlockStructure(d, sectors, seed)

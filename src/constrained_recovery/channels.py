@@ -21,6 +21,10 @@ import numpy as np
 
 from . import linalg
 
+# numbers of the (environment x input)^2 matrices per basis element that one
+# chunk of the local-complement defect holds
+_DEFECT_CHUNK = 1 << 16
+
 __all__ = [
     "Channel",
     "ChannelDistance",
@@ -287,31 +291,47 @@ def local_complement_defect(c, b, lc=None):
 
 def _checked_local_complement(c, b, lc=None):
     """:func:`local_complementary` of ``c`` for ``b`` (or ``lc``) and its
-    :func:`local_complement_defect`, from one decomposition of ``b``."""
+    :func:`local_complement_defect`, from one decomposition of ``b``.
+
+    Both sides are (environment x input) square matrices per basis element
+    of ``b``, formed for ``_DEFECT_CHUNK`` numbers' worth of the basis at a
+    time, so that the peak beyond the H_k below is one chunk's.
+    """
     from . import algebra as algebra_mod
 
     _check_output_algebra(c, b)
     sectors = algebra_mod._sector_arrays(algebra_mod.block_structure(b).sectors)
     p = _commutant_expectation(b, sectors)
     lc = _local_complement(c, p) if lc is None else lc
-    d, width, basis = c.out_dim, c.n_kraus * c.in_dim, np.stack(b.basis)
-    # both sides as (environment x input) square matrices over the basis:
+    d, width = c.out_dim, c.n_kraus * c.in_dim
     # V^dag (B (x) 1) V, less G^dag (x (x) 1) G with G the Stinespring
-    # isometry of lc, sum_k sum_jl b_k[j, l] sum_i G_kij^dag G_kil; and the
-    # solve residual sum_k X_k (b_k (x) 1) X_k^dag - B
+    # isometry of lc, sum_k sum_jl b_k[j, l] H_k[j, l] with H_k[j, l] =
+    # sum_i G_kij^dag G_kil; and the solve residual sum_k X_k (b_k (x) 1)
+    # X_k^dag - B
     v, g = c.stinespring.reshape(d, width), lc._stack.reshape(d, p.n_kraus, width)
-    lhs, image, at = v.conj().T @ basis @ v, -basis, 0
+    parts, at = [], 0
     for x in sectors:
         _, n, m = x.shape
-        flat, xt = x.reshape(d, n * m), x.transpose(0, 2, 1).reshape(d * m, n)
-        blocks = (flat.conj().T @ basis @ flat).reshape(-1, n, m, n, m)
-        b_k = np.trace(blocks, axis1=2, axis2=4) / m
-        image += (xt @ b_k).reshape(-1, d, m * n) @ xt.reshape(d, m * n).conj().T
-        rows = g[:, at:at + n * n].reshape(d * n, n * width)
-        h = (rows.conj().T @ rows).reshape(n, width, n, width).transpose(0, 2, 1, 3)
-        lhs -= (b_k.reshape(-1, n * n) @ h.reshape(n * n, -1)).reshape(lhs.shape)
+        # column j of G_k, over its rows (i, a), for each j
+        cols = g[:, at:at + n * n].reshape(d, n, n, width).transpose(2, 0, 1, 3)
+        cols = cols.reshape(n, d * n, width)
+        h = (cols.conj().transpose(0, 2, 1)[:, None] @ cols[None]).reshape(n * n, -1)
+        xt = x.transpose(0, 2, 1).reshape(d * m, n)
+        parts.append((n, m, x.reshape(d, n * m), xt, xt.reshape(d, m * n).conj().T, h))
         at += n * n
-    return lc, float(max(np.linalg.norm(r, axis=(1, 2)).max() for r in (lhs, image)))
+    basis = b._rows.reshape(-1, d, d)
+    step = max(1, _DEFECT_CHUNK // (width * width))
+    worst = 0.0
+    for lo in range(0, len(basis), step):
+        chunk = basis[lo:lo + step]
+        lhs, image = v.conj().T @ chunk @ v, -chunk
+        for n, m, flat, xt, xt_adj, h in parts:
+            blocks = (flat.conj().T @ chunk @ flat).reshape(-1, n, m, n, m)
+            b_k = np.trace(blocks, axis1=2, axis2=4) / m
+            image += (xt @ b_k).reshape(-1, d, m * n) @ xt_adj
+            lhs -= (b_k.reshape(-1, n * n) @ h).reshape(lhs.shape)
+        worst = max(worst, *(float(np.linalg.norm(r, axis=(1, 2)).max()) for r in (lhs, image)))
+    return lc, worst
 
 
 @dataclass

@@ -10,13 +10,15 @@ scenario in one step.
 
 Exit codes: 0 when every task completed (verdicts may still be
 negative), 1 for usage errors, 2 for scenarios rejected by schema or
-consistency validation, 3 when a task failed numerically.
+consistency validation or that ran out of memory while loading, 3 when a
+task failed numerically.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -156,7 +158,9 @@ def _add_common(parser):
     parser.add_argument("-o", "--output", help="write the report to this file instead of stdout")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused after it."""
     parser = _Parser(
         prog="constrained-recovery",
         description=(

@@ -18,7 +18,8 @@ read-only arrays ``perm`` and ``phase``, and densely as ``majoranas[a-1]``.
 Monomials in the generators are normalized to Hermitian involutions by
 the phase ``i**(s*(s-1)/2)`` on an ascending product of ``s`` generators.
 The physical (parity-even) observables of a region form a *-subalgebra
-spanned by the even-degree monomials, and channels compatible with the
+spanned by the even-degree monomials, whose sectors :func:`physical_algebra`
+builds in closed form, and channels compatible with the
 superselection rule admit Kraus representations built from operators of
 definite parity; :func:`definite_parity_split` extracts that form.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraBasis
+from .algebra import AlgebraBasis, Sector
 from .channels import Channel
 from .recovery import Code
 
@@ -202,18 +203,90 @@ def physical_algebra(system, majoranas=None, *, modes=None):
     Hermitian monomials divided by ``sqrt(dim)``, which is already
     orthonormal in the Hilbert-Schmidt inner product.  A region of ``r``
     Majorana indices yields dimension ``2**(r-1)`` (or 1 when empty).
+    The algebra carries its sectors (:func:`_region_sectors`), and the
+    dense basis is written only when first read.
     """
     if (majoranas is None) == (modes is None):
         raise ValueError("give exactly one of majoranas= or modes=")
     if modes is not None:
         majoranas = [k for m in modes for k in (2 * m - 1, 2 * m)]
     region = _majorana_set(system.n_modes, majoranas)
-    scale = 1.0 / np.sqrt(system.dim)
-    eye = np.eye(system.dim)
-    rows = np.empty((max(1, 2 ** (len(region) - 1)), system.dim, system.dim), dtype=complex)
-    for row, (perm, phase) in zip(rows, _even_monomials(system, region)):
-        row[:] = _left((perm, scale * phase), eye)
-    return AlgebraBasis(system.dim, rows)
+
+    def write():
+        scale = 1.0 / np.sqrt(system.dim)
+        eye = np.eye(system.dim)
+        rows = np.empty((max(1, 2 ** (len(region) - 1)), system.dim, system.dim), dtype=complex)
+        for row, (perm, phase) in zip(rows, _even_monomials(system, region)):
+            row[:] = _left((perm, scale * phase), eye)
+        return rows
+
+    return AlgebraBasis(system.dim, write, _region_sectors(system, region))
+
+
+def _region_sectors(system, region):
+    """The sectors of the even algebra of ``region`` (ascending Majorana
+    indices), in closed form from signed permutations.
+
+    Pair the s indices as (s1 s2)(s3 s4)...: the t = s // 2 monomials
+    h_j = i w_a w_b of the pairs are commuting involutions, and their joint
+    eigenspaces, each of dimension m = d / 2^t, are labelled by the set F of
+    pairs where h_j = -1. The first Majorana of pair j anticommutes with h_j
+    and commutes with every other h, so the product g_F of the first
+    Majoranas of the pairs in F carries the eigenspace of F = {} onto that
+    of F. Every even monomial of the region maps each eigenspace onto one
+    other, and on the eigenspace of F = {} the even monomials that keep it
+    are products of the h_j, which act there as 1; so in the columns
+    X[:, j, :] = g_{F_j} V, V an orthonormal basis of the eigenspace of
+    F = {}, the algebra acts as M_n (x) 1_m as long as g_{F_j}^dag g_{F_l} is
+    even within a sector.
+
+    * s = 2t: the parity of the region, prod_j h_j, is (-1)^|F| on the
+      eigenspace of F, and the two sectors M_{2^(t-1)} (x) 1_m are the sets
+      of even and of odd |F| (one sector, M_1 (x) 1_d, for the empty region);
+    * s = 2t + 1: g_F is made even by the unpaired Majorana when |F| is odd,
+      and all 2^t eigenspaces form one sector M_{2^t} (x) 1_m.
+
+    V comes from the columns of prod_j (1 + h_j) / 2, one per orbit of basis
+    vectors under the permutations of the h_j. Their entries are sums of
+    dyadic multiples of 1 and i, so exact: a column outside the eigenspace is
+    exactly 0, and two columns of one orbit are proportional and start on
+    the same row. Each sector costs its (d, n, m) array, a d x d projector
+    and the isometry's copy of the array.
+    """
+    d, s = system.dim, len(region)
+    t = s // 2
+    v = np.eye(d, dtype=complex)
+    for j in range(t):
+        v = (v + _left(_monomial(system, region[2 * j:2 * j + 2]), v)) / 2
+        nonzero = v != 0
+        alive = np.flatnonzero(nonzero.any(axis=0))
+        _, keep = np.unique(np.argmax(nonzero[:, alive], axis=0), return_index=True)
+        v = v[:, alive[keep]]
+    if v.shape[1] != d >> t:
+        raise RuntimeError(f"joint eigenspace of dimension {v.shape[1]}, not {d >> t}")
+    v /= np.linalg.norm(v, axis=0)
+    # g[f] is g_F for the set F of the bits of f
+    g = [(np.arange(d), np.ones(d, dtype=complex))]
+    for a in region[0:2 * t:2]:
+        g += [_product(x, _monomial(system, (a,))) for x in g]
+    odd = [bin(f).count("1") % 2 for f in range(len(g))]
+    eye = np.eye(d)
+    if s % 2:
+        unpaired = _monomial(system, region[-1:])
+        g = [_product(x, unpaired) if o else x for x, o in zip(g, odd)]
+        groups, projectors = [range(len(g))], [eye]
+    elif t:
+        groups = [[f for f in range(len(g)) if odd[f] == p] for p in (0, 1)]
+        parity = parity_operator(system, region)
+        projectors = [parity.p_plus, parity.p_minus]
+    else:
+        groups, projectors = [[0]], [eye]
+    sectors = []
+    for group, projector in zip(groups, projectors):
+        x = np.stack([_left(g[f], v) for f in group], axis=1)
+        _, n, m = x.shape
+        sectors.append(Sector(projector, n, m, x.reshape(d, n * m).conj().T))
+    return sectors
 
 
 def _even_monomials(system, indices):

@@ -18,6 +18,7 @@ the tolerance it was judged against.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -61,7 +62,8 @@ _DEFAULT_DUALITY_TOL = 1e-5
 
 
 class ScenarioError(ValueError):
-    """A scenario failed schema validation or a consistency check."""
+    """A scenario failed schema validation or a consistency check, or an
+    object or task ran out of memory while it was loaded."""
 
 
 class _TaskFailure(RuntimeError):
@@ -164,7 +166,11 @@ def encode(value):
 
 
 def _encode_gated(array):
-    """Encode an array, or return None when it is too large to embed."""
+    """Encode an array, or return None when it is too large to embed.
+
+    Callers pass an array that already exists (a view of a stack, never a
+    stack formed for the call), so that one gated out is never copied.
+    """
     a = np.asarray(array)
     if a.size > _MATRIX_EMBED_LIMIT:
         return None
@@ -275,14 +281,17 @@ def _build_system(spec):
 
 
 def _named(what, call, *args):
-    """``call(*args)``, with a ValueError turned into a ScenarioError that
-    names ``what``, the object or task at fault."""
+    """``call(*args)``, with a ValueError or a MemoryError turned into a
+    ScenarioError that names ``what``, the object or task at fault."""
     try:
         return call(*args)
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(f"{what}: {exc}") from exc
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        raise ScenarioError(f"{what}: out of memory{detail}") from exc
 
 
 def _build_all(build, kind, specs, dim, fsys):
@@ -555,8 +564,9 @@ def _algebra_summary(name):
 
     def run(args, tol, seed):
         basis = getattr(algebra_mod, name)(args["algebra"])
-        out = {"dimension": int(basis.dim), "ambient_dim": int(basis.ambient_dim)}
-        encoded = _encode_gated(basis.basis)
+        d = basis.ambient_dim
+        out = {"dimension": int(basis.dim), "ambient_dim": int(d)}
+        encoded = _encode_gated(basis._rows.reshape(-1, d, d))
         if encoded is not None:
             out["basis"] = encoded
         return out
@@ -583,7 +593,7 @@ def _run_blocks(args, tol, seed):
 
 def _channel_summary(chan):
     out = {"out_dim": int(chan.out_dim), "in_dim": int(chan.in_dim), "n_kraus": int(chan.n_kraus)}
-    encoded = _encode_gated(np.asarray(chan.kraus))
+    encoded = _encode_gated(chan._stack)
     if encoded is not None:
         out["kraus"] = encoded
     return out
@@ -707,16 +717,22 @@ TASKS = {
 }
 
 
-def _provenance(seed):
+@functools.cache
+def _package_version():
+    """The installed version of the package, looked up once per process
+    (the lookup scans ``sys.path``)."""
     from importlib import metadata
 
     try:
-        version = metadata.version("constrained-recovery")
+        return metadata.version("constrained-recovery")
     except metadata.PackageNotFoundError:
-        version = "unversioned"
+        return "unversioned"
+
+
+def _provenance(seed):
     return {
         "package": "constrained-recovery",
-        "package_version": version,
+        "package_version": _package_version(),
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "seed": seed,

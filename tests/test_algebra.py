@@ -366,6 +366,80 @@ def test_block_structure_roundtrip_on_region_algebra():
     _assert_blocks_rebuild(a, alg.block_structure(a))
 
 
+# (modes, region): even and odd regions, contiguous and not, on 2 to 5 modes,
+# with the empty region, one Majorana and a whole register
+REGIONS = [
+    (2, ()), (2, (3,)), (2, (1, 2)), (2, (1, 3, 4)), (2, (1, 2, 3, 4)),
+    (3, (2, 3, 4, 5)), (3, (1, 3, 6)), (3, (1, 2, 4, 5, 6)),
+    (4, (1, 2, 5, 8)), (4, (2, 3, 4, 5, 6, 7, 8)), (4, (1, 3, 4, 6, 7, 8)),
+    (5, (1, 4, 5, 9)), (5, (2, 3, 4, 5, 6)), (5, (1, 2, 3, 6, 7, 9, 10)),
+]
+
+
+@pytest.mark.parametrize("modes, region", REGIONS, ids=[f"{n}-{r}" for n, r in REGIONS])
+def test_region_sectors_match_the_twirl(modes, region):
+    """The closed-form sectors of a region's even algebra against those the
+    twirl of _modules finds on the same basis given densely: equal sector
+    dims, projectors within 1e-12, and U_k b U_k^dag = b_k (x) 1 within
+    1e-12 for every basis element b, with sum_k U_k^dag (b_k (x) 1) U_k = b."""
+    a = fermion.physical_algebra(fermion.FermionSystem(modes), region)
+    d = a.ambient_dim
+    basis = np.stack(a.basis)
+    want = alg.block_structure(alg.AlgebraBasis(d, basis.copy())).sectors
+    got = alg.block_structure(a).sectors
+    assert len(got) == len(want)
+    for s in got:
+        twin = min(want, key=lambda w: np.linalg.norm(w.projector - s.projector))
+        assert (s.left_dim, s.right_dim) == (twin.left_dim, twin.right_dim)
+        assert np.abs(s.projector - twin.projector).max() <= 1e-12
+    rebuilt = np.zeros_like(basis)
+    for s in got:
+        n, m = s.left_dim, s.right_dim
+        u = s.isometry
+        assert np.abs(u @ u.conj().T - np.eye(n * m)).max() <= 1e-12
+        conj = (u @ basis @ u.conj().T).reshape(-1, n, m, n, m)
+        left = np.einsum("kiaja->kij", conj) / m
+        factored = np.einsum("kij,ab->kiajb", left, np.eye(m))
+        assert np.abs(conj - factored).max() <= 1e-12
+        rebuilt += u.conj().T @ factored.reshape(-1, n * m, n * m) @ u
+    assert np.abs(rebuilt - basis).max() <= 1e-12
+
+
+def test_region_algebra_reads_its_sectors_with_no_twirl_and_no_basis(monkeypatch):
+    """The block structure, commutant and center of a region's even algebra
+    read its carried sectors, whatever the seed, and leave its dense basis
+    unwritten; the 8-Majorana region on 8 modes (a basis of 128 matrices of
+    256 x 256) and the whole 8-mode ring (32768 of them) included."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("_modules ran on a region algebra")
+
+    monkeypatch.setattr(alg, "_modules", refuse)
+    system = fermion.FermionSystem(8)
+    for region, shape in ((range(1, 9), (8, 16)), (range(1, 17), (128, 1))):
+        a = fermion.physical_algebra(system, region)
+        first, other = alg.block_structure(a), alg.block_structure(a, seed=5)
+        assert other.seed == 5
+        assert [(s.left_dim, s.right_dim) for s in first.sectors] == [shape, shape]
+        for s, t in zip(first.sectors, other.sectors):
+            assert np.array_equal(s.isometry, t.isometry)
+        assert alg.commutant(a).dim == 2 * shape[1] ** 2
+        assert alg.center(a).dim == 2
+        assert a.dim == 2 * shape[0] ** 2
+        assert "_rows" not in vars(a) and "basis" not in vars(a)
+
+
+def test_commutant_of_a_region_is_one_stack_of_sector_products():
+    # the commutant of a region's even algebra is written into the stack its
+    # basis adopts, and equals the span of the commutator kernel
+    a = fermion.physical_algebra(fermion.FermionSystem(4), [1, 3, 4, 6, 7])
+    c = alg.commutant(a)
+    assert c._rows.base is not None and c._rows.base.shape == (c.dim, 16, 16)
+    assert np.shares_memory(c._rows, c.basis[0])
+    gram = c._rows.conj() @ c._rows.T
+    assert np.abs(gram - np.eye(c.dim)).max() <= 1e-12
+    assert alg.equal_spans(c, commutant_by_svd(a), tol=1e-9)
+
+
 def test_block_structure_rejects_non_algebra():
     bad = alg.AlgebraBasis(
         4,

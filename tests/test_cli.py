@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -275,6 +276,59 @@ def test_json_report_is_one_line_of_the_library_report(capsys, monkeypatch):
     assert out.endswith("\n") and out.count("\n") == 1
     want = sc.run_scenario(sc.load_scenario("poisoning"))
     assert _without_wall_times(json.loads(out)) == _without_wall_times(want)
+
+
+def test_main_builds_its_parser_and_reads_the_version_once(capsys, monkeypatch):
+    from importlib import metadata
+
+    monkeypatch.delenv("CONSTRAINED_RECOVERY_SEED", raising=False)
+    looked_up = []
+    inner = metadata.version
+    monkeypatch.setattr(metadata, "version", lambda name: looked_up.append(name) or inner(name))
+    cli._build_parser.cache_clear()
+    sc._package_version.cache_clear()
+    reports = []
+    for _ in range(2):
+        assert cli.main(["run", "poisoning"]) == 0
+        reports.append(_without_wall_times(json.loads(capsys.readouterr().out)))
+    assert cli._build_parser.cache_info().misses == 1
+    assert looked_up == ["constrained-recovery"]
+    assert reports[0] == reports[1]
+
+
+def test_out_of_memory_at_load_exit_2(tmp_path, capsys, monkeypatch):
+    # an object whose construction runs out of memory ends the run with an
+    # error line and exit 2, as a rejected scenario does, not with a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 32.0 GiB for an array")
+
+    monkeypatch.setattr(sc.fermion_mod, "physical_algebra", exhausted)
+    spec = dict(ring_scenario([{"task": "algebra", "variant": "blocks", "algebra": "whole"}]),
+                algebras={"whole": {"kind": "region_even", "majoranas": [1, 2, 3, 4]}})
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(spec))
+    for args in (["run", str(path)], ["algebra", "center", "--scenario", str(path)]):
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: algebra 'whole': out of memory (Unable to allocate 32.0 GiB for an array)\n"
+        )
+
+
+def test_a_gated_out_commutant_is_never_copied(monkeypatch):
+    # the commutant of C 1 on d = 32 is all of M_32, 16 MiB of rows: its report
+    # gives the dimension alone, and forms nothing of the size of the rows
+    from constrained_recovery import algebra as alg
+
+    full = alg.commutant(alg.generate_algebra([], 32))
+    monkeypatch.setattr(alg, "commutant", lambda a: full)
+    tracemalloc.start()
+    out = sc._algebra_summary("commutant")({"algebra": None}, 1e-8, None)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert out == {"dimension": 1024, "ambient_dim": 32}
+    assert peak < full._rows.nbytes / 100
 
 
 def test_csv_format_is_a_flat_table(capsys):

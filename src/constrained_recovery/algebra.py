@@ -72,15 +72,19 @@ class AlgebraBasis:
     complex (k, d, d) array is adopted as the rows without a copy (and made
     read-only); any other sequence of matrices is copied.
 
-    An algebra whose sectors are known is built from a function of no
-    arguments that returns its basis, written on the first read of
-    ``basis`` or ``_rows``, and its list of :class:`Sector`, which
-    :func:`block_structure` returns and whose sum_k n_k^2 is ``dim``.
+    An algebra whose sectors are known is built from two functions of no
+    arguments and its dimension ``dim``: ``basis`` returns its basis,
+    written on the first read of ``basis`` or ``_rows``, and ``sectors``
+    its list of :class:`Sector`, built on the first read of ``_sectors``
+    (by :func:`block_structure`), whose sum_k n_k^2 is ``dim``.
     """
 
-    def __init__(self, ambient_dim, basis, sectors=None):
+    def __init__(self, ambient_dim, basis, sectors=None, dim=None):
         self.ambient_dim = int(ambient_dim)
-        self._sectors = sectors
+        if sectors is not None and dim is None:
+            raise ValueError("an algebra built with its sectors needs its dimension")
+        self._find_sectors = sectors
+        self._dim = dim
         if callable(basis):
             self._write = basis
         else:
@@ -111,11 +115,14 @@ class AlgebraBasis:
         # each element is stored once: the basis matrices are views of _rows
         return list(self._rows.reshape(-1, self.ambient_dim, self.ambient_dim))
 
+    @cached_property
+    def _sectors(self):
+        """The :class:`Sector` list the algebra was built with, or None."""
+        return None if self._find_sectors is None else self._find_sectors()
+
     @property
     def dim(self):
-        if self._sectors is not None:
-            return sum(s.left_dim ** 2 for s in self._sectors)
-        return len(self._rows)
+        return len(self._rows) if self._dim is None else self._dim
 
     def __repr__(self):
         return f"AlgebraBasis(ambient_dim={self.ambient_dim}, dim={self.dim})"

@@ -13,7 +13,8 @@ of a product ``a @ b`` holds ``phase_a[r] phase_b[perm_a[r]]`` at column
 ``perm_b[perm_a[r]]``, so products of monomials, and their products with
 dense matrices, are gathers; a dense d x d matrix is formed only where one
 is returned.  :class:`FermionSystem` keeps ``w_a`` as row ``a-1`` of its
-read-only arrays ``perm`` and ``phase``, and densely as ``majoranas[a-1]``.
+read-only arrays ``perm`` and ``phase``, and densely as ``majoranas[a-1]``,
+written on first read.
 
 Monomials in the generators are normalized to Hermitian involutions by
 the phase ``i**(s*(s-1)/2)`` on an ascending product of ``s`` generators.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,9 +98,13 @@ class FermionSystem:
             string = np.where(occupied, -string, string)
         self.perm, self.phase = np.array(perm), np.array(phase)
         self.perm.flags.writeable = self.phase.flags.writeable = False
-        eye = np.eye(self.dim)
-        self.majoranas = [_left(g, eye) for g in zip(self.perm, self.phase)]
         self._check_relations()
+
+    @cached_property
+    def majoranas(self):
+        """The generators as dense d x d matrices, written on first read."""
+        eye = np.eye(self.dim)
+        return [_left(g, eye) for g in zip(self.perm, self.phase)]
 
     def _check_relations(self):
         # row r of w_a w_b holds value[a, b, r] at column col[a, b, r] (see
@@ -203,24 +209,26 @@ def physical_algebra(system, majoranas=None, *, modes=None):
     Hermitian monomials divided by ``sqrt(dim)``, which is already
     orthonormal in the Hilbert-Schmidt inner product.  A region of ``r``
     Majorana indices yields dimension ``2**(r-1)`` (or 1 when empty).
-    The algebra carries its sectors (:func:`_region_sectors`), and the
-    dense basis is written only when first read.
+    The algebra carries its sectors (:func:`_region_sectors`); they are
+    built on the first :func:`algebra.block_structure` read, and the dense
+    basis on its first read.
     """
     if (majoranas is None) == (modes is None):
         raise ValueError("give exactly one of majoranas= or modes=")
     if modes is not None:
         majoranas = [k for m in modes for k in (2 * m - 1, 2 * m)]
     region = _majorana_set(system.n_modes, majoranas)
+    dim = max(1, 2 ** (len(region) - 1))
 
     def write():
         scale = 1.0 / np.sqrt(system.dim)
         eye = np.eye(system.dim)
-        rows = np.empty((max(1, 2 ** (len(region) - 1)), system.dim, system.dim), dtype=complex)
+        rows = np.empty((dim, system.dim, system.dim), dtype=complex)
         for row, (perm, phase) in zip(rows, _even_monomials(system, region)):
             row[:] = _left((perm, scale * phase), eye)
         return rows
 
-    return AlgebraBasis(system.dim, write, _region_sectors(system, region))
+    return AlgebraBasis(system.dim, write, lambda: _region_sectors(system, region), dim)
 
 
 def _region_sectors(system, region):

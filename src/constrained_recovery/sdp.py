@@ -45,6 +45,25 @@ lambda_min (Toh, "A note on the calculation of step-lengths in
 interior-point methods for semidefinite programming", Comput. Optim.
 Appl. 21 (2002)).
 
+Blocks iterate in stacks (:class:`_Stack`), after the block-diagonal
+layout of SDPA (Yamashita, Fujisawa & Kojima, "Implementation and
+evaluation of SDPA 6.0", Optim. Methods Softw. 18 (2003)).  Every block of
+dimension at most ``_STACK_CUT`` = 16 joins one (k, n, n) array padded to
+the largest of them, and every larger block is a stack of one, so the
+scaling, both step lengths, the directions, mu and the update make one
+batched call per stack, not one per block.  A block sits in the leading
+corner of its matrix; the rest is padding, identity in X and Z and zero in
+C and in the rows, which the svec map never reads.  The dual residual, the
+right sides of both directions and the traces behind mu are masked to the
+blocks' own entries, so the directions are zero on the padding and X and
+Z keep it as the identity exactly.  A Cholesky factor, eigendecomposition
+or product of block-diagonal matrices keeps the blocks apart, so the
+padding's eigenvalues are exactly 1, and the clip floor of the scaling is
+taken from each block's own eigenvalues (:func:`_clipped_eigh`).  The
+primal and dual step lengths of a stack come from one ``eigvalsh`` of its
+primal and dual frames together.  The Schur complement is still assembled
+block by block, from each block's corner of W.
+
 Rows come in two forms.  A dense row is one Hermitian matrix per block.
 A row family (:class:`RowFamily`) is the c*c rows
 
@@ -72,8 +91,9 @@ that opens with such a family row-reduces with a QR of the later rows'
 residuals alone.
 
 The svec layout, where each Hermitian entry lands in the solver's real
-coordinates, lives in :class:`_SvecMap` alone.  The module knows nothing
-of channels: the fidelity problems are built in :mod:`.recovery`.
+coordinates and in its stacks, lives in :class:`_SvecMap` alone.  The
+module knows nothing of channels: the fidelity problems are built in
+:mod:`.recovery`.
 Problems can be written to and read from JSON files (:func:`dump_problem`,
 :func:`load_problem`).
 """
@@ -105,6 +125,12 @@ _FEAS_TOL = 1e-8
 _EIG_FLOOR = 1e-15
 # matrix entries per chunk of rows in :func:`_row_norms` (16 MB of float64)
 _NORM_CHUNK = 1 << 21
+# largest block dimension that joins the padded stack of small blocks: one
+# batched call per stack saves microseconds per block, which the padding's
+# extra flops outweigh past this size; a cut of 32 made blocks (32, 4)
+# slower than one call per block, and a cut of 8 ran (16, 16, 16, 16, 8)
+# at 0.86 of that time against 0.77 (per-shape timings in CHANGES.md)
+_STACK_CUT = 16
 
 
 def svec(h):
@@ -124,7 +150,7 @@ def unsvec(v, d):
     v = np.asarray(v, dtype=float)
     if v.shape != (d * d,):
         raise ValueError(f"expected length {d * d}, got {v.shape}")
-    return _SvecMap.of(d).unsvec(v)[0]
+    return _SvecMap.of(d).unsvec(v)[0][0]
 
 
 def _contract_basis(basis, t):
@@ -310,13 +336,66 @@ class SdpSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+@dataclass
+class _Stack:
+    """Blocks that iterate as one (k, n, n) array, block ``blocks[i]`` of
+    dimension ``dims[i]`` in the leading corner of matrix i.  The rest of a
+    matrix is padding: identity in X and Z, zero everywhere else.  ``live``
+    is 1 on the blocks' own entries and 0 on the padding, and ``last_own``
+    the raveled position of each matrix's ``dims[i]``-th eigenvalue; both
+    are None for a stack with no padding."""
+
+    n: int
+    blocks: list
+    dims: list
+    live: np.ndarray | None
+    last_own: np.ndarray | None
+
+    @classmethod
+    def of(cls, blocks, dims):
+        own = [dims[b] for b in blocks]
+        n = max(own)
+        if all(d == n for d in own):
+            return cls(n, list(blocks), own, None, None)
+        live = np.zeros((len(own), n, n))
+        for mat, d in zip(live, own):
+            mat[:d, :d] = 1.0
+        return cls(n, list(blocks), own, live,
+                   n * np.arange(len(own)) + np.asarray(own) - 1)
+
+    def own(self, a):
+        """``a`` with its padding set to zero, a new array when there is padding."""
+        return a if self.live is None else a * self.live
+
+    def identity(self, scale):
+        """``scale`` times the identity on each block, the identity on the padding."""
+        diag = np.ones((len(self.blocks), self.n))
+        for row, d in zip(diag, self.dims):
+            row[:d] = scale
+        return diag[:, :, None] * np.eye(self.n, dtype=complex)
+
+
+def _stack_layout(dims):
+    """The stacks of a solve: every block of dimension at most
+    :data:`_STACK_CUT` in one stack padded to the largest of them, and every
+    larger block a stack of one, in the order of their first blocks."""
+    groups = [[b] for b, d in enumerate(dims) if d > _STACK_CUT]
+    small = [b for b, d in enumerate(dims) if d <= _STACK_CUT]
+    if small:
+        groups.append(small)
+    return [_Stack.of(blocks, dims) for blocks in sorted(groups)]
+
+
 class _SvecMap:
     """The svec layout of Hermitian blocks of ``dims``: the only code that
-    knows where an entry lands in the solver's real coordinates.  Blocks run
-    in order, as in the columns of the constraint matrix, each with the
-    coordinates of :func:`svec` starting where its raveled entries do
-    (``slices``).  Index arrays and one-block maps are cached per dimension;
-    a map of several blocks is made once per solve and not kept."""
+    knows where an entry lands in the solver's real coordinates and in its
+    stacks.  In the real coordinates blocks run in order, as in the columns
+    of the constraint matrix, each with the coordinates of :func:`svec`
+    (``slices``).  The complex entries sit in ``stacks`` (:class:`_Stack`),
+    each a (k, n, n) array raveled after the one before, with block
+    ``blocks[i]`` in the leading corner of matrix i; by default every block
+    is a stack of one.  Index arrays and one-block maps are cached per
+    dimension; a map of several blocks is made once per solve and not kept."""
 
     _BLOCKS = {}
     _SLOTS = {}
@@ -355,43 +434,86 @@ class _SvecMap:
             cls._SLOTS[d] = slot
         return cls._SLOTS[d]
 
-    def __init__(self, dims):
+    def __init__(self, dims, stacks=None):
         self.dims = list(dims)
+        self.stacks = stacks or [_Stack.of([b], self.dims) for b in range(len(self.dims))]
+        # each block's stack and matrix, and where that matrix starts in the raveled stacks
+        self.where = [None] * len(self.dims)
+        origin = [0] * len(self.dims)
+        self.cuts = []
+        start = 0
+        for s, st in enumerate(self.stacks):
+            for i, b in enumerate(st.blocks):
+                self.where[b] = (s, i)
+                origin[b] = start + i * st.n * st.n
+            self.cuts.append(slice(start, start + len(st.blocks) * st.n * st.n))
+            start = self.cuts[-1].stop
+        self.raveled = start
         self.slices = []
         parts = [[] for _ in range(6)]
         start = 0
-        for d in self.dims:
-            for part, idx in zip(parts, self._block(d)):
+        for b, d in enumerate(self.dims):
+            n = self.stacks[self.where[b][0]].n
+            block = self._block(d)
+            for part, idx in zip(parts[:3], block[:3]):
+                # row r of the block starts r * n after its corner
+                part.append(origin[b] + idx + (idx // d) * (n - d))
+            for part, idx in zip(parts[3:], block[3:]):
                 part.append(start + idx)
             self.slices.append(slice(start, start + d * d))
             start += d * d
         self.size = start
-        (self.diag, self.upper, self.lower,
-         self.diag_pos, self.re, self.im) = (np.concatenate(p) for p in parts)
-        # the float of the raveled complex blocks each coordinate reads, and its factor
+        diag, upper, lower, diag_pos, re, im = (np.concatenate(p) for p in parts)
+        # the float of the raveled complex stacks each coordinate reads, and its factor
         self.reads = np.empty(self.size, dtype=int)
-        self.reads[self.diag_pos] = 2 * self.diag
-        self.reads[self.re] = 2 * self.upper
-        self.reads[self.im] = 2 * self.upper + 1
+        self.reads[diag_pos] = 2 * diag
+        self.reads[re] = 2 * upper
+        self.reads[im] = 2 * upper + 1
         self.factor = np.full(self.size, _ROOT2)
-        self.factor[self.diag_pos] = 1.0
+        self.factor[diag_pos] = 1.0
+        # the coordinate each float of the raveled stacks is read from, and its
+        # factor: 0 for the padding and the imaginary parts of diagonals
+        self.writes = np.zeros(2 * self.raveled, dtype=int)
+        self.weight = np.zeros(2 * self.raveled)
+        for pos, coord, w in ((2 * diag, diag_pos, 1.0),
+                              (2 * upper, re, 1 / _ROOT2), (2 * lower, re, 1 / _ROOT2),
+                              (2 * upper + 1, im, 1 / _ROOT2), (2 * lower + 1, im, -1 / _ROOT2)):
+            self.writes[pos] = coord
+            self.weight[pos] = w
 
     def svec(self, flat, out=None):
-        """svec of raveled blocks along the last axis, (..., size) -> (..., size),
-        into ``out`` when given.  Only diagonals and upper triangles are read."""
+        """svec of raveled stacks along the last axis, (..., raveled) -> (..., size),
+        into ``out`` when given.  Only the blocks' diagonals and upper
+        triangles are read, never the padding."""
         floats = np.ascontiguousarray(flat, dtype=complex).view(float)
         out = np.take(floats, self.reads, axis=-1, out=out)
         out *= self.factor
         return out
 
     def unsvec(self, v):
-        """The Hermitian blocks, (d, d) each, whose svec is ``v``."""
-        flat = np.empty(self.size, dtype=complex)
-        flat[self.diag] = v[self.diag_pos]
-        off = (v[self.re] + 1j * v[self.im]) / _ROOT2
-        flat[self.upper] = off
-        flat[self.lower] = off.conj()
-        return [flat[s].reshape(d, d) for s, d in zip(self.slices, self.dims)]
+        """The stacks whose blocks are the Hermitian matrices with svec ``v``,
+        zero on the padding."""
+        floats = np.take(v, self.writes)
+        floats *= self.weight
+        flat = floats.view(complex)
+        return [flat[cut].reshape(-1, st.n, st.n) for cut, st in zip(self.cuts, self.stacks)]
+
+    def ravel(self, stacks):
+        """The stacks raveled one after another, as :meth:`svec` reads them."""
+        if len(stacks) == 1:
+            return stacks[0].reshape(-1)
+        return np.concatenate([a.reshape(-1) for a in stacks])
+
+    def stacked(self, mats):
+        """Stacks holding the (d, d) matrices ``mats``, one per block, zero on the padding."""
+        out = [np.zeros((len(st.blocks), st.n, st.n), dtype=complex) for st in self.stacks]
+        for (s, i), d, a in zip(self.where, self.dims, mats):
+            out[s][i, :d, :d] = a
+        return out
+
+    def blocks(self, stacks):
+        """Each block's (d, d) view of ``stacks``, in block order."""
+        return [stacks[s][i, :d, :d] for (s, i), d in zip(self.where, self.dims)]
 
     def lift_columns(self, b, c):
         """Where svec of 1_a (x) h lands on block ``b``, for h of dimension c:
@@ -640,60 +762,84 @@ def _schur(layout, w_scale, a_svec, blocks, m):
     return (schur + schur.T) / 2.0
 
 
-def _clipped_eigh(h):
+def _dag(a):
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _sym(a):
+    """The Hermitian part of a matrix or of each matrix of a stack."""
+    out = a + _dag(a)
+    out *= 0.5
+    return out
+
+
+def _clipped_eigh(h, last_own=None):
+    """``eigh`` of a Hermitian matrix or stack, each eigenvalue raised to at
+    least ``_EIG_FLOOR`` times the largest of its block.
+
+    ``last_own`` is the raveled position of each matrix's d-th eigenvalue
+    (:class:`_Stack`), for a stack whose matrices end in p rows of padding.
+    The padding's eigenvalues are exactly 1, so when the block's largest
+    eigenvalue is at most 1 it sits just below the p ones.
+    """
     w, u = np.linalg.eigh(h)
-    top = max(float(w[-1]), 0.0)
-    w = np.clip(w, max(top * _EIG_FLOOR, 1e-290), None)
+    top = w[..., -1]
+    if last_own is not None:
+        top = np.where(top > 1.0, top, w.reshape(-1)[last_own])
+    w = np.maximum(w, np.maximum(top * _EIG_FLOOR, 1e-290)[..., None])
     return w, u
 
 
-def _nt_scaling(x, z):
-    """Nesterov-Todd scaling of one block pair X, Z > 0, as in the module
-    docstring.
+def _nt_scaling(x, z, last_own=None):
+    """Nesterov-Todd scaling of a block pair X, Z > 0, or of each pair of
+    two stacks, as in the module docstring.
 
     Returns ``(w, zinv, x_frame, z_frame)`` with W Z W = X, zinv = Z^-1,
     x_frame X x_frame^dag = 1 and z_frame Z z_frame^dag = 1.  Raises
     ``np.linalg.LinAlgError`` when X is not positive definite.
+    ``last_own`` is as in :func:`_clipped_eigh`.
     """
     low = np.linalg.cholesky(x)
-    lz = low.conj().T @ z
-    m = lz @ low
-    ev, v = _clipped_eigh((m + m.conj().T) / 2.0)
-    lv = low @ v
-    g = lv * ev**-0.25
-    q = lv * ev**-0.5
-    w = g @ g.conj().T
-    x_frame = (v.conj().T / ev[:, None]) @ lz
-    return (w + w.conj().T) / 2.0, q @ q.conj().T, x_frame, q.conj().T
+    lz = _dag(low) @ z
+    ev, v = _clipped_eigh(_sym(lz @ low), last_own)
+    root = ev[..., None, :] ** -0.25
+    g = (low @ v) * root
+    q = g * root
+    q_h = _dag(q)
+    x_frame = (_dag(v) / ev[..., :, None]) @ lz
+    return _sym(g @ _dag(g)), q @ q_h, x_frame, q_h
 
 
 def _corrector(x, zinv, x_frame, z_frame, dx_aff, dz_aff, sigma_mu):
     """Right side r = G R G^dag of dX + W dZ W = r for the corrector on one
-    block, with R as in the module docstring.
+    block or a stack, with R as in the module docstring.
 
-    ``zinv``, ``x_frame`` and ``z_frame`` are the block's :func:`_nt_scaling`
-    outputs, and ``dx_aff``, ``dz_aff`` its affine directions.  The frame is
+    ``zinv``, ``x_frame`` and ``z_frame`` are the :func:`_nt_scaling`
+    outputs, and ``dx_aff``, ``dz_aff`` the affine directions.  The frame is
     read off the step frames: D^-1 = diag(x_frame z_frame^dag),
     G^-1 = D^(1/2) x_frame and G^dag = D^(1/2) z_frame.  The part of R
     without M maps back to sigma mu Z^-1 - X; the rest is -H with
     H_ij = (M + M^dag)_ij / (D_i + D_j).
     """
-    d = 1.0 / np.einsum("ij,ij->i", x_frame, z_frame.conj()).real
-    root = np.sqrt(d)[:, None]
+    d = 1.0 / np.einsum("...ij,...ij->...i", x_frame, z_frame.conj()).real
+    root = np.sqrt(d)[..., :, None]
     g_inv = root * x_frame
     g_dag = root * z_frame
-    m = (g_inv @ dx_aff @ g_inv.conj().T) @ (g_dag @ dz_aff @ g_dag.conj().T)
-    h = (m + m.conj().T) / (d[:, None] + d[None, :])
-    return sigma_mu * zinv - x - g_dag.conj().T @ h @ g_dag
+    g = _dag(g_dag)
+    m = (g_inv @ dx_aff @ _dag(g_inv)) @ (g_dag @ dz_aff @ g)
+    h = (m + _dag(m)) / (d[..., :, None] + d[..., None, :])
+    return sigma_mu * zinv - x - g @ h @ g_dag
 
 
 def _max_step(frame, delta):
-    """Largest t with X + t*delta >= 0, where frame X frame^dag = 1."""
-    s = frame @ delta @ frame.conj().T
-    lam = float(np.linalg.eigvalsh((s + s.conj().T) / 2.0)[0])
-    if lam >= -1e-13:
-        return 1e16
-    return -1.0 / lam
+    """Largest t with X + t*delta >= 0, where frame X frame^dag = 1, for one
+    matrix or each matrix of a stack; 1e16 where delta never leaves the cone."""
+    s = frame @ delta @ _dag(frame)
+    lam = np.linalg.eigvalsh(_sym(s))[..., 0]
+    step = np.full(lam.shape, 1e16)
+    np.divide(-1.0, lam, out=step, where=lam < -1e-13)
+    return step
 
 
 def solve(problem, tol=1e-7, max_iter=200):
@@ -704,14 +850,16 @@ def solve(problem, tol=1e-7, max_iter=200):
     "infeasible" when the constraint rows are inconsistent or the
     iterates diverge, and "max_iter" otherwise (with the reason in
     ``diagnostics``).  ``diagnostics`` also records the problem's
-    ``block_dims``, its row counts before and after the row reduction,
-    and ``row_matrix_bytes``, the size of the real matrix of kept rows
-    that the iterations read.
+    ``block_dims``, the ``stacks`` it iterated in, as ``[n, [blocks]]``
+    each, its row counts before and after the row reduction, and
+    ``row_matrix_bytes``, the size of the real matrix of kept rows that
+    the iterations read.
     """
     dims = problem.block_dims
     sign = 1.0 if problem.sense == "min" else -1.0
     c_blocks = [sign * c for c in problem.objective]
-    coords = _SvecMap(dims)
+    stacks = _stack_layout(dims)
+    coords = _SvecMap(dims, stacks)
     a_svec = _svec_rows(problem, coords)
     rhs_full = problem.rhs
 
@@ -719,6 +867,7 @@ def solve(problem, tol=1e-7, max_iter=200):
     in_family = sum(int(np.count_nonzero((kept >= start) & (kept < start + len(family))))
                     for start, family in problem.families)
     diagnostics = {"block_dims": list(dims),
+                   "stacks": [[st.n, list(st.blocks)] for st in stacks],
                    "rows": int(rhs_full.size), "rows_kept": int(kept.size),
                    "family_rows": in_family, "dense_rows": int(kept.size) - in_family,
                    "row_matrix_bytes": int(kept.size) * a_svec.shape[1] * a_svec.itemsize}
@@ -739,38 +888,47 @@ def solve(problem, tol=1e-7, max_iter=200):
     n_total = sum(dims)
 
     norm_c = np.sqrt(sum(np.linalg.norm(c) ** 2 for c in c_blocks))
+    norm_b = float(np.linalg.norm(b_vec))
     row_norms = _row_norms(a_svec)
     if m:
         s_x = max(1.0, float(np.max((1.0 + np.abs(b_vec)) / (1.0 + row_norms))))
         s_z = max(1.0, norm_c, float(np.max(row_norms)))
     else:
         s_x, s_z = 1.0, max(1.0, norm_c)
-    x = [s_x * np.eye(d, dtype=complex) for d in dims]
-    z = [s_z * np.eye(d, dtype=complex) for d in dims]
+    # every per-block quantity below is a list with one (k, n, n) array per stack
+    c_stacks = coords.stacked(c_blocks)
+    x = [st.identity(s_x) for st in stacks]
+    z = [st.identity(s_z) for st in stacks]
     y = np.zeros(m)
 
     def operator(mats):
-        return a_svec @ coords.svec(np.concatenate([t.ravel() for t in mats]))
+        return a_svec @ coords.svec(coords.ravel(mats))
 
     def adjoint(vec):
         return coords.unsvec(vec @ a_svec)
 
+    def trace_pairs(xs, zs):
+        """sum_b Tr(X_b Z_b) over the blocks' own entries."""
+        return float(sum(np.vdot(st.own(a), b).real for st, a, b in zip(stacks, xs, zs)))
+
     def direction(rhs, r):
         """This iteration's Newton direction (dX, dy, dZ) for the Schur right
-        side ``rhs`` + A(W R_d W) and dX + W dZ W = r."""
+        side ``rhs`` + A(W R_d W) and dX + W dZ W = r, zero on the padding
+        when r is."""
         dy = np.linalg.solve(schur_j, rhs + a_wrdw) if m else np.zeros(0)
-        aty_d = adjoint(dy)
-        dz = [r_d[b] - aty_d[b] for b in range(len(dims))]
-        dx = []
-        for b in range(len(dims)):
-            t = r[b] - w_scale[b] @ dz[b] @ w_scale[b]
-            dx.append((t + t.conj().T) / 2.0)
+        dz = [rd - a for rd, a in zip(r_d, adjoint(dy))]
+        dx = [_sym(t - w @ dt @ w) for t, w, dt in zip(r, w_scale, dz)]
         return dx, dy, dz
 
     def steps(dx, dz, fraction):
-        """Primal and dual steps: ``fraction`` of the way to the boundary, at most 1."""
-        return (min(1.0, fraction * min(_max_step(x_frames[b], dx[b]) for b in range(len(dims)))),
-                min(1.0, fraction * min(_max_step(z_frames[b], dz[b]) for b in range(len(dims)))))
+        """Primal and dual steps: ``fraction`` of the way to the boundary, at
+        most 1.  One ``eigvalsh`` per stack serves both."""
+        ap = ad = 1.0
+        for frame, a, b in zip(frames, dx, dz):
+            t = _max_step(frame, np.concatenate([a, b]))
+            ap = min(ap, fraction * float(t[:len(a)].min()))
+            ad = min(ad, fraction * float(t[len(a):].min()))
+        return ap, ad
 
     status = "max_iter"
     it = 0
@@ -781,40 +939,40 @@ def solve(problem, tol=1e-7, max_iter=200):
     for it in range(1, max_iter + 1):
         ax = operator(x)
         r_p = b_vec - ax
-        aty = adjoint(y)
-        r_d = [c_blocks[b] - aty[b] - z[b] for b in range(len(dims))]
-        # Tr(A B) = vdot(A, B) for Hermitian A
-        pobj = float(sum(np.vdot(c_blocks[b], x[b]).real for b in range(len(dims))))
+        r_d = [st.own(c - a - b) for st, c, a, b in zip(stacks, c_stacks, adjoint(y), z)]
+        # Tr(A B) = vdot(A, B) for Hermitian A; C is zero on the padding
+        pobj = float(sum(np.vdot(c, a).real for c, a in zip(c_stacks, x)))
         dobj = float(b_vec @ y)
-        mu = float(sum(np.vdot(x[b], z[b]).real for b in range(len(dims)))) / n_total
+        mu = trace_pairs(x, z) / n_total
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        p_res = float(np.linalg.norm(r_p)) / (1.0 + float(np.linalg.norm(b_vec)))
-        d_res = np.sqrt(sum(np.linalg.norm(r) ** 2 for r in r_d)) / (1.0 + norm_c)
+        p_res = float(np.sqrt(r_p @ r_p)) / (1.0 + norm_b)
+        d_res = np.sqrt(sum(np.vdot(r, r).real for r in r_d)) / (1.0 + norm_c)
         if rel_gap <= tol and p_res <= tol and d_res <= tol:
             status = "optimal"
             break
-        if np.linalg.norm(y) > 1e13 or mu > 1e16:
+        if y @ y > 1e26 or mu > 1e16:
             status = "infeasible"
             diagnostics["reason"] = ("iterates diverged; the problem is likely "
                                      "infeasible or unbounded")
             break
 
-        # Nesterov-Todd scaling point, Z^-1 and step frames per block
+        # Nesterov-Todd scaling point, Z^-1 and step frames per stack
         try:
             w_scale, zinv, x_frames, z_frames = zip(
-                *(_nt_scaling(x[b], z[b]) for b in range(len(dims))))
+                *(_nt_scaling(a, b, st.last_own) for st, a, b in zip(stacks, x, z)))
         except np.linalg.LinAlgError:
             diagnostics["reason"] = "primal iterate lost positive definiteness"
             break
+        frames = [np.concatenate(pair) for pair in zip(x_frames, z_frames)]
 
         # Schur complement and its factorization
-        schur = _schur(layout, w_scale, a_svec, coords.slices, m)
-        scale = max(float(np.mean(np.diagonal(schur))), 1e-30) if m else 1.0
+        schur = _schur(layout, coords.blocks(w_scale), a_svec, coords.slices, m)
+        scale = max(float(np.trace(schur)) / m, 1e-30) if m else 1.0
         factor_ok = False
         for jitter in (0.0, 1e-14, 1e-11, 1e-8):
+            schur_j = schur + jitter * scale * np.eye(m) if jitter else schur
             try:
-                np.linalg.cholesky(schur + jitter * scale * np.eye(m))
-                schur_j = schur + jitter * scale * np.eye(m)
+                np.linalg.cholesky(schur_j)
                 factor_ok = True
                 break
             except np.linalg.LinAlgError:
@@ -823,23 +981,19 @@ def solve(problem, tol=1e-7, max_iter=200):
             diagnostics["reason"] = "Schur complement factorization broke down"
             break
 
-        wrdw = [w_scale[b] @ r_d[b] @ w_scale[b] for b in range(len(dims))]
-        wrdw = [(t + t.conj().T) / 2.0 for t in wrdw]
-        a_wrdw = operator(wrdw)
+        a_wrdw = operator([_sym(w @ r @ w) for w, r in zip(w_scale, r_d)])
 
         # predictor: pure Newton step toward XZ = 0
-        dx_aff, _, dz_aff = direction(b_vec, [-x[b] for b in range(len(dims))])
+        dx_aff, _, dz_aff = direction(b_vec, [st.own(-a) for st, a in zip(stacks, x)])
         ap, ad = steps(dx_aff, dz_aff, 1.0)
-        mu_aff = sum(
-            np.vdot(x[b] + ap * dx_aff[b], z[b] + ad * dz_aff[b]).real
-            for b in range(len(dims))
-        ) / n_total
+        mu_aff = trace_pairs([a + ap * da for a, da in zip(x, dx_aff)],
+                             [b + ad * db for b, db in zip(z, dz_aff)]) / n_total
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 0.0, 1.0))
         tau = 0.9 + 0.09 * min(ap, ad)
 
         # corrector: recentered second-order step reusing the same factorization
-        r_nt = [_corrector(x[b], zinv[b], x_frames[b], z_frames[b], dx_aff[b], dz_aff[b],
-                           sigma * mu) for b in range(len(dims))]
+        r_nt = [st.own(_corrector(*args, sigma * mu))
+                for st, *args in zip(stacks, x, zinv, x_frames, z_frames, dx_aff, dz_aff)]
         dx, dy, dz = direction(r_p - operator(r_nt), r_nt)
         ap, ad = steps(dx, dz, tau)
         diagnostics.update(sigma=sigma, step_fraction=tau, alpha_primal=ap, alpha_dual=ad)
@@ -850,9 +1004,8 @@ def solve(problem, tol=1e-7, max_iter=200):
                 break
         else:
             stall = 0
-        for b in range(len(dims)):
-            x[b] = x[b] + ap * dx[b]
-            z[b] = z[b] + ad * dz[b]
+        x = [a + ap * da for a, da in zip(x, dx)]
+        z = [b + ad * db for b, db in zip(z, dz)]
         y = y + ad * dy
 
     y_full = np.zeros(rhs_full.size)
@@ -866,9 +1019,9 @@ def solve(problem, tol=1e-7, max_iter=200):
         status=status,
         value=sign * pobj,
         dual_value=sign * dobj,
-        block_values=x,
+        block_values=[a.copy() for a in coords.blocks(x)],
         dual_values=sign * y_full,
-        dual_blocks=z,
+        dual_blocks=[b.copy() for b in coords.blocks(z)],
         primal_residual=p_res,
         dual_residual=d_res,
         gap=rel_gap,

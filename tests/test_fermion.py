@@ -187,6 +187,38 @@ def test_physical_algebra_keeps_one_copy_of_its_basis():
     assert a._rows.tobytes() == listed._rows.tobytes()
 
 
+def test_region_sectors_are_built_on_the_first_block_structure_read(monkeypatch):
+    # the dimension and membership read no sectors; block_structure builds
+    # them once and every later read reuses them
+    calls = []
+    build = fermion._region_sectors
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fermion, "_region_sectors", counting)
+    a = fermion.physical_algebra(S3, (1, 2, 3, 4))
+    assert a.dim == 8
+    assert algebra.contains(a, fermion.majorana_monomial(S3, (1, 3)))
+    assert calls == []
+    first = algebra.block_structure(a)
+    second = algebra.block_structure(a, seed=5)
+    assert len(calls) == 1
+    assert [(s.left_dim, s.right_dim) for s in first.sectors] == [(2, 2), (2, 2)]
+    for s, t in zip(first.sectors, second.sectors):
+        assert np.array_equal(s.isometry, t.isometry)
+
+
+def test_dense_generators_are_written_on_first_read():
+    # the relations are checked on the permutation arrays, and the 2n dense
+    # d x d generators are written only when majorana() reads them
+    system = fermion.FermionSystem(3)
+    assert "majoranas" not in vars(system)
+    assert np.array_equal(fermion.majorana(system, 2), kron_majoranas(3)[1])
+    assert "majoranas" in vars(system)
+
+
 def test_physical_algebra_argument_validation():
     with pytest.raises(ValueError):
         fermion.physical_algebra(S2)

@@ -504,6 +504,59 @@ def test_corrector_solves_the_scaled_complementarity_equation(d):
     assert rel_err(diag[:, None] * big_r + big_r * diag[None, :], rhs) < 1e-12
 
 
+def test_stacked_kernels_match_one_matrix_at_a_time():
+    rng = np.random.default_rng(113)
+    d, k = 5, 3
+    x = np.stack([random_pd(rng, d) for _ in range(k)])
+    z = np.stack([random_pd(rng, d) for _ in range(k)])
+    dx = np.stack([random_hermitian(rng, d) for _ in range(k)])
+    dz = np.stack([random_hermitian(rng, d) for _ in range(k)])
+    stacked = sdp._nt_scaling(x, z)
+    steps = sdp._max_step(np.concatenate(stacked[2:]), np.concatenate([dx, dz]))
+    corrector = sdp._corrector(x, *stacked[1:], dx, dz, 0.3)
+    assert steps.shape == (2 * k,)
+    for i in range(k):
+        single = sdp._nt_scaling(x[i], z[i])
+        for got, want in zip(stacked, single):
+            assert rel_err(got[i], want) < 1e-12
+        for got, frame, delta in ((steps[i], single[2], dx[i]), (steps[k + i], single[3], dz[i])):
+            want = sdp._max_step(frame, delta)
+            assert abs(got - want) <= 1e-12 * want
+        assert rel_err(corrector[i], sdp._corrector(x[i], *single[1:], dx[i], dz[i], 0.3)) < 1e-12
+
+
+def test_padding_stays_out_of_the_clip_floor():
+    # a block of dimension 2 padded to 3: the padding's eigenvalue 1 is not
+    # the block's largest, 1e-3, so the floor is 1e-18 and not 1e-15
+    h = np.diag([1e-3, 1e-20, 1.0]).astype(complex)[None]
+    stack = sdp._Stack.of([0, 1], [2, 3])
+    w, _ = sdp._clipped_eigh(np.concatenate([h, h]), stack.last_own)
+    assert w[0].tolist() == [1e-18, 1e-3, 1.0]
+    assert w[1].tolist() == [1e-15, 1e-3, 1.0]
+
+
+def test_blocks_under_the_cut_iterate_as_one_padded_stack():
+    # max sum_b <C_b, X_b> with Tr X_b = 1 on each block is sum_b lambda_max(C_b)
+    rng = np.random.default_rng(117)
+    dims = (2, 5, 9, 20)
+    objective = [random_hermitian(rng, d) for d in dims]
+    rows = [[np.eye(d, dtype=complex) if b == c else None for c, d in enumerate(dims)]
+            for b in range(len(dims))]
+    sol = sdp.solve(sdp.SdpProblem(dims, objective, rows, np.ones(len(dims)), sense="max"))
+    assert sol.status == "optimal"
+    want = sum(np.linalg.eigvalsh(c)[-1] for c in objective)
+    assert abs(sol.value - want) < 1e-6 * (1.0 + abs(want))
+    assert sol.diagnostics["block_dims"] == list(dims)
+    assert sol.diagnostics["stacks"] == [[9, [0, 1, 2]], [20, [3]]]
+    for mats in (sol.block_values, sol.dual_blocks):
+        assert [a.shape for a in mats] == [(d, d) for d in dims]
+        for a in mats:
+            assert np.linalg.norm(a - a.conj().T) < 1e-12 * (1.0 + np.linalg.norm(a))
+    for x, c in zip(sol.block_values, objective):
+        assert abs(np.trace(x).real - 1.0) < 1e-6
+        assert np.vdot(c, x).real > np.linalg.eigvalsh(c)[-1] - 1e-5
+
+
 def test_diagnostics_report_the_last_step():
     rng = np.random.default_rng(19)
     sol = sdp.solve(rc.build_state_fidelity_sdp(random_density(rng, 3),
@@ -518,11 +571,11 @@ def test_lost_definiteness_ends_the_solve_with_a_reason(monkeypatch):
     scaling = sdp._nt_scaling
     calls = []
 
-    def breaks_on_the_third_call(x, z):
+    def breaks_on_the_third_call(*args):
         calls.append(None)
         if len(calls) == 3:
             raise np.linalg.LinAlgError("not positive definite")
-        return scaling(x, z)
+        return scaling(*args)
 
     monkeypatch.setattr(sdp, "_nt_scaling", breaks_on_the_third_call)
     prob = sdp.SdpProblem([3], [np.diag([1.0, 2.0, 3.0]).astype(complex)],
@@ -1064,10 +1117,12 @@ PARITY3 = np.asarray(fermion.parity_operator(fermion.FermionSystem(3), tuple(ran
 PINCH = [np.diag(x) for x in ([1.0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0])]
 # the two cases below that had one block before the split by pairs of
 # sectors; re-pinned with it from (10, 0.9298841445928623) and
-# (9, 0.7634418273131987), and with the problems posed in the sector
-# coordinates from 0.9298841445932353 and 0.7634418273131486
-NO_SPLIT_FROZEN = {"non-invariant-q": (10, 0.9298841445931839),
-                   "three-sector-pinching": (9, 0.7634418273131776)}
+# (9, 0.7634418273131987), with the problems posed in the sector
+# coordinates from 0.9298841445932353 and 0.7634418273131486, and with the
+# small blocks iterating as one padded stack from 0.9298841445931839 and
+# 0.7634418273131776
+NO_SPLIT_FROZEN = {"non-invariant-q": (10, 0.929884144593412),
+                   "three-sector-pinching": (9, 0.7634418273130403)}
 
 
 def dephasing(c):
@@ -1130,6 +1185,13 @@ def sector_unitary(rng, sectors):
     return sum(np.exp(2j * np.pi * rng.random()) * p for p in sectors)
 
 
+# (split, one-block) iterations where the two solves differ, pinned: at
+# tol=1e-10 the three-sector pinching's split solve, its small blocks one
+# padded stack, ends its 12th iteration at a relative gap of 1.02e-10 and
+# takes a 13th; it was (12, 12) with one iteration path per block
+SPLIT_ONE_BLOCK_ITERATIONS = {("three-sector-pinching", 1e-10): (13, 12)}
+
+
 @pytest.mark.parametrize("case", ["d4", "d8", "non-invariant-q", "three-sector-pinching"])
 def test_split_and_one_block_solves_agree(monkeypatch, case):
     n, m, rho, constraint, sectors = physical_corpus(case)
@@ -1157,7 +1219,8 @@ def test_split_and_one_block_solves_agree(monkeypatch, case):
         sol_split = sdp.solve(split.problem, tol=tol)
         sol_one = sdp.solve(one.problem, tol=tol)
         assert sol_split.status == sol_one.status == "optimal"
-        assert sol_split.iterations == sol_one.iterations
+        assert (sol_split.iterations, sol_one.iterations) == SPLIT_ONE_BLOCK_ITERATIONS.get(
+            (case, tol), (sol_one.iterations, sol_one.iterations))
         assert abs(sol_split.value - sol_one.value) < 1e-9
     # the reassembled process matrix is covariant under independent sector
     # phases on both sides, and trace preserving

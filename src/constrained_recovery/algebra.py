@@ -5,31 +5,33 @@ the Hilbert-Schmidt inner product Tr(X^dag Y). The module computes algebra
 generation (closure under products and adjoints), commutants, centers,
 minimal central projectors, the block (Wedderburn) factorization, and the
 trace-preserving conditional expectation each algebra induces. Everything is
-dense. Every consumer of an algebra's structure (the commutant basis, the
-center, the expectations onto an algebra and onto its commutant) reads it
-off :func:`block_structure`, which takes one of two paths:
+dense. An algebra's structure has one form, its list of :class:`Sector`:
+per sector a projector and the (d, n, m) array on which the algebra is
+M_n (x) 1_m. The algebra owns that list, found once, and every consumer
+(the commutant, center and expectations here, the local complements and
+link problems elsewhere) reads it through :func:`block_structure`. It is
+found one of two ways:
 
 * an algebra built with its sectors carries them, and its dense basis is
   written only when first read. :func:`fermion.physical_algebra` builds the
   even algebra of a Majorana region this way, from signed permutations;
 * every other algebra (:func:`generate_algebra`, the results of
   :func:`commutant`, :func:`intersect` and the rest, and any basis given
-  directly) has its sectors found by :func:`_modules`, which finds and
-  certifies the irreducible modules of the algebra and groups them into
-  sectors, from two random elements of the commutant drawn by twirling over
-  the basis: a few GEMMs of dim * d^3 flops and one d x d eigensolve, no
-  d^2 x d^2 matrix.
+  directly) has them found by :func:`_modules` at ``DEFAULT_SEED``, which
+  finds and certifies the irreducible modules of the algebra and groups
+  them into sectors, from two random elements of the commutant drawn by
+  twirling over the basis: a few GEMMs of dim * d^3 flops and one d x d
+  eigensolve, no d^2 x d^2 matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 import numpy as np
 
-from . import linalg
-from .channels import Channel
+from . import channels, linalg
 
 __all__ = [
     "AlgebraBasis",
@@ -57,6 +59,7 @@ _UNLINKED = 1e-10
 _LINKED = 1e-6
 _CERTIFY_TOL = 1e-8
 _CLUSTER_GUARD = 10.0
+_ORDER_TOL = 1e-8
 
 
 class DegenerateSplitError(RuntimeError):
@@ -75,8 +78,8 @@ class AlgebraBasis:
     An algebra whose sectors are known is built from two functions of no
     arguments and its dimension ``dim``: ``basis`` returns its basis,
     written on the first read of ``basis`` or ``_rows``, and ``sectors``
-    its list of :class:`Sector`, built on the first read of ``_sectors``
-    (by :func:`block_structure`), whose sum_k n_k^2 is ``dim``.
+    its list of :class:`Sector`, whose sum_k n_k^2 is ``dim``. Every
+    algebra keeps its sectors once :func:`block_structure` reads them.
     """
 
     def __init__(self, ambient_dim, basis, sectors=None, dim=None):
@@ -117,8 +120,10 @@ class AlgebraBasis:
 
     @cached_property
     def _sectors(self):
-        """The :class:`Sector` list the algebra was built with, or None."""
-        return None if self._find_sectors is None else self._find_sectors()
+        """The sectors the algebra was built with, or else those of
+        :func:`_modules` at ``DEFAULT_SEED``, ordered."""
+        found = self._find_sectors
+        return _ordered(found() if found else _module_sectors(self, DEFAULT_SEED))
 
     @property
     def dim(self):
@@ -169,7 +174,7 @@ def generate_algebra(generators, ambient_dim):
         if rows.shape[0] == before:
             break
         fresh = rows[before:]
-    return AlgebraBasis(d, [linalg.unvec(r, (d, d)) for r in rows])
+    return AlgebraBasis(d, rows.reshape(-1, d, d))
 
 
 def commutant(a):
@@ -188,7 +193,7 @@ def commutant(a):
     d = a.ambient_dim
     if a.dim == 0:
         return AlgebraBasis(d, list(np.eye(d * d).reshape(d * d, d, d)))
-    arrays = _sector_arrays(block_structure(a).sectors)
+    arrays = [s.x for s in block_structure(a).sectors]
     out = np.empty((sum(x.shape[2] ** 2 for x in arrays), d, d), dtype=complex)
     at = 0
     for x in arrays:
@@ -348,8 +353,7 @@ def intersect(a, b, tol=1e-9):
     u, s, _ = np.linalg.svd(m)
     k = int(np.count_nonzero(s >= 1.0 - tol))
     rows = u[:, :k].T @ a._rows
-    d = a.ambient_dim
-    return AlgebraBasis(d, [linalg.unvec(r, (d, d)) for r in rows])
+    return AlgebraBasis(a.ambient_dim, rows.reshape(-1, a.ambient_dim, a.ambient_dim))
 
 
 def contains(a, x, tol=1e-8):
@@ -407,10 +411,17 @@ def _cluster_eigenvalues(w, tol):
 
 @dataclass
 class Sector:
+    """A minimal central projector P and the (d, n, m) array ``x`` = U^dag,
+    U U^dag = 1 and U^dag U = P, on whose last two axes the algebra is
+    M_n (x) 1_m. ``left_dim`` n, ``right_dim`` m and the isometry U, of
+    shape (n m, d), are read off ``x``."""
+
     projector: np.ndarray
-    left_dim: int
-    right_dim: int
-    isometry: np.ndarray
+    x: np.ndarray
+
+    left_dim = property(lambda self: self.x.shape[1])
+    right_dim = property(lambda self: self.x.shape[2])
+    isometry = property(lambda self: self.x.reshape(len(self.x), -1).conj().T)
 
 
 @dataclass
@@ -423,39 +434,51 @@ class BlockStructure:
 def block_structure(a, seed=DEFAULT_SEED):
     """Factor each central sector of ``a`` as (left matrix algebra) (x) 1.
 
-    For each minimal central projector P_i, returns an isometry U_i with
-    U_i U_i^dag = 1 and U_i^dag U_i = P_i such that U_i A U_i^dag has the
-    form A_i (x) 1_{m_i} for every A in the algebra. An algebra that carries
-    its sectors returns those, whatever the seed. Otherwise the sectors are
-    those of :func:`_modules`, drawn with ``seed``: level k of a sector with
-    modules V_k of dimension n is V_k sqrt(n) units[k, 0], on which every
-    element of ``a`` acts as on level 0; column j*m + k of U_i^dag is the
-    j-th vector of level k, and P_i = sum_k V_k V_k^dag. Either way the
-    report records ``seed``. Ordering: descending rank, ties broken by the
-    trace of P_i against diag(0..d-1).
+    For each minimal central projector P_i, returns the :class:`Sector`
+    (P_i, U_i^dag), U_i A U_i^dag = A_i (x) 1_{m_i} for every A in the
+    algebra, in the order of :func:`_ordered`. These are the sectors ``a``
+    owns: those it carries, whatever the seed, or those :func:`_modules`
+    finds at ``DEFAULT_SEED``; only another seed draws again. Either way the
+    report records ``seed``.
     """
-    d = a.ambient_dim
-    ref = np.arange(d)
-    if a._sectors is not None:
-        sectors = list(a._sectors)
-    else:
-        sectors = []
-        for vs, units in _modules(a, seed):
-            m, _, n = vs.shape
-            levels = np.sqrt(n) * vs @ units[:, 0]
-            projector = np.einsum("kan,kbn->ab", vs, vs.conj())
-            isometry = levels.transpose(2, 0, 1).reshape(n * m, d).conj()
-            sectors.append(Sector(projector, n, m, isometry))
-    sectors.sort(key=lambda s: (-s.left_dim * s.right_dim,
-                                float((np.diag(s.projector).real * ref).sum())))
-    return BlockStructure(d, sectors, seed)
+    owned = a._find_sectors or seed == DEFAULT_SEED
+    sectors = a._sectors if owned else _ordered(_module_sectors(a, seed))
+    return BlockStructure(a.ambient_dim, list(sectors), seed)
+
+
+def _module_sectors(a, seed):
+    """The sectors of :func:`_modules` drawn with ``seed``: x[:, j, k] is the
+    j-th vector of level k, V_k sqrt(n) units[k, 0] for the modules V_k of
+    dimension n, on which ``a`` acts as on level 0; P = sum_k V_k V_k^dag."""
+    return [Sector(np.einsum("kan,kbn->ab", vs, vs.conj()),
+                   (np.sqrt(vs.shape[2]) * vs @ units[:, 0]).transpose(1, 2, 0))
+            for vs, units in _modules(a, seed)]
+
+
+def _ordered(sectors):
+    """``sectors`` by the first of these to differ by more than ``_ORDER_TOL``,
+    so that rounding in the projectors P sets no order: descending rank,
+    ascending trace of P against diag(0..d-1), then the diagonal of P, its
+    real and then its imaginary entries row by row, the larger first."""
+
+    def key(s):
+        p = s.projector
+        diag = np.diag(p).real
+        return np.concatenate([[s.left_dim * s.right_dim, -diag @ np.arange(len(p))],
+                               diag, p.real.ravel(), p.imag.ravel()])
+
+    def later(s, t):
+        gap = key(t) - key(s)
+        differ = np.flatnonzero(np.abs(gap) > _ORDER_TOL)
+        return int(np.sign(gap[differ[0]])) if differ.size else 0
+
+    return sorted(sectors, key=cmp_to_key(later))
 
 
 def minimal_central_projectors(a, seed=DEFAULT_SEED):
     """Mutually orthogonal minimal projectors of the center, summing to 1.
 
-    These are the sector projectors of :func:`block_structure`, in its
-    order: descending rank, ties broken by the trace against diag(0..d-1).
+    These are the sector projectors of :func:`block_structure`, in its order.
     """
     return [s.projector for s in block_structure(a, seed).sectors]
 
@@ -463,12 +486,7 @@ def minimal_central_projectors(a, seed=DEFAULT_SEED):
 def conditional_expectation(a, seed=DEFAULT_SEED):
     """The Hilbert-Schmidt orthogonal projection onto ``a`` as a channel:
     identity on the left factor of each sector, normalized trace on the right."""
-    return _expectation(_sector_arrays(block_structure(a, seed).sectors))
-
-
-def _sector_arrays(sectors):
-    """Each U_k^dag of the :class:`Sector` list, as a (d, n_k, m_k) array."""
-    return [s.isometry.conj().T.reshape(-1, s.left_dim, s.right_dim) for s in sectors]
+    return _expectation([s.x for s in block_structure(a, seed).sectors])
 
 
 def _expectation(arrays):
@@ -480,4 +498,4 @@ def _expectation(arrays):
         levels = x.transpose(2, 0, 1)
         kraus = np.einsum("jan,kbn->jkab", levels, levels.conj()) / np.sqrt(m)
         ops.extend(kraus.reshape(m * m, d, d))
-    return Channel(ops)
+    return channels.Channel(ops)

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import algebra as algebra_mod
 from . import linalg
 
 # numbers of the (environment x input)^2 matrices per basis element that one
@@ -257,13 +258,11 @@ def _check_output_algebra(c, b):
         raise ValueError(f"algebra ambient dim {b.ambient_dim} != channel output dim {c.out_dim}")
 
 
-def _commutant_expectation(b, sectors=None):
+def _commutant_expectation(b):
     """The expectation onto the commutant of ``b``: :func:`algebra._expectation`
-    of its sector arrays (found when not given), last two axes swapped."""
-    from . import algebra as algebra_mod
-
-    sectors = sectors or algebra_mod._sector_arrays(algebra_mod.block_structure(b).sectors)
-    return algebra_mod._expectation([x.swapaxes(1, 2) for x in sectors])
+    of its sector arrays, last two axes swapped."""
+    sectors = algebra_mod.block_structure(b).sectors
+    return algebra_mod._expectation([s.x.swapaxes(1, 2) for s in sectors])
 
 
 def _local_complement(c, p):
@@ -297,11 +296,9 @@ def _checked_local_complement(c, b, lc=None):
     of ``b``, formed for ``_DEFECT_CHUNK`` numbers' worth of the basis at a
     time, so that the peak beyond the H_k below is one chunk's.
     """
-    from . import algebra as algebra_mod
-
     _check_output_algebra(c, b)
-    sectors = algebra_mod._sector_arrays(algebra_mod.block_structure(b).sectors)
-    p = _commutant_expectation(b, sectors)
+    sectors = [s.x for s in algebra_mod.block_structure(b).sectors]
+    p = _commutant_expectation(b)
     lc = _local_complement(c, p) if lc is None else lc
     d, width = c.out_dim, c.n_kraus * c.in_dim
     # V^dag (B (x) 1) V, less G^dag (x (x) 1) G with G the Stinespring
@@ -444,8 +441,6 @@ def fixes_algebra(n, b, tol=1e-8):
 def maps_into(n, a, tol=1e-8):
     """Whether the adjoint of ``n`` maps the algebra ``a`` into itself."""
     _check_square_with(n, a)
-    from . import algebra as algebra_mod
-
     if not a.dim:
         return True
     images = np.stack([adjoint_apply(n, aop) for aop in a.basis])
@@ -483,8 +478,6 @@ def is_local(n, a, b, tol=1e-8):
         )
     fx = fixes_algebra(n, b, tol)
     mi = maps_into(n, a, tol)
-
-    from . import algebra as algebra_mod
 
     strong = b.dim == sum(s.right_dim ** 2 for s in algebra_mod.block_structure(a).sectors)
     return LocalityReport(bool(fx) and mi, fx, mi, strong, tol)

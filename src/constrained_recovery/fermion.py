@@ -258,8 +258,8 @@ def _region_sectors(system, region):
     vectors under the permutations of the h_j. Their entries are sums of
     dyadic multiples of 1 and i, so exact: a column outside the eigenspace is
     exactly 0, and two columns of one orbit are proportional and start on
-    the same row. Each sector costs its (d, n, m) array, a d x d projector
-    and the isometry's copy of the array.
+    the same row. Each sector costs its (d, n, m) array and a d x d
+    projector.
     """
     d, s = system.dim, len(region)
     t = s // 2
@@ -289,12 +289,8 @@ def _region_sectors(system, region):
         projectors = [parity.p_plus, parity.p_minus]
     else:
         groups, projectors = [[0]], [eye]
-    sectors = []
-    for group, projector in zip(groups, projectors):
-        x = np.stack([_left(g[f], v) for f in group], axis=1)
-        _, n, m = x.shape
-        sectors.append(Sector(projector, n, m, x.reshape(d, n * m).conj().T))
-    return sectors
+    return [Sector(projector, np.stack([_left(g[f], v) for f in group], axis=1))
+            for group, projector in zip(groups, projectors)]
 
 
 def _even_monomials(system, indices):

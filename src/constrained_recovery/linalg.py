@@ -11,6 +11,8 @@ import numpy as np
 __all__ = [
     "vec",
     "unvec",
+    "encode_matrix",
+    "decode_matrix",
     "tensor",
     "partial_trace",
     "hs_inner",
@@ -39,6 +41,26 @@ def vec(m):
 def unvec(v, shape):
     """Inverse of :func:`vec` for the given (rows, cols) shape."""
     return np.asarray(v, dtype=complex).reshape(shape)
+
+
+def encode_matrix(a):
+    """A complex matrix (or stack) as row-major nested [real, imag] pairs; None stays None."""
+    if a is None:
+        return None
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
+def decode_matrix(rows):
+    """Inverse of :func:`encode_matrix` for a matrix, refusing ragged rows."""
+    if rows is None:
+        return None
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("matrix rows have unequal lengths")
+    pairs = np.asarray(rows, dtype=float)
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError("matrix entries are not [real, imag] pairs")
+    return pairs.view(complex)[..., 0]
 
 
 def tensor(*ops):

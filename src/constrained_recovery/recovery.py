@@ -484,8 +484,8 @@ class Physical:
 
     @cached_property
     def sectors(self):
-        """The sector isometries (p's, q's) of the recovery side (see
-        :func:`_sectors`), found once per constraint."""
+        """The sectors (p's, q's) of the recovery side as d x 1 x d_k arrays
+        (see :func:`_sectors`), found once per constraint."""
         out = _sectors(self.p)
         return out, out if self.q is self.p else _sectors(self.q)
 
@@ -501,11 +501,6 @@ class FixesAlgebra:
     """
 
     algebra: object
-
-    @cached_property
-    def sectors(self):
-        """Each U_k^dag, shape (d, n_k, m_k), found once per constraint."""
-        return algebra_mod._sector_arrays(algebra_mod.block_structure(self.algebra).sectors)
 
 
 def _support(h):
@@ -725,11 +720,11 @@ def _moved_by(channel, projector):
 
 
 def _sectors(channel):
-    """Isometries V_k onto the sectors of a square ``channel``, d x d_k each.
+    """Isometries V_k onto the sectors of a square ``channel``, d x 1 x d_k.
 
     The sectors are the minimal central projectors Pi_k = V_k V_k^dag of
-    the algebra the Kraus operators generate, with V_k read off
-    :func:`algebra.block_structure`.  They are kept only when
+    the algebra the Kraus operators generate, with V_k the flattened sector
+    arrays of :func:`algebra.block_structure`.  They are kept only when
     Ad_U . channel = channel for every U_k = 1 - 2 Pi_k, checked on Choi
     matrices within 1e-10 (:func:`_moved_by`), so the answer depends on
     the channel and not on its Kraus form; otherwise the one sector is
@@ -739,28 +734,28 @@ def _sectors(channel):
     sectors = algebra_mod.block_structure(
         algebra_mod.generate_algebra(channel.kraus, d)).sectors
     if len(sectors) == 1 or any(_moved_by(channel, s.projector) > 1e-10 for s in sectors):
-        return [np.eye(d)]
-    return [x.reshape(d, -1) for x in algebra_mod._sector_arrays(sectors)]
+        return [np.eye(d)[:, None]]
+    return [s.x.reshape(d, 1, -1) for s in sectors]
 
 
-def _act_supports(state, act, ref, sectors, lefts=None):
+def _act_supports(state, act, ref, sectors, fixed=False):
     """``(V, state compressed by V)``: V's columns span the support of the
     act marginal of ``state`` on act (x) ref inside each of the
-    ``sectors`` (act x d_k isometries S_k), as one act x 1 x s_k array per
-    sector; a whole sector is its isometry, a part the normalized
-    :func:`linalg.psd_factor` columns.  Given ``lefts``, sector k is
-    lefts[k] (x) m_k, and its support F on m_k (at least one dimension)
-    gives S_k (1 (x) F) as act x lefts[k] x s_k.  Where V is the identity,
+    ``sectors`` (act x n_k x m_k arrays S_k), as S_k (1 (x) F) for its
+    support F on m_k, act x n_k x s_k: S_k itself when F is all of m_k, else
+    the normalized :func:`linalg.psd_factor` columns.  Under a ``fixed``
+    algebra F keeps at least one dimension.  Where V is the identity,
     ``state`` is kept."""
     marginal = np.einsum("ajbj->ab", state.reshape(act, ref, act, ref))
     cols = []
-    for s, n in zip(sectors, lefts or [1] * len(sectors)):
-        m = s.shape[1] // n
-        block = s.conj().T @ marginal @ s
+    for s in sectors:
+        _, n, m = s.shape
+        flat = s.reshape(act, -1)
+        block = flat.conj().T @ marginal @ flat
         f = linalg.psd_factor(block if n == 1 else
                               np.trace(block.reshape(n, m, n, m), axis1=0, axis2=2))[0]
-        f = np.eye(m, 1) if lefts and not f.shape[1] else f
-        cols.append(s.reshape(act, n, m) if f.shape[1] == m else
+        f = np.eye(m, 1) if fixed and not f.shape[1] else f
+        cols.append(s if f.shape[1] == m else
                     (s.reshape(-1, m) @ (f / np.linalg.norm(f, axis=0))).reshape(act, n, -1))
     v = np.concatenate([c.reshape(act, -1) for c in cols], axis=1)
     if v.shape[1] == act and np.array_equal(v, np.eye(act)):
@@ -824,8 +819,8 @@ def _link_plan(n, m, rho, constraint, environment):
     optimum maps B(S_in) into B(S_out).  On the Physical recovery side
     both marginals commute with the sectors, so the supports are taken
     sector by sector, and C keeps R covariant for tau in one sector.
-    Under FixesAlgebra(B), in the coordinates of
-    :attr:`FixesAlgebra.sectors` (or of the local complements), a positive
+    Under FixesAlgebra(B), in the coordinates of B's sectors
+    (:func:`algebra.block_structure`, or of the local complements), a positive
     matrix lives on the sum of the supports of its diagonal blocks, and
     one on n_k (x) m_k on n_k (x) that of its trace over n_k: the supports
     are taken on each m_k, and C adds 1_{n_k} (x) |t_k><e_j| per sector,
@@ -846,24 +841,25 @@ def _link_plan(n, m, rho, constraint, environment):
                 r = channels_mod.channel_from_choi(choi, m.out_dim, n.out_dim, renormalize=True)
                 return channels_mod.compose(p, channels_mod.compose(r, q)).choi
     if isinstance(constraint, FixesAlgebra):
-        fixed = out_fixed = constraint.sectors
+        fixed = [s.x for s in algebra_mod.block_structure(constraint.algebra).sectors]
+        sectors = fixed, fixed
         if environment:
-            p = channels_mod._commutant_expectation(constraint.algebra, fixed)
+            p = channels_mod._commutant_expectation(constraint.algebra)
             src = channels_mod._local_complement(m, p)
             dst = channels_mod._local_complement(n, p)
-            out_fixed, fixed = ([np.eye(c.out_dim).reshape(-1, p.n_kraus, c.out_dim // p.n_kraus)]
-                                for c in (dst, src))
-        sectors = tuple([s.reshape(len(s), -1) for s in f] for f in (out_fixed, fixed))
+            sectors = tuple([np.eye(c.out_dim).reshape(-1, p.n_kraus, c.out_dim // p.n_kraus)]
+                            for c in (dst, src))
+            fixed = sectors[1]
     elif environment:
         src, dst = channels_mod.complementary(dst), channels_mod.complementary(src)
     label = f"environment({label})" if environment else label
     eta, sigma = _state_after(src, psi), _state_after(dst, psi)
     act_in, act_out, ref = src.out_dim, dst.out_dim, psi.shape[1]
-    lefts = fixed and [s.shape[1] for s in fixed]
-    out_sectors, in_sectors = sectors or ([np.eye(act_out)], [np.eye(act_in)])
-    outs, sigma = _act_supports(sigma, act_out, ref, out_sectors, lefts)
-    ins, eta = _act_supports(eta, act_in, ref, in_sectors, lefts)
+    out_sectors, in_sectors = sectors or ([np.eye(act_out)[:, None]], [np.eye(act_in)[:, None]])
+    outs, sigma = _act_supports(sigma, act_out, ref, out_sectors, bool(fixed))
+    ins, eta = _act_supports(eta, act_in, ref, in_sectors, bool(fixed))
     out_sizes, in_sizes = ([c.shape[2] for c in cols] for cols in (outs, ins))
+    lefts = fixed and [s.shape[1] for s in fixed]
     plan = _build_link_problem(eta, sigma, ref, out_sizes, in_sizes, lefts)
     return replace(plan, act_out=act_out, act_in=act_in, supports=(outs, ins),
                    sectors=fixed), label, finish

@@ -33,6 +33,7 @@ import numpy as np
 from . import algebra as algebra_mod
 from . import channels as channel_mod
 from . import fermion as fermion_mod
+from . import linalg
 from . import recovery as recovery_mod
 
 __all__ = [
@@ -119,21 +120,6 @@ def bundled_scenario_text(name):
 # JSON <-> numpy
 
 
-def _as_complex(pair):
-    return complex(float(pair[0]), float(pair[1]))
-
-
-def _as_matrix(rows):
-    """A JSON matrix as a complex array; the loader names the object or task
-    of a ValueError."""
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("matrix rows have unequal lengths")
-    return np.array(
-        [[_as_complex(entry) for entry in row] for row in rows], dtype=complex
-    )
-
-
 def encode(value):
     """JSON-ready form of a result value.
 
@@ -144,7 +130,7 @@ def encode(value):
     """
     if isinstance(value, np.ndarray):
         if value.dtype.kind == "c":
-            return np.stack((value.real, value.imag), -1).tolist()
+            return linalg.encode_matrix(value)
         if value.dtype.kind in "fiub":
             return value.tolist()
         if value.ndim == 0:
@@ -323,7 +309,7 @@ def _full_algebra_generators(dim):
 def _build_algebra(what, spec, dim, fsys):
     kind = spec["kind"]
     if kind == "generated":
-        gens = [_as_matrix(rows) for rows in spec["generators"]]
+        gens = [linalg.decode_matrix(rows) for rows in spec["generators"]]
         return algebra_mod.generate_algebra(gens, dim)
     if kind == "full":
         return algebra_mod.generate_algebra(_full_algebra_generators(dim), dim)
@@ -337,7 +323,7 @@ def _build_algebra(what, spec, dim, fsys):
 def _build_channel(what, spec, dim, fsys):
     kind = spec["kind"]
     if kind == "kraus":
-        return channel_mod.Channel([_as_matrix(rows) for rows in spec["operators"]])
+        return channel_mod.Channel([linalg.decode_matrix(rows) for rows in spec["operators"]])
     if kind == "identity":
         return channel_mod.identity_channel(int(spec.get("dim", dim)))
     if kind == "geometric_noise":
@@ -356,7 +342,7 @@ def _build_channel(what, spec, dim, fsys):
                     f"{what} term {i}: indices must be strictly increasing "
                     "(reordering flips the sign convention)"
                 )
-            coeff = _as_complex(term["coeff"])
+            coeff = complex(*map(float, term["coeff"]))
             ops.append(coeff * fermion_mod.majorana_monomial(fsys, indices))
         return channel_mod.Channel(ops)
     fsys = _require_fermion(fsys, what)
@@ -368,7 +354,7 @@ def _build_channel(what, spec, dim, fsys):
 
 def _build_code(what, spec, dim, fsys):
     if spec["kind"] == "isometry":
-        w = _as_matrix(spec["isometry"])
+        w = linalg.decode_matrix(spec["isometry"])
         return recovery_mod.Code(w.shape[1], w.shape[0], w)
     fsys = _require_fermion(fsys, what)
     return fermion_mod.majorana_ring(fsys, spec["unpaired"], spec["pairing"]).code
@@ -432,7 +418,7 @@ def _check_projectors(scenario, args, refs, index):
         parity = _parity(fsys)
         projectors = [parity.p_plus, parity.p_minus]
     else:
-        projectors = [_as_matrix(rows) for rows in args["projectors"]]
+        projectors = [linalg.decode_matrix(rows) for rows in args["projectors"]]
     recovery_mod._check_projectors(args["code"], args["channel"], projectors)
     args["projectors"] = projectors
 
@@ -448,7 +434,7 @@ def _resolve_state(scenario, spec, dim, index):
     if spec["kind"] == "code_mixed":
         code = _lookup(scenario.codes, spec["code"], "code", index)
         return (code.projector / code.logical_dim).astype(complex)
-    return _as_matrix(spec["matrix"])
+    return linalg.decode_matrix(spec["matrix"])
 
 
 def _resolve_constraint(scenario, spec, index):
@@ -579,10 +565,10 @@ def _run_blocks(args, tol, seed):
     blocks = algebra_mod.block_structure(args["algebra"], seed=used_seed)
     sectors = []
     for sector in blocks.sectors:
-        entry = {"left_dim": int(sector.left_dim), "right_dim": int(sector.right_dim)}
-        encoded = _encode_gated(sector.isometry)
-        if encoded is not None:
-            entry["isometry"] = encoded
+        _, n, m = sector.x.shape
+        entry = {"left_dim": n, "right_dim": m}
+        if sector.x.size <= _MATRIX_EMBED_LIMIT:
+            entry["isometry"] = encode(sector.isometry)
         sectors.append(entry)
     return {
         "ambient_dim": int(blocks.ambient_dim),

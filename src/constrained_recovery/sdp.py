@@ -1030,26 +1030,14 @@ def solve(problem, tol=1e-7, max_iter=200):
     )
 
 
-def _encode_matrix(a):
-    if a is None:
-        return None
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(a, dtype=complex)]
-
-
-def _decode_matrix(data):
-    if data is None:
-        return None
-    return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
 def dump_problem(problem, path):
     """Write a problem as indented JSON (complex entries as [re, im] pairs)."""
     doc = {
         "sense": problem.sense,
         "block_dims": problem.block_dims,
-        "objective": [_encode_matrix(c) for c in problem.objective],
+        "objective": [linalg.encode_matrix(c) for c in problem.objective],
         "constraints": [
-            {"blocks": [_encode_matrix(a) for a in row], "rhs": float(r)}
+            {"blocks": [linalg.encode_matrix(a) for a in row], "rhs": float(r)}
             for row, r in zip(problem.constraints, problem.rhs)
         ],
     }
@@ -1064,8 +1052,8 @@ def load_problem(path):
         doc = json.load(fh)
     return SdpProblem(
         block_dims=doc["block_dims"],
-        objective=[_decode_matrix(c) for c in doc["objective"]],
-        constraints=[[_decode_matrix(a) for a in row["blocks"]]
+        objective=[linalg.decode_matrix(c) for c in doc["objective"]],
+        constraints=[[linalg.decode_matrix(a) for a in row["blocks"]]
                      for row in doc["constraints"]],
         rhs=[row["rhs"] for row in doc["constraints"]],
         sense=doc["sense"],

@@ -331,6 +331,77 @@ def test_block_structure_order_of_equal_rank_sectors():
     assert sorted(shapes[0]) == [(1, 2), (2, 1)]
 
 
+@pytest.mark.parametrize("modes", [2, 3, 4])
+def test_tied_parity_sectors_keep_one_order_over_seeds(modes):
+    # the two sectors of span{1, c} tie exactly on the trace against
+    # diag(0..d-1), so their diagonals order them, whatever the seed: the
+    # even one, which holds the vacuum, first, as physical_algebra of the
+    # whole register lists them
+    system = fermion.FermionSystem(modes)
+    region = range(1, 2 * modes + 1)
+    a = alg.generate_algebra([np.asarray(fermion.parity_operator(system, tuple(region)).c)],
+                             system.dim)
+    want = [s.projector for s in alg.block_structure(fermion.physical_algebra(system, region)).sectors]
+    assert want[0][0, 0] == 1
+    for seed in (0, 1, 5, 11, 123, alg.DEFAULT_SEED):
+        got = [s.projector for s in alg.block_structure(a, seed=seed).sectors]
+        assert [np.abs(p - q).max() < 1e-9 for p, q in zip(got, want)] == [True, True], seed
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_sector_read_offs_equal_the_stored_isometry():
+    """left_dim, right_dim and isometry, read off the (d, n, m) array, equal
+    bitwise what was stored when a Sector kept its isometry: rebuilt here
+    from the output of _modules, and for a region from its array."""
+    rng = np.random.default_rng(4)
+    gens, _, d = planted_algebra(rng, [(2, 2), (1, 2), (2, 1)])
+    a = alg.generate_algebra(gens, d)
+    stored = []
+    for vs, units in alg._modules(a, alg.DEFAULT_SEED):
+        m, _, n = vs.shape
+        levels = np.sqrt(n) * vs @ units[:, 0]
+        projector = np.einsum("kan,kbn->ab", vs, vs.conj())
+        stored.append((projector, n, m, levels.transpose(2, 0, 1).reshape(n * m, d).conj()))
+    stored.sort(key=lambda s: (-s[1] * s[2], float((np.diag(s[0]).real * np.arange(d)).sum())))
+    got = alg.block_structure(a).sectors
+    assert len(got) == len(stored)
+    for s, (projector, n, m, isometry) in zip(got, stored):
+        assert (s.left_dim, s.right_dim) == (n, m)
+        assert _same_bits(s.projector, projector) and _same_bits(s.isometry, isometry)
+    region = fermion.physical_algebra(fermion.FermionSystem(3), [1, 2, 3, 5])
+    for s in alg.block_structure(region).sectors:
+        d, n, m = s.x.shape
+        assert (s.left_dim, s.right_dim) == (n, m) == (2, 2)
+        assert _same_bits(s.isometry, s.x.reshape(d, n * m).conj().T)
+
+
+def test_an_algebra_is_decomposed_once_and_again_only_for_another_seed(monkeypatch):
+    rng = np.random.default_rng(12)
+    gens, _, d = planted_algebra(rng, [(2, 1), (1, 2)])
+    a = alg.generate_algebra(gens, d)
+    twin = alg.AlgebraBasis(d, a._rows.reshape(-1, d, d).copy())
+    seeds = []
+    inner = alg._modules
+
+    def counted(b, seed=alg.DEFAULT_SEED):
+        seeds.append(seed)
+        return inner(b, seed)
+
+    monkeypatch.setattr(alg, "_modules", counted)
+    first = alg.block_structure(a)
+    alg.commutant(a), alg.center(a), alg.conditional_expectation(a)
+    assert all(s is t for s, t in zip(alg.block_structure(a).sectors, first.sectors))
+    assert seeds == [alg.DEFAULT_SEED]
+    # another seed draws its own sectors, equal to a fresh draw at that seed
+    other, fresh = alg.block_structure(a, seed=5), alg.block_structure(twin, seed=5)
+    assert seeds == [alg.DEFAULT_SEED, 5, 5] and other.seed == 5
+    for s, t in zip(other.sectors, fresh.sectors):
+        assert _same_bits(s.x, t.x) and _same_bits(s.projector, t.projector)
+
+
 def _assert_blocks_rebuild(a, bs):
     d = a.ambient_dim
     for s in bs.sectors:

@@ -489,16 +489,17 @@ def _defect_by_einsum(c, b, lc):
 
 
 def test_local_complement_defect_builds_the_expectation_once(monkeypatch):
+    # b keeps its sectors, so a second defect decomposes nothing again
     rng = np.random.default_rng(61)
     b = alg.generate_algebra([np.kron(np.eye(2), np.diag([1.0, -1.0]))], 4)
     c = ch.Channel(random_kraus(rng, 4, 4, 2))
-    want = ch.local_complement_defect(c, b)
     calls = {"commutant": 0, "_modules": 0}
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(alg, name), **kwargs):
             calls[_name] += 1
             return _inner(*args, **kwargs)
         monkeypatch.setattr(alg, name, counted)
+    want = ch.local_complement_defect(c, b)
     assert ch.local_complement_defect(c, b) == want
     assert calls == {"commutant": 0, "_modules": 1}
 

@@ -804,16 +804,47 @@ def test_local_complement_one_shot_defaults_to_the_only_algebra(tmp_path, capsys
 def test_local_complement_task_builds_the_expectation_once(monkeypatch):
     from constrained_recovery import algebra as alg
 
+    # the scenario's algebra keeps its sectors: two runs decompose it once
     task = dict(CHANNEL, variant="local-complement", algebra="diagonal")
     scenario = sc.load_scenario(qubit_scenario([task]))
-    want = sc.run_scenario(scenario)["tasks"][0]
     calls = []
-    inner = alg.block_structure
-    monkeypatch.setattr(alg, "block_structure",
-                        lambda *a, **k: calls.append(a) or inner(*a, **k))
+    inner = alg._modules
+    monkeypatch.setattr(alg, "_modules", lambda *a, **k: calls.append(a) or inner(*a, **k))
+    want = sc.run_scenario(scenario)["tasks"][0]
     got = sc.run_scenario(scenario)["tasks"][0]
     assert len(calls) == 1
     assert got["completed"] and got["output"] == want["output"]
+
+
+def test_six_tasks_on_one_algebra_decompose_it_once(monkeypatch):
+    # the parity algebra of three modes keeps the sectors its first task
+    # finds, and every later task reads them
+    from constrained_recovery import algebra as alg
+
+    doc = {
+        "schema_version": 1, "name": "parity-tasks",
+        "system": {"kind": "fermion", "modes": 3},
+        "algebras": {"parity": {"kind": "parity"}},
+        "channels": {"noise": {"kind": "geometric_noise", "max_support": 2},
+                     "readout": {"kind": "parity_measurement"}},
+        "codes": {"ring": {"kind": "majorana_ring", "unpaired": [1, 2], "pairing": [[3, 4], [5, 6]]}},
+        "tasks": [{"task": "algebra", "variant": v, "algebra": "parity"}
+                  for v in ("commutant", "center", "blocks")] + [
+            {"task": "channel", "variant": "local-complement", "channel": "noise", "algebra": "parity"},
+            {"task": "channel", "variant": "is-local", "channel": "noise", "algebra": "parity",
+             "second_algebra": "parity"},
+            {"task": "fidelity", "variant": "duality", "noise": "noise", "target": "readout",
+             "state": {"kind": "code_mixed", "code": "ring"},
+             "constraint": {"kind": "fixes", "algebra": "parity"}},
+        ],
+    }
+    scenario = sc.load_scenario(doc)
+    calls = []
+    inner = alg._modules
+    monkeypatch.setattr(alg, "_modules", lambda *a, **k: calls.append(a) or inner(*a, **k))
+    report = sc.run_scenario(scenario)
+    assert report["all_tasks_completed"] and len(report["tasks"]) == 6
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -245,3 +245,24 @@ def test_orthonormal_rows_drops_dependents():
 def test_orthonormal_rows_empty_input():
     out = linalg.orthonormal_rows(np.zeros((3, 4)))
     assert out.shape == (0, 4)
+
+
+def test_matrix_codec_round_trip():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    a[0, 0] = complex(-0.0, -0.0)
+    rows = linalg.encode_matrix(a)
+    assert rows[1][0] == [a[1, 0].real, a[1, 0].imag]
+    back = linalg.decode_matrix(rows)
+    assert back.dtype == complex and np.array_equal(back.view(float), a.view(float))
+    assert str(rows[0][0]) == "[-0.0, -0.0]"
+    # a real matrix gets zero imaginary parts; a stack is encoded entrywise
+    assert linalg.encode_matrix(np.eye(2))[0] == [[1.0, 0.0], [0.0, 0.0]]
+    assert linalg.encode_matrix(np.stack([a, a])) == [rows, rows]
+
+
+def test_matrix_decoder_refuses_ragged_rows_and_bare_numbers():
+    with pytest.raises(ValueError, match="unequal lengths"):
+        linalg.decode_matrix([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]])
+    with pytest.raises(ValueError, match="pairs"):
+        linalg.decode_matrix([[1.0, 0.0], [0.0, 1.0]])

@@ -613,13 +613,14 @@ def test_fixed_algebra_environment_side_builds_the_expectation_once(monkeypatch)
     b = alg.generate_algebra([np.asarray(PAR3.c)], 8)
     n = ch.Channel(random_kraus(rng, 8, 8, 2))
     m = ch.Channel(random_kraus(rng, 8, 8, 2))
-    want = rc.environment_side_fidelity(n, m, np.eye(8) / 8, rc.FixesAlgebra(b))
     calls = {"commutant": 0, "_modules": 0}
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(alg, name), **kwargs):
             calls[_name] += 1
             return _inner(*args, **kwargs)
         monkeypatch.setattr(alg, name, counted)
+    # b keeps its sectors, so a second constraint on it decomposes nothing
+    want = rc.environment_side_fidelity(n, m, np.eye(8) / 8, rc.FixesAlgebra(b))
     got = rc.environment_side_fidelity(n, m, np.eye(8) / 8, rc.FixesAlgebra(b))
     assert calls == {"commutant": 0, "_modules": 1}
     assert got.value == want.value
@@ -746,7 +747,7 @@ def test_fixes_algebra_sector_the_target_never_reaches():
     noise's weight there still has a trace-preserving place to go."""
     rng = np.random.default_rng(251)
     b = fixed_algebra("parity-4", rng)
-    even, odd = (s.reshape(4, -1) for s in rc.FixesAlgebra(b).sectors)
+    even, odd = (s.x.reshape(4, -1) for s in alg.block_structure(b).sectors)
     # the target keeps the first sector and folds the second onto its first vector
     m = ch.Channel([even @ even.conj().T] + [even[:, :1] @ v[None].conj() for v in odd.T])
     n = ch.Channel(random_kraus(rng, 4, 4, 2))
@@ -935,10 +936,10 @@ def linked_channels(n, m, constraint, environment):
     return ch.complementary(m), ch.complementary(n)
 
 
-def identity_supports(state, act, ref, sectors, lefts=None):
+def identity_supports(state, act, ref, sectors, fixed=False):
     """:func:`recovery._act_supports` at full support: act as one sector,
-    of multiplicity ``lefts[0]`` on a side that fixes M_n (x) 1."""
-    return [np.eye(act, dtype=complex).reshape(act, lefts[0] if lefts else 1, -1)], state
+    of the multiplicity of the first of the ``sectors``."""
+    return [np.eye(act, dtype=complex).reshape(act, sectors[0].shape[1], -1)], state
 
 
 SUPPORT_SIDES = [("code", False), ("code-d12", False), ("rectangular", False),

@@ -248,6 +248,12 @@ def test_dump_load_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     entry = doc["objective"][0][0][1]
     assert isinstance(entry, list) and len(entry) == 2
+    # one encoder writes the file: the matrices are linalg's [re, im] pairs
+    assert doc["objective"][0] == linalg.encode_matrix(prob.objective[0])
+    doc["objective"][0][1].pop()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="unequal lengths"):
+        sdp.load_problem(path)
 
 
 def test_recovery_builder_identity_pair():
@@ -1277,8 +1283,8 @@ def test_sectors_of_a_large_channel_form_no_choi_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [v.shape for v in sectors] == [(256, 128), (256, 128)]
-    for v in sectors:
+    assert [v.shape for v in sectors] == [(256, 1, 128), (256, 1, 128)]
+    for v in (v[:, 0] for v in sectors):
         assert np.linalg.norm(c @ v @ v.conj().T - v @ v.conj().T @ c) < 1e-10
     assert peak < 128 * 2**20
 

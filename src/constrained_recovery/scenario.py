@@ -255,7 +255,7 @@ def _validate(raw, label):
 def _build_system(spec):
     if spec["kind"] == "qudit":
         dims = [int(d) for d in spec["dims"]]
-        dim = int(np.prod(dims))
+        dim = math.prod(dims)
         if dim > _MAX_SYSTEM_DIM:
             raise ScenarioError(
                 f"system dimension {dim} exceeds the supported maximum "

@@ -64,17 +64,17 @@ primal and dual step lengths of a stack come from one ``eigvalsh`` of its
 primal and dual frames together.  The Schur complement is still assembled
 block by block, from each block's corner of W.
 
-Rows come in two forms.  A dense row is one Hermitian matrix per block.
-A row family (:class:`RowFamily`) is the c*c rows
+Every row belongs to a row family (:class:`RowFamily`), the c*c rows
 
     A_j = sum_t coef_t L_t (1_a (x) h_j) L_t^dag,   h_j in hermitian_basis(c),
 
-one term t per block it touches, with the lift L_t of shape
-(block dim, a*c) and its columns indexed (k, p), k-major.  Each iteration
-needs the Schur complement S_ij = sum_b Tr(A_ib W_b A_jb W_b) at the
-Nesterov-Todd scaling W.  For dense rows that takes one product W A W per
-row.  For two families f, g on one block the whole c_f^2 x c_g^2 block
-follows from N = L_f^dag W L_g, viewed as N[k, y, l, z]:
+with the lift L_t of term t of shape (block dim, a*c), columns indexed
+(k, p), k-major, and any number of terms per block.  A row given densely
+is the c = 1 family of each block's A = F+ F+^dag - F- F-^dag.  Each
+iteration needs the Schur complement
+S_ij = sum_b Tr(A_ib W_b A_jb W_b) at the Nesterov-Todd scaling W.  For
+two terms f, g on one block the whole c_f^2 x c_g^2 block follows from
+N = L_f^dag W L_g, viewed as N[k, y, l, z]:
 
     R[(y, z), (x, w)] = sum_kl N[k, y, l, z] conj(N[k, x, l, w]),
     S_fg = coef_f coef_g Re(Hm_f T Hm_g^T),   T[(x, y), (z, w)] = R[(y, z), (x, w)],
@@ -93,9 +93,8 @@ residuals alone.
 The svec layout, where each Hermitian entry lands in the solver's real
 coordinates and in its stacks, lives in :class:`_SvecMap` alone.  The
 module knows nothing of channels: the fidelity problems are built in
-:mod:`.recovery`.
-Problems can be written to and read from JSON files (:func:`dump_problem`,
-:func:`load_problem`).
+:mod:`.recovery`.  Problems, their families kept, can be written to and
+read from JSON files (:func:`dump_problem`, :func:`load_problem`).
 """
 
 from __future__ import annotations
@@ -172,7 +171,7 @@ class RowFamily:
     """The c*c constraint rows sum_t coef_t L_t (1_a (x) h_j) L_t^dag.
 
     ``h_j`` runs over ``linalg.hermitian_basis(dim)``.  ``terms`` holds
-    one ``(block, lift, coef)`` per block the rows touch; ``lift`` has
+    ``(block, lift, coef)`` triples, any number per block; ``lift`` has
     shape (block dim, a * dim) with columns indexed (k, p), k-major, or
     is ``None`` for the identity (then a = block dim / dim).
     """
@@ -181,26 +180,20 @@ class RowFamily:
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("row family dimension must be positive")
-        self.terms = [
-            (int(b), None if lift is None else np.asarray(lift, dtype=complex),
-             float(coef))
-            for b, lift, coef in terms
-        ]
+        self.terms = [(int(b), None if lift is None else np.asarray(lift, dtype=complex),
+                       float(coef)) for b, lift, coef in terms]
 
     def __len__(self):
         return self.dim * self.dim
 
     def check(self, block_dims):
         """Raise ValueError unless every term fits blocks of ``block_dims``:
-        each block in range and touched once, each lift of shape
-        (block dim, a * dim), each identity-lift block a multiple of dim."""
+        each block in range, each lift of shape (block dim, a * dim), each
+        identity-lift block a multiple of dim."""
         c = self.dim
-        seen = set()
         for b, lift, _ in self.terms:
-            if not 0 <= b < len(block_dims) or b in seen:
-                raise ValueError(f"row family term on block {b} is out of "
-                                 "range or repeated")
-            seen.add(b)
+            if not 0 <= b < len(block_dims):
+                raise ValueError(f"row family term on block {b} is out of range")
             n = block_dims[b]
             if lift is None:
                 if n % c:
@@ -210,28 +203,49 @@ class RowFamily:
                 raise ValueError(f"lift on block {b} must have shape "
                                  f"({n}, a * {c}), got {lift.shape}")
 
-    def _stack(self, lift, coef, n):
-        """Dense rows of one term on a block of dimension n, (c*c, n, n)."""
+    def _stack(self, terms, n):
+        """Dense rows of ``terms``, (lift, coef) pairs on one block of
+        dimension n, summed in order: a (c*c, n, n) stack."""
         c = self.dim
         basis = linalg.hermitian_basis(c)
-        if lift is None:
-            a = n // c
-            stack = np.einsum("kl,jpq->jkplq", np.eye(a), basis)
-            stack = stack.reshape(c * c, n, n)
-        else:
-            # t[u, p, v, q] = sum_k L[u, (k, p)] conj(L[v, (k, q)])
-            lp = lift.reshape(n, -1, c).transpose(0, 2, 1).reshape(n * c, -1)
-            t = (lp @ lp.conj().T).reshape(n, c, n, c)
-            stack = _contract_basis(basis, t)
-        if coef != 1.0:
-            stack *= coef
-        return stack
+        total = None
+        for lift, coef in terms:
+            if lift is None:
+                stack = np.einsum("kl,jpq->jkplq", np.eye(n // c), basis).reshape(c * c, n, n)
+            else:
+                # t[u, p, v, q] = sum_k L[u, (k, p)] conj(L[v, (k, q)])
+                lp = lift.reshape(n, -1, c).transpose(0, 2, 1).reshape(n * c, -1)
+                t = (lp @ lp.conj().T).reshape(n, c, n, c)
+                stack = _contract_basis(basis, t)
+            if coef != 1.0:
+                stack *= coef
+            total = stack if total is None else total + stack
+        return total
+
+    def _block_terms(self):
+        """``{block: [(lift, coef), ...]}``, each touched block's terms in order."""
+        out = {}
+        for b, lift, coef in self.terms:
+            out.setdefault(b, []).append((lift, coef))
+        return out
 
     def stacks(self, block_dims):
-        """Dense rows per touched block, ``{block: (c*c, n, n) stack}``."""
+        """Dense rows per touched block, its terms summed: ``{block: (c*c, n, n) stack}``."""
         self.check(block_dims)
-        return {b: self._stack(lift, coef, block_dims[b])
-                for b, lift, coef in self.terms}
+        return {b: self._stack(terms, block_dims[b]) for b, terms in self._block_terms().items()}
+
+
+def _dense_family(row, dims, what):
+    """The c = 1 family of a dense row, one Hermitian matrix A or None per
+    block: A = F+ F+^dag - F- F-^dag, F+- the eigenvectors of its positive
+    and negative eigenvalues times their roots, no term for a missing sign."""
+    terms = []
+    for b, (a, d) in enumerate(zip(row, dims)):
+        if a is not None:
+            w, v = np.linalg.eigh(linalg.as_hermitian(a, f"{what}, block {b}", d))
+            terms += [(b, v[:, part] * np.sqrt(sign * w[part]), sign)
+                      for sign, part in ((1.0, w > 0), (-1.0, w < 0)) if part.any()]
+    return RowFamily(1, terms)
 
 
 class SdpProblem:
@@ -244,20 +258,17 @@ class SdpProblem:
     objective:
         One Hermitian matrix per block (``None`` for a zero block).
     constraints:
-        Rows; each entry is either a list of per-block Hermitian
-        matrices with ``None`` for blocks the row does not touch, or a
-        :class:`RowFamily` standing for its c*c rows in order.
+        Rows; each entry is a :class:`RowFamily` standing for its c*c rows
+        in order, or a list of per-block Hermitian matrices, ``None`` for
+        blocks the row does not touch, which becomes a c = 1 family.
     rhs:
         Real right-hand sides, one per row (a family counts c*c).
     sense:
         "min" or "max"; solutions report the value in this sense.
 
-    ``families`` lists ``(first row, family)`` for the rows given as
-    families, and ``dense_rows`` lists ``(row, per-block matrices)`` for
-    the others; :func:`solve` writes its real row matrix from both.  No
-    family row is stored densely: the ``constraints`` property writes
-    every row out anew on each access, for :func:`dump_problem` and for
-    inspection.
+    ``families`` lists ``(first row, family)``; :func:`solve` writes its
+    real row matrix from them.  No row is stored densely: the
+    ``constraints`` property writes every row out anew on each access.
     """
 
     def __init__(self, block_dims, objective, constraints, rhs, sense="min"):
@@ -276,23 +287,15 @@ class SdpProblem:
             for b, (c, d) in enumerate(zip(objective, self.block_dims))
         ]
         self.families = []
-        self.dense_rows = []
         i = 0
         for row in constraints:
-            if isinstance(row, RowFamily):
-                # built Hermitian, so the rows skip the check below
-                row.check(self.block_dims)
-                self.families.append((i, row))
-                i += len(row)
-                continue
-            if len(row) != nb:
-                raise ValueError(f"constraint row {i} must cover every block")
-            self.dense_rows.append((i, [
-                None if a is None
-                else linalg.as_hermitian(a, f"constraint {i}, block {b}", d)
-                for b, (a, d) in enumerate(zip(row, self.block_dims))
-            ]))
-            i += 1
+            if not isinstance(row, RowFamily):
+                if len(row) != nb:
+                    raise ValueError(f"constraint row {i} must cover every block")
+                row = _dense_family(row, self.block_dims, f"constraint {i}")
+            row.check(self.block_dims)
+            self.families.append((i, row))
+            i += len(row)
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         if i != rhs.size:
             raise ValueError("one rhs entry per constraint row required")
@@ -305,11 +308,9 @@ class SdpProblem:
     @property
     def constraints(self):
         """Every row in dense form: per-block matrices, ``None`` for blocks
-        the row does not touch.  Family rows are written out on each access."""
+        the row does not touch, written out anew on each access."""
         nb = len(self.block_dims)
         rows = [None] * self.n_constraints
-        for i, row in self.dense_rows:
-            rows[i] = row
         for start, family in self.families:
             stacks = family.stacks(self.block_dims)
             for j in range(len(family)):
@@ -530,9 +531,10 @@ class _SvecMap:
 def _svec_rows(problem, coords=None):
     """Every constraint row as one real svec matrix, (m, sum of n^2).
 
-    Family rows are written term by term.  An identity lift's rows are
-    copies of svec(coef h_j) at :meth:`_SvecMap.lift_columns`; an explicit
-    lift's complex rows are formed, written and freed before the next.
+    Rows are written family by family and block by block.  A block's lone
+    identity-lift term writes copies of svec(coef h_j) at
+    :meth:`_SvecMap.lift_columns`; any other block's complex rows, its
+    terms' stacks summed, are formed, written and freed before the next.
     ``coords`` is the problem's :class:`_SvecMap` when the caller has one.
     """
     dims = problem.block_dims
@@ -542,20 +544,15 @@ def _svec_rows(problem, coords=None):
     for start, family in problem.families:
         rows = slice(start, start + len(family))
         c = family.dim
-        for b, lift, coef in family.terms:
+        for b, terms in family._block_terms().items():
             n = dims[b]
-            if lift is None:
+            if len(terms) == 1 and terms[0][0] is None:
+                coef = terms[0][1]
                 small = _SvecMap.of(c).svec(coef * linalg.hermitian_basis(c).reshape(c * c, -1))
                 a_svec[rows, coords.lift_columns(b, c)] = small[:, None, :]
             else:
-                _SvecMap.of(n).svec(family._stack(lift, coef, n).reshape(c * c, n * n),
+                _SvecMap.of(n).svec(family._stack(terms, n).reshape(c * c, n * n),
                                     out=a_svec[rows, coords.slices[b]])
-    for b, n in enumerate(dims):
-        on_b = [(i, row[b]) for i, row in problem.dense_rows if row[b] is not None]
-        if on_b:
-            idx, mats = zip(*on_b)
-            a_svec[list(idx), coords.slices[b]] = _SvecMap.of(n).svec(
-                np.stack(mats).reshape(len(mats), n * n))
     return a_svec
 
 
@@ -576,7 +573,7 @@ def _orthogonal_lead(problem):
     with a single identity-lift term, each of norm |coef| sqrt(a); 0
     otherwise.
     """
-    if problem.families and problem.families[0][0] == 0:
+    if problem.families:
         family = problem.families[0][1]
         if len(family.terms) == 1 and family.terms[0][1] is None:
             return len(family)
@@ -669,29 +666,11 @@ class _Term:
     hm: np.ndarray
 
 
-@dataclass
-class _BlockRows:
-    """How one block adds to the Schur complement.
-
-    Dense rows (positions ``dense_pos``, matrices ``dense_stack``) give
-    their columns through W A W products, and their rows against the
-    family rows on the block (``cross_ix``) by symmetry.  Each pair of
-    family ``terms`` gives its Schur block through :func:`_family_schur`.
-    """
-
-    dense_pos: np.ndarray
-    dense_stack: np.ndarray | None
-    family_pos: np.ndarray
-    cross_ix: tuple | None
-    terms: list
-
-
 def _schur_layout(problem, kept):
-    """Per-block Schur assembly plan for the rows ``kept``, made once per solve."""
-    nb = len(problem.block_dims)
+    """Each block's :class:`_Term` list for the rows ``kept``, made once per solve."""
     pos = np.full(problem.n_constraints, -1)
     pos[kept] = np.arange(kept.size)
-    terms = [[] for _ in range(nb)]
+    layout = [[] for _ in problem.block_dims]
     for start, family in problem.families:
         c = family.dim
         sel = np.flatnonzero(pos[start:start + len(family)] >= 0)
@@ -700,28 +679,13 @@ def _schur_layout(problem, kept):
         hm = linalg.hermitian_basis(c).reshape(c * c, c * c)
         first = int(pos[start + sel[0]])
         for b, lift, coef in family.terms:
-            terms[b].append(_Term(
+            layout[b].append(_Term(
                 rows=slice(first, first + sel.size),
                 sel=slice(None) if sel.size == len(family) else sel,
                 lift=lift, lift_h=None if lift is None else lift.conj().T,
                 a=(problem.block_dims[b] if lift is None else lift.shape[1]) // c,
                 c=c, coef=coef, hm=hm,
             ))
-    layout = []
-    for b in range(nb):
-        on_b = [(i, row[b]) for i, row in problem.dense_rows
-                if pos[i] >= 0 and row[b] is not None]
-        dense_pos = pos[[i for i, _ in on_b]]
-        family_pos = np.array([i for t in terms[b] for i in range(t.rows.start, t.rows.stop)],
-                              dtype=int)
-        layout.append(_BlockRows(
-            dense_pos=dense_pos,
-            dense_stack=np.stack([a for _, a in on_b]) if on_b else None,
-            family_pos=family_pos,
-            cross_ix=(np.ix_(dense_pos, family_pos)
-                      if on_b and family_pos.size else None),
-            terms=terms[b],
-        ))
     return layout
 
 
@@ -741,20 +705,15 @@ def _family_schur(f, g, wl_g):
     return out[f.sel][:, g.sel]
 
 
-def _schur(layout, w_scale, a_svec, blocks, m):
-    """Schur complement S_ij = sum_b Tr(A_ib W_b A_jb W_b) of the kept rows."""
+def _schur(layout, w_scale, m):
+    """Schur complement S_ij = sum_b Tr(A_ib W_b A_jb W_b) of the kept rows,
+    one :func:`_family_schur` per pair of terms on a block."""
     schur = np.zeros((m, m))
-    for lay, w, blk in zip(layout, w_scale, blocks):
-        if lay.dense_stack is not None:
-            waw = np.matmul(np.matmul(w, lay.dense_stack), w)
-            cross = a_svec[:, blk] @ _SvecMap.of(len(w)).svec(waw.reshape(len(waw), -1)).T
-            schur[:, lay.dense_pos] += cross
-            if lay.cross_ix is not None:
-                schur[lay.cross_ix] += cross[lay.family_pos].T
-        wl = [w if t.lift is None else w @ t.lift for t in lay.terms]
-        for i, f in enumerate(lay.terms):
-            for j in range(i, len(lay.terms)):
-                g = lay.terms[j]
+    for terms, w in zip(layout, w_scale):
+        wl = [w if t.lift is None else w @ t.lift for t in terms]
+        for i, f in enumerate(terms):
+            for j in range(i, len(terms)):
+                g = terms[j]
                 block = _family_schur(f, g, wl[j])
                 schur[f.rows, g.rows] += block
                 if j != i:
@@ -851,9 +810,9 @@ def solve(problem, tol=1e-7, max_iter=200):
     iterates diverge, and "max_iter" otherwise (with the reason in
     ``diagnostics``).  ``diagnostics`` also records the problem's
     ``block_dims``, the ``stacks`` it iterated in, as ``[n, [blocks]]``
-    each, its row counts before and after the row reduction, and
-    ``row_matrix_bytes``, the size of the real matrix of kept rows that
-    the iterations read.
+    each, its row counts before and after the row reduction (``rows``,
+    ``rows_kept``), and ``row_matrix_bytes``, the size of the real matrix
+    of kept rows that the iterations read.
     """
     dims = problem.block_dims
     sign = 1.0 if problem.sense == "min" else -1.0
@@ -864,12 +823,9 @@ def solve(problem, tol=1e-7, max_iter=200):
     rhs_full = problem.rhs
 
     kept, reason = _reduce_rows(a_svec, rhs_full, lead=_orthogonal_lead(problem))
-    in_family = sum(int(np.count_nonzero((kept >= start) & (kept < start + len(family))))
-                    for start, family in problem.families)
     diagnostics = {"block_dims": list(dims),
                    "stacks": [[st.n, list(st.blocks)] for st in stacks],
                    "rows": int(rhs_full.size), "rows_kept": int(kept.size),
-                   "family_rows": in_family, "dense_rows": int(kept.size) - in_family,
                    "row_matrix_bytes": int(kept.size) * a_svec.shape[1] * a_svec.itemsize}
     if reason is not None:
         diagnostics["reason"] = reason
@@ -966,7 +922,7 @@ def solve(problem, tol=1e-7, max_iter=200):
         frames = [np.concatenate(pair) for pair in zip(x_frames, z_frames)]
 
         # Schur complement and its factorization
-        schur = _schur(layout, coords.blocks(w_scale), a_svec, coords.slices, m)
+        schur = _schur(layout, coords.blocks(w_scale), m)
         scale = max(float(np.trace(schur)) / m, 1e-30) if m else 1.0
         factor_ok = False
         for jitter in (0.0, 1e-14, 1e-11, 1e-8):
@@ -1031,14 +987,20 @@ def solve(problem, tol=1e-7, max_iter=200):
 
 
 def dump_problem(problem, path):
-    """Write a problem as indented JSON (complex entries as [re, im] pairs)."""
+    """Write a problem as indented JSON, format 2: ``sense``, ``block_dims``,
+    the objective and each row family's ``dim``, ``rhs`` run and ``terms``,
+    ``[block, lift or null for the identity, coef]``, matrices as
+    :func:`linalg.encode_matrix` pairs."""
     doc = {
+        "version": 2,
         "sense": problem.sense,
         "block_dims": problem.block_dims,
         "objective": [linalg.encode_matrix(c) for c in problem.objective],
-        "constraints": [
-            {"blocks": [linalg.encode_matrix(a) for a in row], "rhs": float(r)}
-            for row, r in zip(problem.constraints, problem.rhs)
+        "families": [
+            {"dim": family.dim,
+             "rhs": problem.rhs[start:start + len(family)].tolist(),
+             "terms": [[b, linalg.encode_matrix(lift), coef] for b, lift, coef in family.terms]}
+            for start, family in problem.families
         ],
     }
     with open(path, "w") as fh:
@@ -1047,14 +1009,27 @@ def dump_problem(problem, path):
 
 
 def load_problem(path):
-    """Inverse of :func:`dump_problem`."""
+    """Inverse of :func:`dump_problem`, lifts bit for bit.  A file without a
+    ``version`` is format 1, ``{"blocks", "rhs"}`` per row, read as c = 1
+    families.  Raises ValueError for an unknown version or a misfit family."""
     with open(path) as fh:
         doc = json.load(fh)
+    version = doc.get("version", 1)
+    if version == 1:
+        rows = [[linalg.decode_matrix(a) for a in row["blocks"]] for row in doc["constraints"]]
+        runs = [[row["rhs"]] for row in doc["constraints"]]
+    elif version == 2:
+        rows = [RowFamily(f["dim"], [(b, linalg.decode_matrix(lift), coef)
+                                     for b, lift, coef in f["terms"]]) for f in doc["families"]]
+        runs = [f["rhs"] for f in doc["families"]]
+        if [len(r) for r in runs] != [len(f) for f in rows]:
+            raise ValueError("a row family's rhs run does not have one entry per row")
+    else:
+        raise ValueError(f"unknown problem file version {version!r}")
     return SdpProblem(
         block_dims=doc["block_dims"],
         objective=[linalg.decode_matrix(c) for c in doc["objective"]],
-        constraints=[[linalg.decode_matrix(a) for a in row["blocks"]]
-                     for row in doc["constraints"]],
-        rhs=[row["rhs"] for row in doc["constraints"]],
+        constraints=rows,
+        rhs=[r for run in runs for r in run],
         sense=doc["sense"],
     )

@@ -113,6 +113,23 @@ def test_dimension_inconsistency_rejected_before_any_numerics(
     assert calls == []
 
 
+@pytest.mark.parametrize("dims", [[2**32, 2**32], [3074457345618258603, 3]])
+def test_system_dimension_past_int64_exit_2(dims, tmp_path, capsys):
+    # both products wrap in int64, to 0 and to a negative number; the exact
+    # product is refused before any channel is built
+    spec = {
+        "schema_version": 1,
+        "name": "huge",
+        "system": {"kind": "qudit", "dims": dims},
+        "channels": {"id": {"kind": "identity"}},
+        "tasks": [{"task": "channel", "variant": "complement", "channel": "id"}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["run", str(path)]) == 2
+    assert "exceeds the supported maximum" in capsys.readouterr().err
+
+
 def test_task_level_dimension_mismatch_exit_2(tmp_path, capsys):
     spec = qubit_scenario(
         [

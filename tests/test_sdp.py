@@ -811,7 +811,7 @@ def test_row_family_rows_match_definition():
     prob = sdp.SdpProblem([5, 6], [None, None], [family, [None, np.eye(6)]],
                           np.arange(10.0))
     assert prob.n_constraints == 10
-    assert [(start, len(f)) for start, f in prob.families] == [(0, 9)]
+    assert [(start, len(f)) for start, f in prob.families] == [(0, 9), (9, 1)]
     for b, (lift_b, coef) in enumerate(((lift, -1.5), (None, 1.0))):
         want = family_definition_rows(3, lift_b, coef, prob.block_dims[b])
         for row, w in zip(prob.constraints, want):
@@ -863,7 +863,7 @@ def definition_corpus_plan(monkeypatch, case):
 
 
 def dense_copy(prob):
-    """The same problem with every row given densely."""
+    """The same problem with every row given densely, so as c = 1 families."""
     return sdp.SdpProblem(prob.block_dims, prob.objective, prob.constraints,
                           prob.rhs, sense=prob.sense)
 
@@ -875,12 +875,10 @@ def random_pd(rng, d):
 
 def schur_at(prob, w_scale):
     """Kept rows and the Schur complement the solver assembles at ``w_scale``."""
-    a_svec = sdp._svec_rows(prob)
-    kept, reason = sdp._reduce_rows(a_svec, prob.rhs)
+    kept, reason = sdp._reduce_rows(sdp._svec_rows(prob), prob.rhs)
     assert reason is None
-    blocks = sdp._SvecMap(prob.block_dims).slices
     layout = sdp._schur_layout(prob, kept)
-    return kept, sdp._schur(layout, w_scale, a_svec[kept], blocks, kept.size)
+    return kept, sdp._schur(layout, w_scale, kept.size)
 
 
 def schur_definition(prob, kept, w_scale):
@@ -902,6 +900,7 @@ def assert_family_schur_matches(prob, rng):
     assert list(kept) == list(kept_dense)
     want = schur_definition(prob, kept, w_scale)
     assert np.linalg.norm(dense - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(family - want) <= 1e-12 * np.linalg.norm(want)
     assert np.linalg.norm(family - dense) <= 1e-12 * np.linalg.norm(dense)
     return kept
 
@@ -923,7 +922,8 @@ def test_family_schur_matches_dense_schur(monkeypatch, case):
 def test_family_and_dense_rows_mix(monkeypatch):
     # a dense row ahead of the families equal to the sum of the first two
     # family rows: it is kept, the second family row is dropped, and the
-    # dense row's Schur entries against the families come from the cross term
+    # dense row's Schur entries against the families come from its c = 1
+    # family's terms
     _, plan = definition_corpus_plan(monkeypatch, "rectangular")
     prob = plan.problem
     stacks = prob.families[0][1].stacks(prob.block_dims)
@@ -939,8 +939,7 @@ def test_family_and_dense_rows_mix(monkeypatch):
     base = sdp.solve(prob, tol=1e-9)
     sol = sdp.solve(mixed, tol=1e-9)
     assert sol.status == "optimal"
-    assert sol.diagnostics["dense_rows"] == 1
-    assert sol.diagnostics["family_rows"] == sol.diagnostics["rows_kept"] - 1
+    assert sol.diagnostics["rows_kept"] == base.diagnostics["rows_kept"]
     assert abs(sol.value - base.value) < 1e-7
 
 
@@ -949,14 +948,25 @@ def test_link_builders_put_every_row_on_the_family_path(monkeypatch):
     n = ch.Channel(random_kraus(rng, 3, 3, 2))
     m = ch.Channel(random_kraus(rng, 3, 3, 2))
     rho = random_density(rng, 3)
+    # a dense row would become a c = 1 family silently: the spy sees the rows
+    # the builders pass
+    passed = []
+    problem = sdp.SdpProblem
+
+    def spy(block_dims, objective, constraints, *args, **kwargs):
+        passed.append(list(constraints))
+        return problem(block_dims, objective, passed[-1], *args, **kwargs)
+
+    monkeypatch.setattr(sdp, "SdpProblem", spy)
     recovery = rc.build_recovery_fidelity_sdp(n, m, rho)
     _, env_plan = first_link_plan(
         monkeypatch, lambda: rc.environment_side_fidelity(n, m, rho))
+    assert len(passed) == 2
+    assert all(isinstance(row, sdp.RowFamily) for rows in passed for row in rows)
     for prob in (recovery, env_plan.problem):
         sol = sdp.solve(prob)
         assert sol.status == "optimal"
-        assert sol.diagnostics["dense_rows"] == 0
-        assert sol.diagnostics["family_rows"] == sol.diagnostics["rows_kept"] > 0
+        assert sol.diagnostics["rows_kept"] > 0
 
 
 def test_loaded_fixes_algebra_problem_solves_densely_alike(tmp_path):
@@ -968,17 +978,119 @@ def test_loaded_fixes_algebra_problem_solves_densely_alike(tmp_path):
     )
     path = tmp_path / "fixes.json"
     sdp.dump_problem(prob, path)
-    loaded = sdp.load_problem(path)
-    assert loaded.families == []
     family = sdp.solve(prob)
-    dense = sdp.solve(loaded)
-    assert family.status == dense.status == "optimal"
-    assert dense.diagnostics["family_rows"] == 0
-    assert dense.diagnostics["dense_rows"] == dense.diagnostics["rows_kept"]
-    assert family.diagnostics["dense_rows"] == 0
+    dense = sdp.solve(dense_copy(prob))
+    loaded = sdp.solve(sdp.load_problem(path))
+    assert family.status == dense.status == loaded.status == "optimal"
     assert family.diagnostics["rows_kept"] == dense.diagnostics["rows_kept"]
     assert dense.iterations == family.iterations
     assert abs(dense.value - family.value) < 1e-9
+    assert (loaded.iterations, loaded.value) == (family.iterations, family.value)
+
+
+@pytest.mark.parametrize("case, signs", [("indefinite", [1.0, -1.0]), ("psd", [1.0]),
+                                         ("zero", []), ("none", [])])
+def test_dense_row_becomes_a_one_row_family(case, signs):
+    rng = np.random.default_rng(167)
+    h = random_hermitian(rng, 4)
+    a = {"indefinite": h, "psd": h @ h, "zero": np.zeros((4, 4)), "none": None}[case]
+    prob = sdp.SdpProblem([4, 3], [None, None], [[a, None]], [1.0])
+    ((start, family),) = prob.families
+    assert (start, family.dim) == (0, 1)
+    assert [(b, coef) for b, _, coef in family.terms] == [(0, s) for s in signs]
+    row = prob.constraints[0]
+    assert row[1] is None
+    if not signs:
+        assert row[0] is None
+    else:
+        assert np.linalg.norm(row[0] - a) <= 1e-14 * np.linalg.norm(a)
+
+
+def test_two_terms_on_one_block_sum():
+    rng = np.random.default_rng(173)
+    lifts = [rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4)) for _ in range(2)]
+    terms = [(0, lifts[0], 1.0), (1, None, 0.5), (0, lifts[1], -2.0)]
+    family = sdp.RowFamily(2, terms)
+    dims = [5, 4]
+    family.check(dims)
+    stacks = family.stacks(dims)
+    alone = [sdp.RowFamily(2, [t]).stacks(dims) for t in terms]
+    assert np.array_equal(stacks[0], alone[0][0] + alone[2][0])
+    assert np.array_equal(stacks[1], alone[1][1])
+    prob = sdp.SdpProblem(dims, [None, None], [family], np.zeros(4))
+    assert list(assert_family_schur_matches(prob, rng)) == [0, 1, 2, 3]
+
+
+def recovery_corpus():
+    """A full-rank recovery problem: identity-lift and explicit-lift terms."""
+    rng = np.random.default_rng(179)
+    n = ch.Channel(random_kraus(rng, 4, 4, 3))
+    m = ch.Channel(random_kraus(rng, 4, 4, 2))
+    return rc.build_recovery_fidelity_sdp(n, m, random_density(rng, 4))
+
+
+def test_problem_file_keeps_the_families_bit_for_bit(tmp_path):
+    prob = recovery_corpus()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    sdp.dump_problem(prob, first)
+    loaded = sdp.load_problem(first)
+    sdp.dump_problem(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert json.loads(first.read_text())["version"] == 2
+    assert np.array_equal(loaded.rhs, prob.rhs)
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.objective, prob.objective))
+    assert len(loaded.families) == len(prob.families)
+    lifts = []
+    for (start, f), (start_l, f_l) in zip(prob.families, loaded.families):
+        assert (start, f.dim, len(f.terms)) == (start_l, f_l.dim, len(f_l.terms))
+        for (b, lift, coef), (b_l, lift_l, coef_l) in zip(f.terms, f_l.terms):
+            assert (b, coef) == (b_l, coef_l)
+            assert (lift is None and lift_l is None) or np.array_equal(lift, lift_l)
+            lifts.append(lift is None)
+    assert True in lifts and False in lifts
+    built, again = sdp.solve(prob), sdp.solve(loaded)
+    assert built.status == "optimal"
+    assert (again.iterations, again.value) == (built.iterations, built.value)
+
+
+def test_format_one_file_loads_as_one_row_families(tmp_path):
+    # a file without a version key, as format 1 wrote it: each row densely
+    prob = recovery_corpus()
+    doc = {
+        "sense": prob.sense,
+        "block_dims": prob.block_dims,
+        "objective": [linalg.encode_matrix(c) for c in prob.objective],
+        "constraints": [
+            {"blocks": [linalg.encode_matrix(a) for a in row], "rhs": float(r)}
+            for row, r in zip(prob.constraints, prob.rhs)
+        ],
+    }
+    path = tmp_path / "format1.json"
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    loaded = sdp.load_problem(path)
+    assert [(start, f.dim) for start, f in loaded.families] == [
+        (i, 1) for i in range(prob.n_constraints)]
+    built, again = sdp.solve(prob), sdp.solve(loaded)
+    assert built.status == again.status == "optimal"
+    assert again.iterations == built.iterations
+    assert abs(again.value - built.value) < 1e-9
+
+
+def test_load_problem_refuses_an_unknown_version_or_a_bad_family(tmp_path):
+    prob = sdp.SdpProblem([2], [None], [sdp.RowFamily(2, [(0, None, 1.0)])], np.zeros(4))
+    path = tmp_path / "problem.json"
+    sdp.dump_problem(prob, path)
+    doc = json.loads(path.read_text())
+    for bad, match in ((dict(doc, version=3), "version 3"),
+                       (dict(doc, families=[dict(doc["families"][0], terms=[[1, None, 1.0]])]),
+                        "out of range"),
+                       (dict(doc, families=[dict(doc["families"][0], rhs=[0.0] * 3)]),
+                        "rhs run")):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=match):
+            sdp.load_problem(path)
 
 
 # ---------------------------------------------------------------------------
@@ -1330,10 +1442,12 @@ def test_split_problem_reports_blocks_and_round_trips(tmp_path):
     path = tmp_path / "physical.json"
     sdp.dump_problem(prob, path)
     loaded = sdp.load_problem(path)
-    assert loaded.families == [] and loaded.block_dims == prob.block_dims
-    dense = sdp.solve(loaded)
-    assert dense.status == family.status == "optimal"
+    assert loaded.block_dims == prob.block_dims
+    dense = sdp.solve(dense_copy(prob))
+    reloaded = sdp.solve(loaded)
+    assert dense.status == reloaded.status == family.status == "optimal"
     assert dense.diagnostics["block_dims"] == [4, 4, 4, 4, 2 * r]
-    assert dense.diagnostics["dense_rows"] == dense.diagnostics["rows_kept"]
+    assert dense.diagnostics["rows_kept"] == family.diagnostics["rows_kept"]
     assert dense.iterations == family.iterations
     assert abs(dense.value - family.value) < 1e-9
+    assert (reloaded.iterations, reloaded.value) == (family.iterations, family.value)
